@@ -63,6 +63,18 @@ class AsymptoticMoments:
     variance_coeff: float  # second_coeff - mean_rate^2
     grid_size: int
 
+    @property
+    def classification(self) -> str:
+        """``"ballistic"`` or ``"non-spreading"``.
+
+        Non-spreading means both the quadratic spread coefficient and the
+        variance coefficient vanish; a deterministic drift (zero variance but
+        nonzero rate) still counts as ballistic.
+        """
+        if self.variance_coeff <= _SPREAD_TOL and self.second_coeff <= _SPREAD_TOL:
+            return "non-spreading"
+        return "ballistic"
+
 
 @dataclass(frozen=True)
 class VelocityDensity:
@@ -161,16 +173,8 @@ def moment_integrals(coin: CoinSpec, init: InitialCondition, grid_size: int = 40
 
 
 def classify_spreading(coin: CoinSpec, init: InitialCondition, grid_size: int = 4096) -> str:
-    """``"ballistic"`` or ``"non-spreading"``.
-
-    Non-spreading means both the quadratic spread coefficient and the
-    variance coefficient vanish; a deterministic drift (zero variance but
-    nonzero rate) still counts as ballistic.
-    """
-    am = moment_integrals(coin, init, grid_size)
-    if am.variance_coeff <= _SPREAD_TOL and am.second_coeff <= _SPREAD_TOL:
-        return "non-spreading"
-    return "ballistic"
+    """``"ballistic"`` or ``"non-spreading"``; see ``AsymptoticMoments.classification``."""
+    return moment_integrals(coin, init, grid_size).classification
 
 
 def weak_limit_density(

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     asymptotic_moments_to_dict,
-    classify_spreading,
     drift_sign,
     moment_integrals,
     velocity_density_to_csv,
@@ -48,7 +47,7 @@ from .momentum import (
     dispersion_band,
     dispersion_to_csv,
 )
-from .walk import InitialCondition, MomentSeries, distribution_to_csv, evolve, moment_series
+from .walk import InitialCondition, MomentSeries, distribution_to_csv, moment_series
 
 __all__ = ["main", "ConfigError", "RunConfig"]
 
@@ -357,7 +356,7 @@ def _cmd_simulate(cfg: RunConfig, raw: dict) -> int:
     outputs = [out]
     if cfg.command == "simulate" and raw.get("distribution_out"):
         dist_out = _out_path(cfg, raw["distribution_out"])
-        distribution_to_csv(evolve(init, coin, cfg.steps), dist_out)
+        distribution_to_csv(ms.final, dist_out)
         outputs.append(dist_out)
     _write_manifest(cfg, coin, outputs)
     return 0
@@ -377,7 +376,7 @@ def _cmd_asymptotics(cfg: RunConfig, raw: dict) -> int:
     init = _resolve_initial(cfg, raw)
     am = moment_integrals(coin, init, cfg.grid_size)
     record = asymptotic_moments_to_dict(am)
-    record["classification"] = classify_spreading(coin, init, cfg.grid_size)
+    record["classification"] = am.classification
     print(f"mean_rate      = {am.mean_rate:.17g}")
     print(f"second_coeff   = {am.second_coeff:.17g}")
     print(f"variance_coeff = {am.variance_coeff:.17g}")

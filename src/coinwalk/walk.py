@@ -2,9 +2,12 @@
 
 One step applies the composite coin at every site and then shifts the
 coin-0 amplitude one site to the right and the coin-1 amplitude one site to
-the left.  States are stored densely over the light cone only (support of a
-t-step walk from site x0 is exactly [x0 - t, x0 + t]), with no truncation or
-pruning anywhere: the evolution is exact up to float rounding.
+the left.  The support of a t-step walk from site x0 is the light cone
+[x0 - t, x0 + t], and within it only the parity sublattice
+x = x0 - t (mod 2) is occupied.  The kernel stores and updates just those
+t + 1 sites, with no truncation or pruning anywhere: the evolution is exact
+up to float rounding.  Returned states still cover the whole light cone, with
+exact zeros on the empty sublattice.
 """
 
 from __future__ import annotations
@@ -82,11 +85,13 @@ class WalkerState:
 
 @dataclass
 class MomentSeries:
-    """Position mean / second moment / variance after each step."""
+    """Position mean / second moment / variance after each step, plus the
+    state after the last step when the series comes from a walk run."""
 
     times: NDArray[np.int64]
     mean: NDArray[np.float64]
     second: NDArray[np.float64]
+    final: WalkerState | None = None
 
     @property
     def variance(self) -> NDArray[np.float64]:
@@ -102,71 +107,96 @@ class MomentSeries:
         write_csv(path, ["t", "mean", "second", "variance"], rows)
 
 
-def _stepped(amps: NDArray[np.complex128], coin_mat: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Coin application followed by the conditional shift; widens by one site per side."""
-    coined = amps @ coin_mat.T
-    out = np.zeros((amps.shape[0] + 2, 2), dtype=np.complex128)
-    out[2:, 0] = coined[:, 0]  # coin 0 moves right
-    out[:-2, 1] = coined[:, 1]  # coin 1 moves left
-    return out
+def _advance(sub, offset, mat, steps, observe=None, sums=None):
+    """Advance one parity sublattice by ``steps`` walk steps.
+
+    ``sub`` is an (m, 2) array of amplitudes at sites ``offset + 2i``; the
+    result is the (m + steps, 2) sublattice at sites ``offset - steps + 2i``.
+    Both coin components sit in one flat buffer: coin 1 at a fixed base, so
+    its left shift keeps sublattice index i, and coin 0 in a block whose base
+    moves down one slot per step, so its right shift is free too.  A step
+    then writes the 2x2 coin map's output back into the same slots.
+
+    After step k, ``observe(k, offset - k, amps)`` gets a read-only (m + k, 2)
+    view, and ``sums = (mean, second)`` receives ``sum x p`` and
+    ``sum x^2 p`` at index k, reduced with absolute site positions.
+    """
+    m = sub.shape[0]
+    width = m + steps
+    flat = np.zeros(2 * width, dtype=np.complex128)
+    flat[steps:width] = sub[:, 0]
+    flat[width : width + m] = sub[:, 1]
+    c00, c01, c10, c11 = mat.ravel()
+    scratch = np.empty((3, width), dtype=np.complex128)
+    if sums is not None:
+        mean, second = sums
+        floats = flat.view(np.float64)
+        squares = np.empty(4 * width)
+        x = offset - steps + np.arange(2 * width - 1, dtype=np.float64)  # every site ever reached
+        # x and x^2 per parity class, each repeated for the real and imaginary part
+        weights = [np.repeat(np.stack((x[p::2], x[p::2] ** 2)), 2, axis=1) for p in (0, 1)]
+    for k in range(1, steps + 1):
+        # after this step: coin 0 at flat[lo:width], coin 1 at flat[width:width + n]
+        lo, n = steps - k, m + k
+        a0, a1 = flat[lo + 1 : width], flat[width : width + n - 1]
+        s0, s1, s2 = scratch[:, : n - 1]
+        # products go to scratch, never in place: numpy rounds a one-element
+        # in-place complex product differently from the same product elsewhere
+        np.multiply(a0, c00, out=s0)
+        np.multiply(a1, c01, out=s1)
+        np.multiply(a0, c10, out=s2)
+        np.add(s0, s1, out=a0)
+        np.multiply(a1, c11, out=s0)
+        np.add(s2, s0, out=a1)
+        if observe is not None:
+            view = flat[lo : lo + 2 * n].reshape(2, n).T
+            view.flags.writeable = False
+            observe(k, offset - k, view)
+        if sums is not None:
+            # block site i is x[lo + 2i], entry lo // 2 + i of its parity class
+            w = weights[lo % 2][:, 2 * (lo // 2) : 2 * (lo // 2 + n)]
+            block = floats[2 * lo : 2 * (lo + 2 * n)]
+            sq = squares[: 4 * n]
+            np.multiply(block, block, out=sq)
+            probs, tmp = sq[: 2 * n], sq[2 * n :]
+            probs += tmp  # site probabilities, split into real and imaginary parts
+            np.multiply(probs, w[0], out=tmp)
+            mean[k] = tmp.sum()
+            np.multiply(probs, w[1], out=tmp)
+            second[k] = tmp.sum()
+    return flat.reshape(2, width).T.copy()
+
+
+def _light_cone(t: int, offset: int, sub: NDArray[np.complex128]) -> WalkerState:
+    """Full light-cone state from the occupied sublattice at sites ``offset + 2i``."""
+    amps = np.zeros((2 * sub.shape[0] - 1, 2), dtype=np.complex128)
+    amps[0::2] = sub
+    return WalkerState(t=t, offset=offset, amplitudes=amps)
 
 
 def step(state: WalkerState, coin: CoinSpec) -> WalkerState:
-    """One walk step; returns a new state, leaving the input untouched."""
-    return WalkerState(
-        t=state.t + 1,
-        offset=state.offset - 1,
-        amplitudes=_stepped(state.amplitudes, compose(coin)),
-    )
+    """One walk step; returns a new state, leaving the input untouched.
 
-
-def _initial_state(init: InitialCondition) -> WalkerState:
-    amps = np.zeros((1, 2), dtype=np.complex128)
-    amps[0] = init.coin_state
-    return WalkerState(t=0, offset=init.position, amplitudes=amps)
+    ``state`` may occupy both parity classes; each is advanced on its own.
+    """
+    mat = compose(coin)
+    amps = np.zeros((state.amplitudes.shape[0] + 2, 2), dtype=np.complex128)
+    for parity in (0, 1):
+        amps[parity::2] = _advance(state.amplitudes[parity::2], state.offset + parity, mat, 1)
+    return WalkerState(t=state.t + 1, offset=state.offset - 1, amplitudes=amps)
 
 
 def evolve(init: InitialCondition, coin: CoinSpec, steps: int, observe=None) -> WalkerState:
     """Apply ``steps`` walk steps to a point-localised initial state.
 
     ``observe(t, offset, amps)``, if given, is called after every step with a
-    read-only (L, 2) view of the current support; it must not hold on to
-    ``amps``.  Amplitudes live in two preallocated component-major buffers,
-    so long evolutions stay contiguous and allocation-free.
+    read-only (t + 1, 2) view of the occupied sublattice, sites
+    ``offset + 2i``; it must not hold on to ``amps``.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if steps == 0:
-        return _initial_state(init)
-
-    mat = compose(coin)
-    c00, c01, c10, c11 = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    width = 2 * steps + 1
-    buf = np.zeros((2, width), dtype=np.complex128)
-    centre = steps
-    buf[0, centre], buf[1, centre] = init.coin_state
-    scratch = np.empty((3, width), dtype=np.complex128)
-    for t in range(1, steps + 1):
-        lo, hi = centre - t + 1, centre + t  # pre-step support [lo, hi)
-        n = hi - lo
-        a0, a1 = buf[0, lo:hi], buf[1, lo:hi]
-        u0, u1, tmp = scratch[0, :n], scratch[1, :n], scratch[2, :n]
-        np.multiply(a0, c00, out=u0)
-        np.multiply(a1, c01, out=tmp)
-        u0 += tmp
-        np.multiply(a0, c10, out=u1)
-        np.multiply(a1, c11, out=tmp)
-        u1 += tmp
-        buf[0, lo + 1 : hi + 1] = u0  # coin 0 moves right
-        buf[0, lo] = 0.0
-        buf[1, lo - 1 : hi - 1] = u1  # coin 1 moves left
-        buf[1, hi - 1] = 0.0
-        if observe is not None:
-            view = buf[:, lo - 1 : hi + 1]
-            view.flags.writeable = False
-            observe(t, init.position - t, view.T)
-            view.flags.writeable = True
-    return WalkerState(t=steps, offset=init.position - steps, amplitudes=buf.T.copy())
+    sub = _advance(init.coin_state.reshape(1, 2), init.position, compose(coin), steps, observe)
+    return _light_cone(steps, init.position - steps, sub)
 
 
 def distribution(state: WalkerState) -> dict[int, float]:
@@ -183,21 +213,23 @@ def moments(state: WalkerState) -> tuple[float, float]:
 
 
 def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentSeries:
-    """Mean and second moment after every step from 0 through ``steps``."""
-    times = np.arange(steps + 1, dtype=np.int64)
-    mean = np.zeros(steps + 1)
-    second = np.zeros(steps + 1)
+    """Mean and second moment after every step from 0 through ``steps``,
+    reduced inside one kernel run; the series carries the final state."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    mean = np.empty(steps + 1)
+    second = np.empty(steps + 1)
     mean[0] = init.position
     second[0] = init.position**2
-
-    def record(t, offset, amps):
-        probs = np.sum(np.abs(amps) ** 2, axis=1)
-        x = offset + np.arange(amps.shape[0], dtype=np.float64)
-        mean[t] = np.sum(x * probs)
-        second[t] = np.sum(x * x * probs)
-
-    evolve(init, coin, steps, observe=record)
-    return MomentSeries(times=times, mean=mean, second=second)
+    sub = _advance(
+        init.coin_state.reshape(1, 2), init.position, compose(coin), steps, sums=(mean, second)
+    )
+    return MomentSeries(
+        times=np.arange(steps + 1, dtype=np.int64),
+        mean=mean,
+        second=second,
+        final=_light_cone(steps, init.position - steps, sub),
+    )
 
 
 def ring_oracle(

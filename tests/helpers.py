@@ -25,6 +25,25 @@ def random_coin_state(rng) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def reference_step(amps: np.ndarray, coin_mat: np.ndarray) -> np.ndarray:
+    """Full-width walk step: the coin at every site of an (L, 2) array, then
+    coin 0 one site right and coin 1 one site left, giving (L + 2, 2).  Both
+    parity classes are stored and multiplied, occupied or not."""
+    coined = amps @ coin_mat.T
+    out = np.zeros((amps.shape[0] + 2, 2), dtype=np.complex128)
+    out[2:, 0] = coined[:, 0]  # coin 0 moves right
+    out[:-2, 1] = coined[:, 1]  # coin 1 moves left
+    return out
+
+
+def reference_evolve(coin_state, coin_mat: np.ndarray, steps: int) -> np.ndarray:
+    """(2 * steps + 1, 2) light-cone amplitudes from ``steps`` reference steps."""
+    amps = np.asarray(coin_state, dtype=np.complex128).reshape(1, 2)
+    for _ in range(steps):
+        amps = reference_step(amps, coin_mat)
+    return amps
+
+
 def xy_product_entries(theta: float, phi: float) -> np.ndarray:
     """Hand-expanded entries of ``R_x(phi) @ R_y(theta)``."""
     cth, sth = np.cos(theta), np.sin(theta)

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from coinwalk import cli
+from coinwalk import asymptotics, cli, walk
+from coinwalk.coins import preset_coin
 from coinwalk.cli import ConfigError, main, parse_angle, read_config_file
 
 
@@ -50,6 +52,29 @@ def test_simulate_distribution_output(tmp_path):
     assert lines[0] == "t,x,p"
     assert len(lines) == 1 + 13  # support of a 6-step walk
     assert (tmp_path / "d.csv.manifest.json").exists()
+
+
+def test_distribution_out_runs_the_walk_once(tmp_path, monkeypatch):
+    runs = []
+    kernel = walk._advance
+
+    def counted(sub, offset, mat, steps, *args, **kwargs):
+        runs.append(steps)
+        return kernel(sub, offset, mat, steps, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "_advance", counted)
+    code = run(
+        "simulate", "--coin", "hadamard_analog", "--steps", "37", "--position", "4",
+        "--initial-coin", "0,1", "--out", "m.csv", "--distribution-out", "d.csv",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert runs.count(37) == 1  # one kernel run feeds both the moments and the distribution
+
+    init = walk.InitialCondition(np.array([0.0, 1.0]), position=4)
+    reference = walk.evolve(init, preset_coin("hadamard_analog"), 37)
+    walk.distribution_to_csv(reference, tmp_path / "ref.csv")
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):
@@ -172,6 +197,20 @@ def test_asymptotics_stdout_and_json(tmp_path, capsys):
     assert record["classification"] == "ballistic"
     assert record["second_coeff"] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-3)
     assert (tmp_path / "a.json.manifest.json").exists()
+
+
+def test_asymptotics_integrates_once(tmp_path, monkeypatch):
+    calls = []
+    integrate = asymptotics.moment_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    for module in (cli, asymptotics):
+        monkeypatch.setattr(module, "moment_integrals", counted)
+    assert run("asymptotics", "--coin", "hadamard_analog", "--out", str(tmp_path / "a.json")) == 0
+    assert len(calls) == 1
 
 
 def test_weak_limit_output(tmp_path, capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk.coins import preset_coin, random_coin_spec
+from coinwalk.coins import compose, preset_coin, random_coin_spec
 from coinwalk.walk import (
     InitialCondition,
+    WalkerState,
     distribution,
     evolve,
     moment_series,
@@ -15,6 +16,7 @@ from coinwalk.walk import (
     ring_oracle,
     step,
 )
+from helpers import random_coin_state, reference_evolve, reference_step
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 COIN1 = InitialCondition(np.array([0.0, 1.0]))
@@ -202,3 +204,92 @@ def test_moment_series_csv(tmp_path):
     assert lines[0] == "t,mean,second,variance"
     assert len(lines) == 6
     assert not any(ln.endswith(",") for ln in lines)
+
+
+# --- sublattice kernel against the full-width reference stepper ---
+
+
+def _random_walk_case(seed):
+    rng = np.random.default_rng(seed)
+    coin = random_coin_spec(rng, int(rng.integers(1, 5)))
+    init = InitialCondition(random_coin_state(rng), position=int(rng.integers(-50, 51)))
+    return rng, coin, init
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 64))
+@settings(max_examples=60, deadline=None)
+def test_evolve_matches_reference_stepper(seed, steps):
+    _, coin, init = _random_walk_case(seed)
+    state = evolve(init, coin, steps)
+    ref = reference_evolve(init.coin_state, compose(coin), steps)
+    assert state.t == steps and state.offset == init.position - steps
+    assert state.amplitudes.shape == ref.shape
+    assert np.max(np.abs(state.amplitudes - ref)) <= 1e-15
+    # the empty parity class holds exact zeros
+    assert not np.any(state.amplitudes[1::2])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_step_with_both_parity_classes_matches_reference(seed, width):
+    rng, coin, init = _random_walk_case(seed)
+    amps = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
+    state = WalkerState(t=7, offset=init.position, amplitudes=amps)
+    before = state.amplitudes.copy()
+    out = step(state, coin)
+    assert out.t == 8 and out.offset == init.position - 1
+    assert np.max(np.abs(out.amplitudes - reference_step(before, compose(coin)))) <= 1e-15
+    assert np.array_equal(state.amplitudes, before)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 64))
+@settings(max_examples=40, deadline=None)
+def test_moment_series_equals_moments_of_evolve(seed, steps):
+    _, coin, init = _random_walk_case(seed)
+    ms = moment_series(init, coin, steps)
+    eps = np.finfo(np.float64).eps
+    for t in range(steps + 1):
+        mean, second = moments(evolve(init, coin, t))
+        # 2t + 1 products summed in different orders, plus a few roundings in
+        # each probability (at t = 0 the series holds the exact position)
+        reach = abs(init.position) + t
+        bound = (2 * t + 4) * eps
+        assert abs(ms.mean[t] - mean) <= bound * reach
+        assert abs(ms.second[t] - second) <= bound * reach**2
+    assert np.array_equal(ms.final.amplitudes, evolve(init, coin, steps).amplitudes)
+
+
+def test_observe_receives_occupied_sublattice():
+    seen = []
+
+    def watch(t, offset, amps):
+        assert not amps.flags.writeable
+        seen.append((t, offset, amps.copy()))
+
+    init = InitialCondition(np.array([0.6, 0.8j]), position=3)
+    coin = preset_coin("hadamard_analog")
+    final = evolve(init, coin, 5, observe=watch)
+    expected = [(t, 3 - t, (t + 1, 2)) for t in range(1, 6)]
+    assert [(t, off, a.shape) for t, off, a in seen] == expected
+    for t, offset, sub in seen:
+        full = evolve(init, coin, t)
+        assert offset == full.offset
+        assert np.array_equal(sub, full.amplitudes[0::2])
+    assert np.array_equal(seen[-1][2], final.amplitudes[0::2])
+
+
+# --- cancellation at large t ---
+
+
+def test_sigma_x_variance_alternates_over_long_run():
+    ms = moment_series(BALANCED, preset_coin("sigma_x"), 10_000)
+    expected = (ms.times % 2).astype(float)
+    assert np.max(np.abs(ms.variance[1:] - expected[1:])) <= 1e-12
+
+
+def test_identity_coin_moments_exact_over_long_run():
+    init = InitialCondition(np.array([1.0, 0.0]), position=5)
+    ms = moment_series(init, preset_coin("identity"), 10_000)
+    x = 5.0 + ms.times
+    assert np.max(np.abs(ms.mean - x) / x) <= 1e-15
+    assert np.max(np.abs(ms.second - x**2) / x**2) <= 1e-15
