@@ -1,23 +1,33 @@
 """Long-time closed forms: linear drift rate, quadratic spread coefficient,
 and the limiting velocity density of the rescaled position x/t.
 
-Expanding the initial coin state in the eigenbasis of ``U_k`` and dropping
-the oscillatory cross terms (they average to zero in the long-time limit for
-non-degenerate ``U_k``) gives
+All three are views of one velocity measure (Grimmett, Janson and Scudo,
+PRE 69, 026119, 2004).  With the Bloch axis ``n(k)`` of
+``U_k = cos(w) I - i sin(w) n(k).sigma`` and the Bloch vector ``s0`` of the
+initial coin state, momentum k puts weight ``(1 + n(k).s0) / 2`` at velocity
+``+v_k`` and ``(1 - n(k).s0) / 2`` at ``-v_k``, where ``v_k = dw/dk = n_z(k)``.
+x/t converges weakly to this measure averaged over the Brillouin zone, so
 
-    <x>_t   ->  t   * s * Int dk/2pi  sum_j |c_kj|^2 <v_kj| sigma_z |v_kj>
-    <x^2>_t ->  t^2 *     Int dk/2pi  sum_j |c_kj|^2 <v_kj| sigma_z |v_kj>^2
+    <x>_t   / t   ->  Int dk/2pi  v_k (n(k).s0)
+    <x^2>_t / t^2 ->  Int dk/2pi  v_k^2
 
-where ``c_kj`` are the expansion coefficients of the initial coin state and
-the overall sign ``s`` of the first moment is calibrated once against the
-exact simulator: with the identity coin, the coin-|0> walker must drift to
-+t.  Integrals use the uniform trapezoidal rule on [-pi, pi) with periodic
-wrap, which is spectrally accurate for these smooth periodic integrands.
+and the weak limit is the same measure binned on [-1, 1].  Writing the coin
+as ``C = c I + i (s.sigma)`` gives every ingredient in closed form, with no
+eigenvectors and no ``arccos``: ``U_k = cos(w) I + i (m.sigma)`` with
+``m_z = s_z cos k - c sin k``, ``sin w = |m| = sqrt(s_x^2 + s_y^2 + m_z^2)``,
+``v_k = -m_z / sin w`` and ``n.s0 = -(m.s0) / sin w``.  Integrals use the
+uniform trapezoidal rule on [-pi, pi), which is spectrally accurate for these
+smooth periodic integrands.
 
-The rescaled position x/t converges weakly to a density supported on
-[-v_max, v_max]: momentum k contributes weight (1 + <n(k).sigma>)/2 at
-velocity +v_k and (1 - <n(k).sigma>)/2 at -v_k, with expectations taken in
-the initial coin state.
+Band touchings (``sin w <= DEGENERACY_THRESHOLD``) are isolated momenta for
+SU(2) coins, and one rule serves the moments and the density alike: a
+touching sample is replaced by two samples a tenth of a grid spacing to either
+side, each with half its weight.
+
+The sign is a convention, not a calibration: with ``n(k)`` fixed as above,
+the identity coin drives the coin-|0> walker to +t and the measure gives a
+drift rate of +1.  The test suite checks that sign against the exact walk;
+:func:`drift_sign` returns it for the manifest record.
 """
 
 from __future__ import annotations
@@ -28,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, preset_coin, sigma_x_distance
+from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, sigma_x_distance
 from .export import write_csv
-from .momentum import DegeneratePointError, _band_arrays, _eigvecs_from_bloch, _su2_parts
-from .walk import InitialCondition, evolve, moments
+from .momentum import DEGENERACY_THRESHOLD, DegeneratePointError, _su2_parts
+from .walk import InitialCondition
 
 __all__ = [
     "AsymptoticMoments",
@@ -48,10 +58,8 @@ _SPREAD_TOL = 1e-10
 _SIGMA_X_FAMILY_TOL = 1e-9
 # cos w(k) is a sinusoid in k, so an SU(2) coin touches the band edges at no
 # more than two isolated momenta; anything beyond a few grid hits would mean
-# a positive-measure degeneracy, which the eigenbasis expansion cannot handle
+# a positive-measure degeneracy, which the touching rule cannot handle
 _DEGENERATE_COUNT_LIMIT = 8
-
-_drift_sign: int | None = None
 
 
 @dataclass(frozen=True)
@@ -91,79 +99,66 @@ class VelocityDensity:
     degenerate: bool
 
 
-def _sigma_z_integrands(coin: CoinSpec, init: InitialCondition, grid_size: int):
-    """Per-momentum values of the two eigenbasis sums on the uniform k-grid.
+def _velocity_measure(coin: CoinSpec, init: InitialCondition, grid_size: int):
+    """Atoms ``(v, n_s0, weight)`` of the velocity measure on the uniform k-grid.
 
-    Band-touching momenta (isolated) are assigned the average of the
-    integrand a tenth of a grid spacing to either side.
+    Sample i puts mass ``weight[i] * (1 +- n_s0[i]) / (2 * grid_size)`` at
+    velocity ``+-v[i]``.  ``weight`` is 1, or 1/2 for each of the two samples
+    that replace a band touching; those samples come after the regular ones.
     """
-    k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    if grid_size < 64:
+        raise ValueError("grid_size must be >= 64")
     c, s = _su2_parts(compose(coin))
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
+    s0 = np.array([float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+    s_perp_sq = s[0] ** 2 + s[1] ** 2
 
-    def eval_at(kk):
-        _, n, _, degenerate = _band_arrays(c, s, kk)
-        if np.any(degenerate):
-            raise DegeneratePointError("band touching inside offset evaluation")
-        v_plus, v_minus = _eigvecs_from_bloch(n)
-        cp = np.abs(np.einsum("...i,i->...", v_plus.conj(), phi0)) ** 2
-        cm = np.abs(np.einsum("...i,i->...", v_minus.conj(), phi0)) ** 2
-        ap = (np.abs(v_plus[..., 0]) ** 2 - np.abs(v_plus[..., 1]) ** 2).real
-        am = (np.abs(v_minus[..., 0]) ** 2 - np.abs(v_minus[..., 1]) ** 2).real
-        return cp * ap + cm * am, cp * ap**2 + cm * am**2
-
-    _, _, _, degenerate = _band_arrays(c, s, k)
-    open_gap = ~degenerate
-    n_degenerate = int(np.count_nonzero(degenerate))
-    if n_degenerate > max(_DEGENERATE_COUNT_LIMIT, grid_size // 256):
-        raise DegeneratePointError(
-            f"{n_degenerate} of {grid_size} momenta are band touchings; "
-            "the non-degenerate eigenbasis expansion does not apply"
-        )
-
-    g1 = np.zeros(grid_size)
-    g2 = np.zeros(grid_size)
-    g1[open_gap], g2[open_gap] = eval_at(k[open_gap])
-    if n_degenerate:
+    # U_k = cos(w) I + i (m.sigma) with m = (ck s_x - sk s_y, ck s_y + sk s_x,
+    # ck s_z - c sk), so sin(w) = |m| = sqrt(s_x^2 + s_y^2 + m_z^2); unlike
+    # 1 - cos(w)^2 this does not cancel near band touchings
+    k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    ck, sk = np.cos(k), np.sin(k)
+    weight = np.ones(grid_size)
+    m_z = ck * s[2] - c * sk
+    sin_w = np.sqrt(s_perp_sq + m_z * m_z)
+    touching = sin_w <= DEGENERACY_THRESHOLD
+    n_touching = int(np.count_nonzero(touching))
+    if n_touching:
+        if n_touching > max(_DEGENERATE_COUNT_LIMIT, grid_size // 256):
+            raise DegeneratePointError(
+                f"{n_touching} of {grid_size} momenta are band touchings; "
+                "the velocity measure needs isolated touchings"
+            )
         h = (2.0 * math.pi / grid_size) / 10.0
-        for idx in np.nonzero(degenerate)[0]:
-            left = eval_at(np.array([k[idx] - h]))
-            right = eval_at(np.array([k[idx] + h]))
-            g1[idx] = 0.5 * (left[0][0] + right[0][0])
-            g2[idx] = 0.5 * (left[1][0] + right[1][0])
-    return g1, g2
+        k_off = np.concatenate([k[touching] - h, k[touching] + h])
+        ck = np.concatenate([ck[~touching], np.cos(k_off)])
+        sk = np.concatenate([sk[~touching], np.sin(k_off)])
+        weight = np.concatenate([weight[~touching], np.full(k_off.size, 0.5)])
+        m_z = ck * s[2] - c * sk
+        sin_w = np.sqrt(s_perp_sq + m_z * m_z)
+        if np.any(sin_w <= DEGENERACY_THRESHOLD):
+            raise DegeneratePointError("band touching persists after offset evaluation")
+
+    m_s0 = ck * float(s @ s0) + sk * (s[0] * s0[1] - s[1] * s0[0] - c * s0[2])
+    return -m_z / sin_w, -m_s0 / sin_w, weight
 
 
 def drift_sign() -> int:
-    """Global sign of the first-moment integral, calibrated against simulation.
+    """Sign of the drift-rate convention: always ``1``.
 
-    The identity coin with coin state |0> walks deterministically to +t; the
-    raw integral for that case is compared against a short exact run and the
-    reconciling sign is cached for the lifetime of the process.
+    With ``n(k)`` fixed by ``U_k = cos(w) I - i sin(w) n.sigma``, the identity
+    coin moves the coin-|0> walker to +t and :func:`moment_integrals` gives
+    it ``mean_rate = +1``.  The sign is a mathematical constant that the test
+    suite checks against the exact walk; manifests record it.
     """
-    global _drift_sign
-    if _drift_sign is None:
-        coin = preset_coin("identity")
-        init = InitialCondition(np.array([1.0, 0.0]))
-        g1, _ = _sigma_z_integrands(coin, init, 64)
-        raw_rate = float(np.mean(g1))
-        t = 4
-        mean_sim, _ = moments(evolve(init, coin, t))
-        _drift_sign = 1 if mean_sim * raw_rate * t > 0 else -1
-    return _drift_sign
+    return 1
 
 
 def moment_integrals(coin: CoinSpec, init: InitialCondition, grid_size: int = 4096) -> AsymptoticMoments:
-    """Brillouin-zone integrals for the drift rate and quadratic spread coefficient."""
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    vec = np.asarray(init.coin_state, dtype=np.complex128)
-    if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > 1e-12:
-        raise ValueError("initial coin state must be normalised")
-
-    g1, g2 = _sigma_z_integrands(coin, init, grid_size)
-    mean_rate = drift_sign() * float(np.mean(g1))
-    second_coeff = float(np.mean(g2))
+    """Drift rate and quadratic spread coefficient: the first two moments of the velocity measure."""
+    v, n_s0, weight = _velocity_measure(coin, init, grid_size)
+    mean_rate = float(np.sum(weight * v * n_s0)) / grid_size
+    second_coeff = float(np.sum(weight * v * v)) / grid_size
     return AsymptoticMoments(
         mean_rate=mean_rate,
         second_coeff=second_coeff,
@@ -180,42 +175,18 @@ def classify_spreading(coin: CoinSpec, init: InitialCondition, grid_size: int = 
 def weak_limit_density(
     coin: CoinSpec, init: InitialCondition, grid_size: int = 4096, bins: int = 64
 ) -> VelocityDensity:
-    """Histogram of the limiting velocity density on ``bins`` uniform bins over [-1, 1]."""
+    """The velocity measure binned on ``bins`` uniform bins over [-1, 1], as a density."""
     if bins < 32:
         raise ValueError("bins must be >= 32")
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-
-    c, s = _su2_parts(compose(coin))
-    phi0 = np.asarray(init.coin_state, dtype=np.complex128)
-    n_sigma_exp = np.array(
-        [
-            float(np.real(phi0.conj() @ (p @ phi0)))
-            for p in (PAULI_X, PAULI_Y, PAULI_Z)
-        ]
-    )
-
-    k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    _, n, v, degenerate = _band_arrays(c, s, k)
-    if np.any(degenerate):
-        # isolated band touchings: evaluate a tenth of a spacing to the right
-        h = (2.0 * math.pi / grid_size) / 10.0
-        idx = np.nonzero(degenerate)[0]
-        _, n_off, v_off, deg_off = _band_arrays(c, s, k[idx] + h)
-        if np.any(deg_off):
-            raise DegeneratePointError("band touching persists after offset evaluation")
-        n[idx] = n_off
-        v[idx] = v_off
-
-    overlap = n @ n_sigma_exp  # <phi0| n(k).sigma |phi0>
-    w_plus = 0.5 * (1.0 + overlap) / grid_size
-    w_minus = 0.5 * (1.0 - overlap) / grid_size
-
+    v, n_s0, weight = _velocity_measure(coin, init, grid_size)
+    half = 0.5 * weight
     width = 2.0 / bins
-    mass = np.zeros(bins)
-    for vel, w in ((v, w_plus), (-v, w_minus)):
-        b = np.clip(((vel + 1.0) / width).astype(int), 0, bins - 1)
-        np.add.at(mass, b, w)
+    velocity = np.concatenate([v, -v])
+    mass = np.bincount(
+        np.clip(((velocity + 1.0) / width).astype(int), 0, bins - 1),
+        weights=np.concatenate([half * (1.0 + n_s0), half * (1.0 - n_s0)]) / grid_size,
+        minlength=bins,
+    )
 
     centres = -1.0 + width * (np.arange(bins) + 0.5)
     return VelocityDensity(
@@ -232,7 +203,7 @@ def velocity_density_to_csv(vd: VelocityDensity, path) -> None:
 
 
 def asymptotic_moments_to_dict(am: AsymptoticMoments) -> dict:
-    """JSON-ready record including the sign-calibration result."""
+    """JSON-ready record including the drift-sign convention."""
     return {
         "mean_rate": am.mean_rate,
         "second_coeff": am.second_coeff,

@@ -164,7 +164,7 @@ def _add_common(p: _Parser, coin: bool = True, initial: bool = False) -> None:
         p.add_argument("--theta", help="paper_xy first rotation angle (radians, or e.g. 45deg)")
         p.add_argument("--phi", help="paper_xy second rotation angle (radians, or e.g. 45deg)")
     if initial:
-        p.add_argument("--initial-coin", help="two complex components, e.g. '1,0' or '0.7071,0.7071j'")
+        p.add_argument("--initial-coin", help="two complex components, e.g. '1,0' or '0.6,0.8j'")
         p.add_argument("--initial-bloch", help="alpha,beta Bloch angles for the initial coin state")
         p.add_argument("--position", type=int, help="initial site (default 0)")
 

@@ -57,8 +57,9 @@ def _wrap_angle(angle: float) -> float:
 class CoinRotation:
     """One axis-angle rotation of the coin.
 
-    The axis must be a unit 3-vector (renormalised if off by at most 1e-9,
-    rejected otherwise); the angle is wrapped into [-pi, pi].
+    The axis must be a finite unit 3-vector (renormalised if off by at most
+    1e-9, rejected otherwise); the angle must be finite and is wrapped into
+    [-pi, pi].
     """
 
     axis: tuple[float, float, float]
@@ -68,6 +69,10 @@ class CoinRotation:
         ax = tuple(float(a) for a in self.axis)
         if len(ax) != 3:
             raise ValueError(f"axis must have 3 components, got {len(ax)}")
+        if not all(map(math.isfinite, ax)):
+            raise ValueError(f"axis components must be finite, got {ax!r}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle!r}")
         norm = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
         if abs(norm - 1.0) > _AXIS_NORM_TOL:
             raise ValueError(f"axis norm {norm!r} differs from 1 by more than {_AXIS_NORM_TOL}")

@@ -48,6 +48,8 @@ class InitialCondition:
         vec = np.asarray(self.coin_state, dtype=np.complex128).reshape(-1)
         if vec.shape != (2,):
             raise ValueError(f"coin_state must have 2 components, got shape {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"coin_state components must be finite, got {vec.tolist()!r}")
         norm_sq = float(np.sum(np.abs(vec) ** 2))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"coin_state norm^2 = {norm_sq!r} is not 1 within {_NORM_TOL}")
@@ -59,6 +61,9 @@ class InitialCondition:
     @classmethod
     def from_bloch(cls, alpha: float, beta: float, position: int = 0) -> "InitialCondition":
         """Coin state ``(cos(alpha/2), e^{i beta} sin(alpha/2))``."""
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"Bloch angle {name} must be finite, got {value!r}")
         vec = np.array([math.cos(alpha / 2), np.exp(1j * beta) * math.sin(alpha / 2)])
         return cls(vec, position)
 

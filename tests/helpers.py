@@ -1,12 +1,18 @@
-"""Shared test utilities: random coin draws and hand-derived closed forms.
+"""Shared test utilities: random coin draws, hand-derived closed forms and
+slower reference implementations.
 
 The closed forms here are written out term by term, independent of the
-package's matrix algebra, so they can serve as oracles for it.
+package's matrix algebra, so they can serve as oracles for it.  The
+reference implementations compute the same quantities as the package's fast
+paths by a different route (full-width stepping, eigenbasis expansion).
 """
+
+import math
 
 import numpy as np
 
 from coinwalk.coins import CoinSpec, compose, random_coin_spec, sigma_x_distance
+from coinwalk.momentum import DegeneratePointError, _band_arrays, _eigvecs_from_bloch, _su2_parts
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
 
@@ -83,3 +89,42 @@ def band_axis_two_rotation(first_axis, first_angle, second_axis, second_angle, k
         + ck * (bz * cph + ay * bx * sph - ax * by * sph) * sth
     ) / sin_w
     return np.array([nx, ny, nz])
+
+
+def eigenbasis_integrands(coin, init, grid_size: int):
+    """Per-momentum long-time integrands from the eigenbasis expansion.
+
+    On the uniform k-grid, returns ``sum_j |c_kj|^2 <v_kj| sigma_z |v_kj>`` and
+    ``sum_j |c_kj|^2 <v_kj| sigma_z |v_kj>^2``, with ``c_kj`` the overlaps of
+    the initial coin state with the eigenvectors ``v_kj`` of ``U_k`` (the
+    ones ``eigensystem`` returns, built for the whole grid at once).  Their
+    grid means are the drift rate and spread coefficient.  A band-touching
+    momentum gets the average of the integrands a tenth of a grid spacing to
+    either side.
+    """
+    k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    c, s = _su2_parts(compose(coin))
+    phi0 = np.asarray(init.coin_state, dtype=np.complex128)
+
+    def eval_at(kk):
+        _, n, _, degenerate = _band_arrays(c, s, kk)
+        if np.any(degenerate):
+            raise DegeneratePointError("band touching inside offset evaluation")
+        v_plus, v_minus = _eigvecs_from_bloch(n)
+        cp = np.abs(np.einsum("...i,i->...", v_plus.conj(), phi0)) ** 2
+        cm = np.abs(np.einsum("...i,i->...", v_minus.conj(), phi0)) ** 2
+        ap = (np.abs(v_plus[..., 0]) ** 2 - np.abs(v_plus[..., 1]) ** 2).real
+        am = (np.abs(v_minus[..., 0]) ** 2 - np.abs(v_minus[..., 1]) ** 2).real
+        return cp * ap + cm * am, cp * ap**2 + cm * am**2
+
+    _, _, _, degenerate = _band_arrays(c, s, k)
+    g1 = np.zeros(grid_size)
+    g2 = np.zeros(grid_size)
+    g1[~degenerate], g2[~degenerate] = eval_at(k[~degenerate])
+    h = (2.0 * math.pi / grid_size) / 10.0
+    for idx in np.nonzero(degenerate)[0]:
+        left = eval_at(np.array([k[idx] - h]))
+        right = eval_at(np.array([k[idx] + h]))
+        g1[idx] = 0.5 * (left[0][0] + right[0][0])
+        g2[idx] = 0.5 * (left[1][0] + right[1][0])
+    return g1, g2

@@ -13,8 +13,8 @@ from coinwalk.asymptotics import (
 )
 from coinwalk.coins import preset_coin
 from coinwalk.momentum import eigensystem, quasi_energy
-from coinwalk.walk import InitialCondition, distribution, evolve
-from helpers import random_multirot_coin, random_coin_state, SIGMA_X_EXCLUSION
+from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
+from helpers import eigenbasis_integrands, random_multirot_coin, random_coin_state, SIGMA_X_EXCLUSION
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 BALANCED = InitialCondition(np.array([1.0, 1.0j]) / math.sqrt(2))
@@ -23,6 +23,54 @@ HAD = preset_coin("hadamard_analog")
 
 def test_drift_sign_calibrates_positive():
     assert drift_sign() == 1
+
+
+def test_drift_sign_agrees_with_exact_walk():
+    rng = np.random.default_rng(46)
+    cases = [(preset_coin("identity"), COIN0)]
+    while len(cases) < 5:
+        coin = random_multirot_coin(rng)
+        init = InitialCondition(random_coin_state(rng))
+        if abs(moment_integrals(coin, init).mean_rate) > 0.05:
+            cases.append((coin, init))
+    t = 2000
+    for coin, init in cases:
+        rate = moment_integrals(coin, init).mean_rate
+        assert np.sign(rate) == np.sign(moment_series(init, coin, t).mean[t])
+
+
+TOUCHING_COINS = (
+    preset_coin("identity"),
+    preset_coin("paper_xy", theta=math.pi / 2, phi=math.pi / 2),
+)
+
+
+@pytest.mark.parametrize("grid_size", [4096, 65536])
+def test_moments_match_eigenbasis_oracle(grid_size):
+    rng = np.random.default_rng(47)
+    coins = [random_multirot_coin(rng) for _ in range(4)] + list(TOUCHING_COINS)
+    for coin in coins:
+        for init in (COIN0, InitialCondition(random_coin_state(rng))):
+            g1, g2 = eigenbasis_integrands(coin, init, grid_size)
+            am = moment_integrals(coin, init, grid_size)
+            assert abs(am.mean_rate - float(np.mean(g1))) <= 1e-10
+            assert abs(am.second_coeff - float(np.mean(g2))) <= 1e-10
+
+
+@pytest.mark.parametrize("grid_size", [4096, 65536])
+def test_touching_coins_share_the_touching_rule(grid_size):
+    rng = np.random.default_rng(48)
+    for coin in TOUCHING_COINS:
+        for init in (COIN0, BALANCED, InitialCondition(random_coin_state(rng))):
+            am = moment_integrals(coin, init, grid_size)
+            assert am.second_coeff == pytest.approx(1.0, abs=1e-13)  # |v_k| = 1 for both coins
+            vd = weak_limit_density(coin, init, grid_size, bins=64)
+            width = vd.v_grid[1] - vd.v_grid[0]
+            assert np.all(vd.density >= 0.0)
+            mass = vd.density * width
+            assert float(np.sum(mass)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(float(np.sum(mass * vd.v_grid)) - am.mean_rate) <= width
+            assert abs(float(np.sum(mass * vd.v_grid**2)) - am.second_coeff) <= width
 
 
 def test_identity_coin_moments():

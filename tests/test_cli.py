@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +279,44 @@ def test_io_errors_exit_3(tmp_path):
     target = tmp_path / "occupied"
     target.mkdir()
     assert run("moments", "--coin", "identity", "--steps", "3", "--out", str(target)) == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "asymptotics", "weak-limit"])
+def test_non_finite_inputs_exit_1(tmp_path, capsys, command):
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text('[{"axis": [0, 1, 0], "angle_rad": NaN}]')
+    bad_inputs = {
+        ("--coin", "paper_xy", "--theta", "nan", "--phi", "0.5"): "angle must be finite",
+        ("--coin", "paper_xy", "--theta", "inf", "--phi", "0.5"): "angle must be finite",
+        ("--coin", "paper_xy", "--theta", "0.5", "--phi=-inf"): "angle must be finite",
+        ("--coin", "hadamard_analog", "--initial-bloch", "nan,0"): "alpha must be finite",
+        ("--coin", "hadamard_analog", "--initial-bloch", "0.5,inf"): "beta must be finite",
+        ("--coin", "hadamard_analog", "--initial-coin", "nan,1"): "coin_state components must be finite",
+        ("--coin-file", str(coin_file)): "angle must be finite",
+    }
+    for argv, message in bad_inputs.items():
+        out = tmp_path / "out.csv"
+        assert run(command, *argv, "--out", str(out)) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, (argv, err)
+        assert not out.exists()
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("coinwalk ")
+    ]
+    assert len(examples) == 8
+    state = re.search(r'--initial-coin "([^"]+)"', readme).group(1)
+    examples.append(["asymptotics", "--coin", "hadamard_analog", "--initial-coin", state])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COINWALK_OUTPUT_DIR", raising=False)
+    for argv in examples:
+        assert run(*argv) == 0, argv
 
 
 def test_invalid_knobs_exit_1(tmp_path):

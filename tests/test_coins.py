@@ -50,6 +50,14 @@ def test_axis_rejected_beyond_tolerance():
         CoinRotation((0.0, 0.0, 0.0), 0.1)
 
 
+def test_non_finite_rotation_rejected():
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            CoinRotation((0.0, 1.0, 0.0), angle)
+    with pytest.raises(ValueError, match="axis components must be finite"):
+        CoinRotation((math.nan, 0.0, 1.0), 0.1)
+
+
 def test_angle_wrapped_into_principal_range():
     rot = CoinRotation((0.0, 1.0, 0.0), 2.5 * math.pi)
     assert -math.pi <= rot.angle <= math.pi

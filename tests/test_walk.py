@@ -28,6 +28,12 @@ def test_initial_condition_validation():
         InitialCondition(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         InitialCondition(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="coin_state components must be finite"):
+        InitialCondition(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        InitialCondition.from_bloch(math.inf, 0.0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        InitialCondition.from_bloch(0.5, math.nan)
     ic = InitialCondition.from_bloch(0.7, 1.1, position=3)
     assert math.isclose(float(np.sum(np.abs(ic.coin_state) ** 2)), 1.0, abs_tol=1e-15)
     assert ic.position == 3
