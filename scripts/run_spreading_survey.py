@@ -28,7 +28,8 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     init = InitialCondition(np.array([1.0, 0.0]))
-    rows = []
+    n_rotations = np.empty(args.coins, dtype=np.int64)
+    columns = np.empty((5, args.coins))  # sigma_x_distance, slope, var_ratio, variance_coeff, abs_err
     for i in range(args.coins):
         coin = random_coin_spec(rng, int(rng.integers(2, 5)))
         ms = moment_series(init, coin, args.steps)
@@ -37,16 +38,13 @@ def main() -> int:
         var = ms.variance[window]
         slope = float(np.polyfit(np.log(window), np.log(var), 1)[0]) if np.all(var > 0) else math.nan
         var_ratio = float(ms.variance[args.steps]) / args.steps**2
-        rows.append(
-            (
-                i,
-                len(coin.rotations),
-                float(sigma_x_distance(compose(coin))),
-                slope,
-                var_ratio,
-                am.variance_coeff,
-                abs(var_ratio - am.variance_coeff),
-            )
+        n_rotations[i] = len(coin.rotations)
+        columns[:, i] = (
+            sigma_x_distance(compose(coin)),
+            slope,
+            var_ratio,
+            am.variance_coeff,
+            abs(var_ratio - am.variance_coeff),
         )
         print(
             f"coin {i:2d}: {len(coin.rotations)} rotations, slope {slope:.4f}, "
@@ -59,7 +57,7 @@ def main() -> int:
     write_csv(
         out,
         ["coin", "n_rotations", "sigma_x_distance", "loglog_slope", "var_ratio", "variance_coeff", "abs_err"],
-        rows,
+        [np.arange(args.coins), n_rotations, *columns],
     )
     print(f"wrote {out}")
     return 0

@@ -42,7 +42,7 @@ def main() -> int:
         write_csv(
             out,
             ["v", "predicted_density", "empirical_density"],
-            zip(map(float, vd.v_grid), map(float, vd.density), (float(m / width) for m in emp)),
+            [vd.v_grid, vd.density, emp / width],
         )
         print(f"{name}: L1 distance {l1:.4f} at t={args.steps}; wrote {out}")
     return 0

@@ -199,7 +199,7 @@ def weak_limit_density(
 
 
 def velocity_density_to_csv(vd: VelocityDensity, path) -> None:
-    write_csv(path, ["v", "density"], zip(map(float, vd.v_grid), map(float, vd.density)))
+    write_csv(path, ["v", "density"], [vd.v_grid, vd.density])
 
 
 def asymptotic_moments_to_dict(am: AsymptoticMoments) -> dict:

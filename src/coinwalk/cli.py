@@ -87,15 +87,16 @@ class RunConfig:
         return asdict(self)
 
 
-def parse_angle(text: str) -> float:
-    """Radians from ``"0.785"`` or ``"45deg"``."""
+def parse_angle(text: str, name: str = "angle") -> float:
+    """Finite radians from ``"0.785"`` or ``"45deg"``; ``name`` labels errors."""
     t = str(text).strip()
     try:
-        if t.endswith("deg"):
-            return math.radians(float(t[: -len("deg")]))
-        return float(t)
+        value = math.radians(float(t[: -len("deg")])) if t.endswith("deg") else float(t)
     except ValueError as exc:
-        raise ConfigError(f"bad angle {text!r}: expected radians or '<value>deg'") from exc
+        raise ConfigError(f"bad {name} {text!r}: expected radians or '<value>deg'") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _parse_complex_pair(text: str) -> np.ndarray:
@@ -236,8 +237,8 @@ def _merge(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
     cfg.coin_file = pick("coin_file")
     theta = pick("theta")
     phi = pick("phi")
-    cfg.theta = parse_angle(theta) if theta is not None else None
-    cfg.phi = parse_angle(phi) if phi is not None else None
+    cfg.theta = parse_angle(theta, "theta angle") if theta is not None else None
+    cfg.phi = parse_angle(phi, "phi angle") if phi is not None else None
     try:
         cfg.position = int(pick("position", 0))
         cfg.steps = int(pick("steps", 100))
@@ -305,7 +306,9 @@ def _resolve_initial(cfg: RunConfig, raw: dict) -> InitialCondition:
             if len(parts) != 2:
                 raise ConfigError("initial_bloch needs 'alpha,beta'")
             init = InitialCondition.from_bloch(
-                parse_angle(parts[0]), parse_angle(parts[1]), cfg.position
+                parse_angle(parts[0], "Bloch angle alpha"),
+                parse_angle(parts[1], "Bloch angle beta"),
+                cfg.position,
             )
         elif coin_text:
             init = InitialCondition(_parse_complex_pair(coin_text), cfg.position)
@@ -423,14 +426,17 @@ def _cmd_compare(cfg: RunConfig, raw: dict) -> int:
     ms = moment_series(init, coin, cfg.steps)
     var = ms.variance
 
-    rows = []
-    for t in range(1, cfg.steps + 1):
-        predicted = am.variance_coeff * t * t
-        abs_err = abs(var[t] - predicted)
-        rel = "%.17g" % (abs_err / predicted) if predicted > 0 else ""
-        rows.append((t, float(var[t]), float(predicted), float(abs_err), rel))
+    t = ms.times[1:]
+    predicted = am.variance_coeff * t * t
+    abs_err = np.abs(var[1:] - predicted)
+    # NaN (an empty field) where the prediction is zero
+    rel_err = np.divide(abs_err, predicted, out=np.full(t.shape, np.nan), where=predicted > 0)
     out = _out_path(cfg, raw["out"])
-    write_csv(out, ["t", "var_exact", "var_predicted", "abs_err", "rel_err"], rows)
+    write_csv(
+        out,
+        ["t", "var_exact", "var_predicted", "abs_err", "rel_err"],
+        [t, var[1:], predicted, abs_err, rel_err],
+    )
 
     lo = max(1, cfg.steps // 10)
     window = np.arange(lo, cfg.steps + 1)

@@ -276,9 +276,8 @@ def closures_to_dict(closures: list[GapClosure], grid: int | None = None, tol: f
 
 
 def gap_map_to_csv(gm: GapMap, path) -> None:
-    rows = (
-        (float(th), float(ph), float(gm.gap_zero[i, j]), float(gm.gap_pi[i, j]))
-        for i, th in enumerate(gm.theta_grid)
-        for j, ph in enumerate(gm.phi_grid)
-    )
-    write_csv(path, ["theta", "phi", "gap_zero", "gap_pi"], rows)
+    """Long-format ``theta,phi,gap_zero,gap_pi`` rows, phi varying fastest."""
+    theta = np.repeat(gm.theta_grid, gm.phi_grid.size)
+    phi = np.tile(gm.phi_grid, gm.theta_grid.size)
+    columns = [theta, phi, gm.gap_zero.ravel(), gm.gap_pi.ravel()]
+    write_csv(path, ["theta", "phi", "gap_zero", "gap_pi"], columns)

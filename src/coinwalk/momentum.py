@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose
-from .export import fmt17
+from .export import write_csv
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
@@ -261,16 +261,8 @@ def dispersion_band(coin: CoinSpec, n_k: int = 512) -> DispersionBand:
 
 def dispersion_to_csv(band: DispersionBand, path) -> None:
     """Write ``k,omega,nx,ny,nz,v_group`` rows; degenerate momenta get empty n/v fields."""
-    lines = ["k,omega,nx,ny,nz,v_group"]
-    for i in range(band.k_grid.size):
-        fields = [fmt17(band.k_grid[i]), fmt17(band.omega_values[i])]
-        if math.isnan(band.group_velocity[i]):
-            fields += ["", "", "", ""]
-        else:
-            fields += [fmt17(x) for x in band.bloch[i]] + [fmt17(band.group_velocity[i])]
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [band.k_grid, band.omega_values, *band.bloch.T, band.group_velocity]
+    write_csv(path, ["k", "omega", "nx", "ny", "nz", "v_group"], columns)
 
 
 def cos_omega_two_rotation(

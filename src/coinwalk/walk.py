@@ -103,13 +103,8 @@ class MomentSeries:
         return self.second - self.mean**2
 
     def to_csv(self, path) -> None:
-        rows = zip(
-            (int(t) for t in self.times),
-            (float(m) for m in self.mean),
-            (float(s) for s in self.second),
-            (float(v) for v in self.variance),
-        )
-        write_csv(path, ["t", "mean", "second", "variance"], rows)
+        columns = [self.times, self.mean, self.second, self.variance]
+        write_csv(path, ["t", "mean", "second", "variance"], columns)
 
 
 def _advance(sub, offset, mat, steps, observe=None, sums=None):
@@ -204,15 +199,18 @@ def evolve(init: InitialCondition, coin: CoinSpec, steps: int, observe=None) -> 
     return _light_cone(steps, init.position - steps, sub)
 
 
+def _site_probabilities(state: WalkerState) -> NDArray[np.float64]:
+    return np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+
+
 def distribution(state: WalkerState) -> dict[int, float]:
     """Map each support site to its probability (coin traced out)."""
-    probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    return {int(x): float(p) for x, p in zip(state.positions, probs)}
+    return {int(x): float(p) for x, p in zip(state.positions, _site_probabilities(state))}
 
 
 def moments(state: WalkerState) -> tuple[float, float]:
     """Exact ``(<x>, <x^2>)`` summed over the support."""
-    probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+    probs = _site_probabilities(state)
     x = state.positions.astype(np.float64)
     return float(np.sum(x * probs)), float(np.sum(x * x * probs))
 
@@ -274,6 +272,5 @@ def ring_oracle(
 
 def distribution_to_csv(state: WalkerState, path) -> None:
     """Long-format ``t,x,p`` rows over the support of ``state``."""
-    dist = distribution(state)
-    rows = ((state.t, x, p) for x, p in dist.items())
-    write_csv(path, ["t", "x", "p"], rows)
+    x = state.positions
+    write_csv(path, ["t", "x", "p"], [np.full(x.shape, state.t), x, _site_probabilities(state)])

@@ -128,3 +128,13 @@ def eigenbasis_integrands(coin, init, grid_size: int):
         g1[idx] = 0.5 * (left[0][0] + right[0][0])
         g2[idx] = 0.5 * (left[1][0] + right[1][0])
     return g1, g2
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """Row-by-row CSV writer: floats as ``%.17g``, everything else via ``str``
+    (so an undefined field is passed as ``""``)."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.17g" % float(v) if isinstance(v, float) else str(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -302,6 +302,30 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, command):
         assert not out.exists()
 
 
+def test_parse_angle_rejects_non_finite():
+    for text in ("nan", "-inf", "infdeg", "NaNdeg"):
+        with pytest.raises(ConfigError, match="theta angle must be finite"):
+            parse_angle(text, "theta angle")
+
+
+def test_non_finite_angle_for_a_preset_that_ignores_it_exits_1(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("theta = nan\n")
+    bad_inputs = {
+        ("--coin", "identity", "--theta", "nan"): "theta angle must be finite",
+        ("--coin", "sigma_x", "--phi", "inf"): "phi angle must be finite",
+        ("--coin", "identity", "--config", str(config)): "theta angle must be finite",
+    }
+    for argv, message in bad_inputs.items():
+        out = tmp_path / "band.csv"
+        assert run("dispersion", *argv, "--out", str(out)) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, (argv, err)
+        assert not out.exists() and not (tmp_path / "band.csv.manifest.json").exists()
+    assert run("asymptotics", "--coin", "identity", "--initial-bloch", "0.5,-infdeg") == 1
+    assert "Bloch angle beta must be finite" in capsys.readouterr().err
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]

@@ -299,3 +299,19 @@ def test_identity_coin_moments_exact_over_long_run():
     x = 5.0 + ms.times
     assert np.max(np.abs(ms.mean - x) / x) <= 1e-15
     assert np.max(np.abs(ms.second - x**2) / x**2) <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-2])
+def test_variance_survives_near_deterministic_drift(eps):
+    # variance = second - mean^2 cancels when the walk drifts almost
+    # deterministically (|mean| ~ t); check it against a central moment
+    steps = 2400
+    ms = moment_series(COIN0, preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2), steps)
+    dist = distribution(ms.final)
+    mean = math.fsum(x * p for x, p in dist.items())
+    central = math.fsum((x - mean) ** 2 * p for x, p in dist.items())
+    got = ms.variance[-1]
+    if eps == 0.0:  # the walk moves one site right per step: the variance is exactly 0
+        assert abs(got) <= 1e-12 and abs(central) <= 1e-12, (got, central)
+    else:
+        assert abs(got - central) <= 1e-9 * central, (got, central)
