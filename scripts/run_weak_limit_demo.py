@@ -13,7 +13,7 @@ import numpy as np
 from coinwalk.asymptotics import weak_limit_density
 from coinwalk.coins import preset_coin
 from coinwalk.export import write_csv
-from coinwalk.walk import InitialCondition, distribution, evolve
+from coinwalk.walk import InitialCondition, evolve
 
 
 def main() -> int:
@@ -34,9 +34,10 @@ def main() -> int:
     }
     for name, coin in cases.items():
         vd = weak_limit_density(coin, init, bins=args.bins)
-        emp = np.zeros(args.bins)
-        for x, p in distribution(evolve(init, coin, args.steps)).items():
-            emp[min(args.bins - 1, int((x / args.steps + 1.0) / width))] += p
+        state = evolve(init, coin, args.steps)
+        v_bin = ((state.positions / args.steps + 1.0) / width).astype(np.int64)
+        p_site = np.sum(np.abs(state.amplitudes) ** 2, axis=1)  # coin traced out
+        emp = np.bincount(np.minimum(args.bins - 1, v_bin), weights=p_site, minlength=args.bins)
         l1 = float(np.abs(vd.density * width - emp).sum())
         out = outdir / f"weak_limit_{name}.csv"
         write_csv(

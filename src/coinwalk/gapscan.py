@@ -16,6 +16,13 @@ Closure points are enumerated on the closed square [-pi, pi]^2 (the +-pi
 edges are geometrically distinct there); each point is reported once even
 when both bands close on it, and the mod-2pi identification of the edges is
 reported separately.
+
+The enumeration screens one axis at a time.  With a = cos^2 theta and
+b = cos^2 phi, ``1 - A^2 = a (1 - b) + (1 - a) b >= min(a, 1 - a)``, and the
+same with theta and phi swapped, so a closure can only sit where both angles
+lie on a line with ``min(cos^2, sin^2)`` close to 0.  Only the grid lines
+that pass this screen are crossed and evaluated: O(grid) work and memory
+instead of a ``grid`` x ``grid`` mesh, with the same hits.
 """
 
 from __future__ import annotations
@@ -46,6 +53,12 @@ BAND_ZERO = "omega_zero"
 BAND_PI = "omega_pi"
 
 _POINT_MERGE_TOL = 1e-6
+
+# A hit needs arccos(A) < tol <= 1e-6, so 1 - A^2 <= arccos(A)^2 < 1e-12, and
+# 1 - A^2 >= min(cos^2, sin^2) of either angle (module docstring).  Keeping
+# every grid line with min(cos^2, sin^2) <= 1e-9 leaves three orders of
+# magnitude for rounding.
+_LINE_SCREEN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,6 +179,11 @@ def _cluster_cells(cells: list[tuple[int, int]], radius: int = 2) -> list[list[t
     return clusters
 
 
+def _closure_lines(cos_a, sin_a) -> np.ndarray:
+    """Sorted indices of the grid lines that can hold a closure (see ``_LINE_SCREEN``)."""
+    return np.flatnonzero(np.minimum(cos_a * cos_a, sin_a * sin_a) <= _LINE_SCREEN)
+
+
 def enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[GapClosure]:
     """All gap closures on the closed square [-pi, pi]^2.
 
@@ -173,28 +191,33 @@ def enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[GapClosure]:
     and reports one :class:`GapClosure` per (parameter point, band).  A
     cluster wider than the merge radius means ``tol`` is blurring distinct
     closures together and raises.
+
+    Only the mesh cells where both angles pass the line screen of the module
+    docstring are evaluated, so time and memory grow with ``grid``, not
+    ``grid**2``; every other cell has ``1 - A^2 > 1e-9`` and cannot be a hit.
     """
     if grid < 181:
         raise ValueError("grid must be >= 181 per axis")
     if tol > 1e-6:
         raise ValueError("tol must be <= 1e-6")
 
-    theta = np.linspace(-math.pi, math.pi, grid)
-    phi = np.linspace(-math.pi, math.pi, grid)
-    amp = _amplitude(theta[:, None], phi[None, :])
+    theta = np.linspace(-math.pi, math.pi, grid)  # phi runs over the same grid
+    lines = _closure_lines(np.cos(theta), np.sin(theta))
+    amp = _amplitude(theta[lines, None], theta[None, lines])
     gap = np.arccos(np.clip(amp, -1.0, 1.0))
-    hits = [tuple(c) for c in np.argwhere(gap < tol)]
+    # map block hits back to mesh cells; ``lines`` is sorted, so they stay row-major
+    amp_at = {(int(lines[i]), int(lines[j])): amp[i, j] for i, j in np.argwhere(gap < tol)}
 
     closures: list[GapClosure] = []
-    for group in _cluster_cells(hits, radius=2):
+    for group in _cluster_cells(list(amp_at), radius=2):
         rows = [c[0] for c in group]
         cols = [c[1] for c in group]
         if max(rows) - min(rows) > 4 or max(cols) - min(cols) > 4:
             raise ValueError(
                 f"tol={tol} merges {len(group)} cells spanning several closures; lower it"
             )
-        best = max(group, key=lambda c: amp[c])
-        th, ph = float(theta[best[0]]), float(phi[best[1]])
+        best = max(group, key=amp_at.__getitem__)
+        th, ph = float(theta[best[0]]), float(theta[best[1]])
         delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
         gap_zero, gap_pi = min_gap(th, ph)
         if gap_zero < tol:
@@ -238,17 +261,16 @@ def assert_no_boundary(
     Probes ``n_directions`` rays at each radius in ``radii`` around each
     closure point; a closure lying on a curve of closures (a phase-transition
     line) keeps the gap at zero along the curve and fails the probe.
-    ``gap_fn(theta, phi)`` defaults to the closed-form minimum gap.
+    ``gap_fn(theta, phi)`` defaults to the closed-form minimum gap; it is
+    called once, on arrays of every probe point, so it must broadcast.
     """
     if gap_fn is None:
-        gap_fn = lambda th, ph: float(min_gap(th, ph)[0])  # noqa: E731
+        gap_fn = lambda th, ph: min_gap(th, ph)[0]  # noqa: E731
+    points = np.array(closure_points(closures), dtype=np.float64).reshape(-1, 1, 1, 2)
     angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
-    for th, ph in closure_points(closures):
-        for r in radii:
-            for a in angles:
-                if gap_fn(th + r * math.cos(a), ph + r * math.sin(a)) <= tol:
-                    return False
-    return True
+    r = np.asarray(radii, dtype=np.float64)[:, None]
+    gap = gap_fn(points[..., 0] + r * np.cos(angles), points[..., 1] + r * np.sin(angles))
+    return not bool(np.any(np.asarray(gap) <= tol))
 
 
 def closures_to_dict(closures: list[GapClosure], grid: int | None = None, tol: float | None = None) -> dict:

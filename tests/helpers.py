@@ -4,7 +4,8 @@ slower reference implementations.
 The closed forms here are written out term by term, independent of the
 package's matrix algebra, so they can serve as oracles for it.  The
 reference implementations compute the same quantities as the package's fast
-paths by a different route (full-width stepping, eigenbasis expansion).
+paths by a different route (full-width stepping, eigenbasis expansion,
+full-mesh closure scan).
 """
 
 import math
@@ -12,6 +13,15 @@ import math
 import numpy as np
 
 from coinwalk.coins import CoinSpec, compose, random_coin_spec, sigma_x_distance
+from coinwalk.gapscan import (
+    BAND_PI,
+    BAND_ZERO,
+    GapClosure,
+    _amplitude,
+    _cluster_cells,
+    canonical_angle,
+    min_gap,
+)
 from coinwalk.momentum import DegeneratePointError, _band_arrays, _eigvecs_from_bloch, _su2_parts
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
@@ -138,3 +148,34 @@ def reference_write_csv(path, header, rows) -> None:
         lines.append(",".join("%.17g" % float(v) if isinstance(v, float) else str(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reference_enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[GapClosure]:
+    """Closure enumeration over the whole inclusive ``grid`` x ``grid`` mesh:
+    the gap of every cell, then the same clustering and reporting as
+    ``enumerate_closures``.  O(grid**2) memory; keep ``grid`` in the low
+    thousands."""
+    theta = np.linspace(-math.pi, math.pi, grid)
+    phi = np.linspace(-math.pi, math.pi, grid)
+    amp = _amplitude(theta[:, None], phi[None, :])
+    gap = np.arccos(np.clip(amp, -1.0, 1.0))
+    hits = [tuple(c) for c in np.argwhere(gap < tol)]
+
+    closures = []
+    for group in _cluster_cells(hits, radius=2):
+        rows = [c[0] for c in group]
+        cols = [c[1] for c in group]
+        if max(rows) - min(rows) > 4 or max(cols) - min(cols) > 4:
+            raise ValueError(
+                f"tol={tol} merges {len(group)} cells spanning several closures; lower it"
+            )
+        best = max(group, key=lambda c: amp[c])
+        th, ph = float(theta[best[0]]), float(phi[best[1]])
+        delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
+        gap_zero, gap_pi = min_gap(th, ph)
+        if gap_zero < tol:
+            closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
+        if gap_pi < tol:
+            closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
+    closures.sort(key=lambda c: (c.theta, c.phi, c.band))
+    return closures

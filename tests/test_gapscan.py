@@ -1,12 +1,23 @@
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coinwalk.gapscan import (
     BAND_PI,
     BAND_ZERO,
     GapClosure,
+    _closure_lines,
     assert_no_boundary,
     canonical_angle,
     canonical_points,
@@ -18,6 +29,7 @@ from coinwalk.gapscan import (
     min_gap_sampled,
     scan_gap_map,
 )
+from helpers import reference_enumerate_closures
 
 HALF_PI = math.pi / 2
 
@@ -183,3 +195,135 @@ def test_ballistic_at_gap_open_and_gap_closed_parameters():
             continue
         coin = preset_coin("paper_xy", theta=th, phi=ph)
         assert classify_spreading(coin, init, 2048) == "ballistic"
+
+
+def _closures_json(closures, grid, tol):
+    return json.dumps(closures_to_dict(closures, grid=grid, tol=tol))
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=st.integers(181, 1500), log_tol=st.floats(-12.0, -6.0))
+def test_enumerate_closures_matches_full_mesh_scan(grid, log_tol):
+    tol = 10.0**log_tol
+    expected = _closures_json(reference_enumerate_closures(grid, tol), grid, tol)
+    assert _closures_json(enumerate_closures(grid, tol), grid, tol) == expected
+
+
+@pytest.mark.parametrize("grid", [721, 722, 723, 1000, 2881])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_enumerate_closures_matches_full_mesh_scan_on_survey_grids(grid, tol):
+    expected = _closures_json(reference_enumerate_closures(grid, tol), grid, tol)
+    assert _closures_json(enumerate_closures(grid, tol), grid, tol) == expected
+
+
+# angles on and near the closure lines theta in {0, +-pi/2, +-pi}
+_NEAR_LINE = st.builds(
+    lambda base, sign, log_off: base * HALF_PI + sign * 10.0**log_off,
+    st.integers(-2, 2),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-9.0, -2.0),
+)
+_ANY_ANGLE = st.one_of(st.floats(-math.pi, math.pi), _NEAR_LINE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=_ANY_ANGLE, phi=_ANY_ANGLE)
+def test_gap_stays_open_off_the_screened_lines(theta, phi):
+    # the bound behind the line screen: min(cos^2, sin^2) > 1e-9 for either
+    # angle keeps the gap above the loosest closure tolerance
+    for a in (theta, phi):
+        if min(math.cos(a) ** 2, math.sin(a) ** 2) > 1e-9:
+            assert float(min_gap(theta, phi)[0]) > 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=_NEAR_LINE, phi=_NEAR_LINE)
+@example(theta=HALF_PI - 5e-7, phi=HALF_PI - 5e-7)
+@example(theta=-math.pi + 5e-7, phi=5e-7)
+def test_screen_keeps_every_angle_of_a_hit(theta, phi):
+    if float(min_gap(theta, phi)[0]) < 1e-6:
+        for a in (theta, phi):
+            assert _closure_lines(np.cos([a]), np.sin([a])).tolist() == [0]
+
+
+def test_enumerate_closures_memory_does_not_grow_with_grid():
+    tracemalloc.start()
+    try:
+        enumerate_closures(4001, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a 4001^2 float64 mesh alone is 128 MB
+
+
+def _run_under_memory_cap(argv):
+    """Run ``argv`` with a 1 GB address-space limit (a full-mesh scan at the
+    grids used here would need terabytes and fail fast instead)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+def test_enumerate_closures_at_200001_under_memory_cap():
+    code = (
+        "import time\n"
+        "from coinwalk.gapscan import canonical_points, closure_points, enumerate_closures\n"
+        "t0 = time.perf_counter()\n"
+        "c = enumerate_closures(200_001, 1e-8)\n"
+        "print(len(closure_points(c)), len(canonical_points(c)), len(c), time.perf_counter() - t0)\n"
+    )
+    proc = _run_under_memory_cap([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    points, canonical, pairs, seconds = proc.stdout.split()
+    assert (int(points), int(canonical), int(pairs)) == (13, 8, 26)
+    assert float(seconds) < 1.0
+
+
+def test_cli_gapscan_at_200001_under_memory_cap(tmp_path):
+    argv = [sys.executable, "-m", "coinwalk.cli", "gapscan", "--grid", "200001",
+            "--output-dir", str(tmp_path), "--out", "big.json"]
+    proc = _run_under_memory_cap(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "13 closure points; no_boundary = True"
+    record = json.loads((tmp_path / "big.json").read_text())
+    assert (record["count_points"], record["count_points_mod_2pi"]) == (13, 8)
+
+
+def test_no_boundary_calls_gap_fn_once_on_every_probe():
+    closures = enumerate_closures(361, 1e-8)
+    calls = []
+
+    def gap_fn(th, ph):
+        calls.append(np.shape(th))
+        return min_gap(th, ph)[0]
+
+    assert assert_no_boundary(closures, gap_fn=gap_fn, radii=(0.02, 0.05, 0.1), n_directions=8)
+    assert calls == [(13, 3, 8)]
+
+
+def test_no_boundary_matches_scalar_probe_loop():
+    # the one-call probe against a scalar loop over every ray, including a
+    # gap function that vanishes on one ray only
+    closures = enumerate_closures(361, 1e-8)
+    radii, n_dir = (0.02, 0.06, 0.1), 16
+
+    def scalar_probe(gap_fn):
+        for th, ph in closure_points(closures):
+            for r in radii:
+                for a in 2.0 * math.pi * np.arange(n_dir) / n_dir:
+                    if gap_fn(th + r * math.cos(a), ph + r * math.sin(a)) <= 1e-8:
+                        return False
+        return True
+
+    def ray_fn(th, ph):
+        # zero on the ray at angle 0 from (0, 0): phi == 0, theta > 0
+        return np.where((np.abs(ph) < 1e-12) & (th > 0.0), 0.0, 1.0)
+
+    for gap_fn in (lambda th, ph: min_gap(th, ph)[0], ray_fn):
+        expected = scalar_probe(lambda th, ph: float(gap_fn(th, ph)))
+        assert assert_no_boundary(closures, gap_fn=gap_fn, radii=radii, n_directions=n_dir) == expected
+    assert not assert_no_boundary(closures, gap_fn=ray_fn, radii=radii, n_directions=n_dir)

@@ -43,3 +43,26 @@ def test_script_runs_small(tmp_path, script):
     for name in files:
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) > 1, name
+
+
+def test_weak_limit_demo_histogram_matches_per_site_binning(tmp_path):
+    # the script's empirical column against binning the distribution site by site
+    import numpy as np
+
+    from coinwalk.coins import preset_coin
+    from coinwalk.walk import InitialCondition, distribution, evolve
+
+    steps, bins = 37, 32
+    argv = [sys.executable, str(ROOT / "scripts" / "run_weak_limit_demo.py"),
+            "--steps", str(steps), "--bins", str(bins), "--outdir", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+    width = 2.0 / bins
+    emp = np.zeros(bins)
+    init = InitialCondition(np.array([1.0, 0.0]))
+    for x, p in distribution(evolve(init, preset_coin("hadamard_analog"), steps)).items():
+        emp[min(bins - 1, int((x / steps + 1.0) / width))] += p
+    rows = (tmp_path / "weak_limit_hadamard_analog.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["%.17g" % v for v in emp / width]
