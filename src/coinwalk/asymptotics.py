@@ -5,24 +5,34 @@ All three are views of one velocity measure (Grimmett, Janson and Scudo,
 PRE 69, 026119, 2004).  With the Bloch axis ``n(k)`` of
 ``U_k = cos(w) I - i sin(w) n(k).sigma`` and the Bloch vector ``s0`` of the
 initial coin state, momentum k puts weight ``(1 + n(k).s0) / 2`` at velocity
-``+v_k`` and ``(1 - n(k).s0) / 2`` at ``-v_k``, where ``v_k = dw/dk = n_z(k)``.
-x/t converges weakly to this measure averaged over the Brillouin zone, so
+``+v_k`` and ``(1 - n(k).s0) / 2`` at ``-v_k``, where ``v_k = dw/dk = n_z(k)``;
+x/t converges weakly to this measure averaged over the Brillouin zone.
 
-    <x>_t   / t   ->  Int dk/2pi  v_k (n(k).s0)
-    <x^2>_t / t^2 ->  Int dk/2pi  v_k^2
+Writing the coin as ``C = c I + i (s.sigma)`` the average is done in closed
+form, so no momentum grid is built.  With ``s_perp = hypot(s_x, s_y) = |C01|``,
+``R = hypot(c, s_z) = |C00|`` (the largest speed), ``alpha = s.s0`` and
+``beta = s_x s0_y - s_y s0_x - c s0_z``:
 
-and the weak limit is the same measure binned on [-1, 1].  Writing the coin
-as ``C = c I + i (s.sigma)`` gives every ingredient in closed form, with no
-eigenvectors and no ``arccos``: ``U_k = cos(w) I + i (m.sigma)`` with
-``m_z = s_z cos k - c sin k``, ``sin w = |m| = sqrt(s_x^2 + s_y^2 + m_z^2)``,
-``v_k = -m_z / sin w`` and ``n.s0 = -(m.s0) / sin w``.  Integrals use the
-uniform trapezoidal rule on [-pi, pi), which is spectrally accurate for these
-smooth periodic integrands.
+    <x>_t   / t   ->  mean_rate    = (alpha s_z - beta c) / (1 + s_perp)
+    <x^2>_t / t^2 ->  second_coeff = 1 - s_perp
 
-Band touchings (``sin w <= DEGENERACY_THRESHOLD``) are isolated momenta for
-SU(2) coins, and one rule serves the moments and the density alike: a
-touching sample is replaced by two samples a tenth of a grid spacing to either
-side, each with half its weight.
+and on ``|v| < R`` the measure has Konno's density (N. Konno, J. Math. Soc.
+Japan 57, 1179, 2005)
+
+    f(v) (1 + gamma v),  f(v) = s_perp / (pi (1 - v^2) sqrt(R^2 - v^2)),
+    gamma = (alpha s_z - beta c) / R^2.
+
+A bin holds the exact mass ``dF + gamma dG`` between its edges clipped to
+``[-R, R]``, where ``F' = f`` and ``G' = v f``.  Both primitives are atan2
+forms that stay finite at ``+-R``; each is taken up to an additive constant,
+which cancels in the differences, in the form that keeps relative precision
+near a band touching (``s_perp -> 0``) and near the sigma_x family
+(``R -> 0``).  At rounding level the measure is atoms: a touching coin puts
+``(1 +- mean_rate) / 2`` at ``v = +-1`` and a coin with ``R = 0`` puts
+everything at ``v = 0``.
+
+``grid_size`` is still validated and recorded in the JSON record, but the
+results no longer depend on it.
 
 The sign is a convention, not a calibration: with ``n(k)`` fixed as above,
 the identity coin drives the coin-|0> walker to +t and the measure gives a
@@ -40,7 +50,7 @@ from numpy.typing import NDArray
 
 from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, sigma_x_distance
 from .export import write_csv
-from .momentum import DEGENERACY_THRESHOLD, DegeneratePointError, _su2_parts
+from .momentum import _su2_parts
 from .walk import InitialCondition
 
 __all__ = [
@@ -56,10 +66,9 @@ __all__ = [
 
 _SPREAD_TOL = 1e-10
 _SIGMA_X_FAMILY_TOL = 1e-9
-# cos w(k) is a sinusoid in k, so an SU(2) coin touches the band edges at no
-# more than two isolated momenta; anything beyond a few grid hits would mean
-# a positive-measure degeneracy, which the touching rule cannot handle
-_DEGENERATE_COUNT_LIMIT = 8
+# s_perp or R at or below this is the rounding of an exact touching (s_perp = 0)
+# or sigma_x-family (R = 0) coin: a few ulps of the unit-modulus coin entries
+_ATOM_TOL = 8 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,8 @@ class AsymptoticMoments:
     second_coeff: float  # <x^2>_t / t^2
     variance_coeff: float  # second_coeff - mean_rate^2
     grid_size: int
+    s_perp: float  # |C01|; 0 for a band-touching coin
+    max_speed: float  # R = |C00|; 0 for the sigma_x family
 
     @property
     def classification(self) -> str:
@@ -97,50 +108,26 @@ class VelocityDensity:
     coin: CoinSpec
     initial: InitialCondition
     degenerate: bool
+    s_perp: float
+    max_speed: float
 
 
-def _velocity_measure(coin: CoinSpec, init: InitialCondition, grid_size: int):
-    """Atoms ``(v, n_s0, weight)`` of the velocity measure on the uniform k-grid.
+def _measure_parameters(coin: CoinSpec, init: InitialCondition, grid_size: int) -> tuple[float, float, float]:
+    """``(s_perp, R, alpha s_z - beta c)``, which fix the velocity measure.
 
-    Sample i puts mass ``weight[i] * (1 +- n_s0[i]) / (2 * grid_size)`` at
-    velocity ``+-v[i]``.  ``weight`` is 1, or 1/2 for each of the two samples
-    that replace a band touching; those samples come after the regular ones.
+    ``grid_size`` is only validated: the measure needs no momentum grid.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     c, s = _su2_parts(compose(coin))
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
-    s0 = np.array([float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
-    s_perp_sq = s[0] ** 2 + s[1] ** 2
-
-    # U_k = cos(w) I + i (m.sigma) with m = (ck s_x - sk s_y, ck s_y + sk s_x,
-    # ck s_z - c sk), so sin(w) = |m| = sqrt(s_x^2 + s_y^2 + m_z^2); unlike
-    # 1 - cos(w)^2 this does not cancel near band touchings
-    k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    ck, sk = np.cos(k), np.sin(k)
-    weight = np.ones(grid_size)
-    m_z = ck * s[2] - c * sk
-    sin_w = np.sqrt(s_perp_sq + m_z * m_z)
-    touching = sin_w <= DEGENERACY_THRESHOLD
-    n_touching = int(np.count_nonzero(touching))
-    if n_touching:
-        if n_touching > max(_DEGENERATE_COUNT_LIMIT, grid_size // 256):
-            raise DegeneratePointError(
-                f"{n_touching} of {grid_size} momenta are band touchings; "
-                "the velocity measure needs isolated touchings"
-            )
-        h = (2.0 * math.pi / grid_size) / 10.0
-        k_off = np.concatenate([k[touching] - h, k[touching] + h])
-        ck = np.concatenate([ck[~touching], np.cos(k_off)])
-        sk = np.concatenate([sk[~touching], np.sin(k_off)])
-        weight = np.concatenate([weight[~touching], np.full(k_off.size, 0.5)])
-        m_z = ck * s[2] - c * sk
-        sin_w = np.sqrt(s_perp_sq + m_z * m_z)
-        if np.any(sin_w <= DEGENERACY_THRESHOLD):
-            raise DegeneratePointError("band touching persists after offset evaluation")
-
-    m_s0 = ck * float(s @ s0) + sk * (s[0] * s0[1] - s[1] * s0[0] - c * s0[2])
-    return -m_z / sin_w, -m_s0 / sin_w, weight
+    s0 = [float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+    alpha = float(s @ s0)
+    beta = float(s[0] * s0[1] - s[1] * s0[0] - c * s0[2])
+    # s_perp^2 + R^2 = 1; rounding must not push either past 1, where the
+    # spread coefficient would go negative or the outer bin edges miss +-R
+    s_perp = min(math.hypot(s[0], s[1]), 1.0)
+    return s_perp, min(math.hypot(c, s[2]), 1.0), alpha * float(s[2]) - beta * c
 
 
 def drift_sign() -> int:
@@ -156,14 +143,16 @@ def drift_sign() -> int:
 
 def moment_integrals(coin: CoinSpec, init: InitialCondition, grid_size: int = 4096) -> AsymptoticMoments:
     """Drift rate and quadratic spread coefficient: the first two moments of the velocity measure."""
-    v, n_s0, weight = _velocity_measure(coin, init, grid_size)
-    mean_rate = float(np.sum(weight * v * n_s0)) / grid_size
-    second_coeff = float(np.sum(weight * v * v)) / grid_size
+    s_perp, max_speed, drift = _measure_parameters(coin, init, grid_size)
+    mean_rate = drift / (1.0 + s_perp)
+    second_coeff = 1.0 - s_perp
     return AsymptoticMoments(
         mean_rate=mean_rate,
         second_coeff=second_coeff,
         variance_coeff=second_coeff - mean_rate**2,
         grid_size=grid_size,
+        s_perp=s_perp,
+        max_speed=max_speed,
     )
 
 
@@ -178,15 +167,21 @@ def weak_limit_density(
     """The velocity measure binned on ``bins`` uniform bins over [-1, 1], as a density."""
     if bins < 32:
         raise ValueError("bins must be >= 32")
-    v, n_s0, weight = _velocity_measure(coin, init, grid_size)
-    half = 0.5 * weight
+    s_perp, r, drift = _measure_parameters(coin, init, grid_size)
     width = 2.0 / bins
-    velocity = np.concatenate([v, -v])
-    mass = np.bincount(
-        np.clip(((velocity + 1.0) / width).astype(int), 0, bins - 1),
-        weights=np.concatenate([half * (1.0 + n_s0), half * (1.0 - n_s0)]) / grid_size,
-        minlength=bins,
-    )
+    mass = np.zeros(bins)
+    if r <= _ATOM_TOL:
+        mass[bins // 2] = 1.0  # the bin holding v = 0 (as its left edge when bins is even)
+    elif s_perp <= _ATOM_TOL:
+        mean_rate = drift / (1.0 + s_perp)
+        mass[0], mass[-1] = 0.5 * (1.0 - mean_rate), 0.5 * (1.0 + mean_rate)
+    else:
+        v = np.clip(-1.0 + width * np.arange(bins + 1), -r, r)
+        y = np.sqrt(r * r - v * v)
+        f_prim = np.arctan2(v * s_perp, y)
+        # two forms of G, pi/2 apart; each keeps relative precision where it is small
+        g_prim = -np.arctan2(y, s_perp) if s_perp >= r else np.arctan2(s_perp, y)
+        mass = (np.diff(f_prim) + (drift / (r * r)) * np.diff(g_prim)) / math.pi
 
     centres = -1.0 + width * (np.arange(bins) + 0.5)
     return VelocityDensity(
@@ -195,6 +190,8 @@ def weak_limit_density(
         coin=coin,
         initial=init,
         degenerate=sigma_x_distance(compose(coin)) <= _SIGMA_X_FAMILY_TOL,
+        s_perp=s_perp,
+        max_speed=r,
     )
 
 

@@ -53,6 +53,13 @@ __all__ = ["main", "ConfigError", "RunConfig"]
 
 _OUTPUT_DIR_ENV = "COINWALK_OUTPUT_DIR"
 
+# scan_gap_map plus gap_map_to_csv peak at about 350 bytes per map cell (the
+# float64 grids, one Python float per CSV field and the formatted text), so
+# the map side is bounded to keep a gap map within 1 GiB
+_MAP_BYTES_PER_CELL = 400
+_MAP_MEMORY_BUDGET = 1 << 30
+_MAX_MAP_GRID = math.isqrt(_MAP_MEMORY_BUDGET // _MAP_BYTES_PER_CELL)
+
 
 class ConfigError(ValueError):
     """Unusable configuration (bad flag, bad config file, missing input)."""
@@ -208,7 +215,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, help="gap threshold for a closure")
     p.add_argument("--out", required=True, help="closures JSON")
     p.add_argument("--map-out", help="also write a gap-map CSV theta,phi,gap_zero,gap_pi")
-    p.add_argument("--map-grid", type=int, help="gap-map resolution per axis")
+    p.add_argument("--map-grid", type=int, help=f"gap-map resolution per axis (at most {_MAX_MAP_GRID})")
 
     p = sub.add_parser("compare", help="reconcile exact variance with the asymptotic prediction")
     _add_common(p, initial=True)
@@ -262,6 +269,11 @@ def _merge(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
         raise ConfigError("grid must be >= 181")
     if not 0.0 < cfg.tol <= 1e-6:
         raise ConfigError("tol must be in (0, 1e-6]")
+    if cfg.map_grid > _MAX_MAP_GRID:
+        raise ConfigError(
+            f"map_grid must be <= {_MAX_MAP_GRID}: a gap map takes about {_MAP_BYTES_PER_CELL} bytes "
+            f"per cell, {cfg.map_grid}^2 cells would need {cfg.map_grid**2 * _MAP_BYTES_PER_CELL / 2**30:.1f} GiB"
+        )
 
     raw = {
         "out": pick("out"),
@@ -387,7 +399,8 @@ def _cmd_asymptotics(cfg: RunConfig, raw: dict) -> int:
     if raw.get("out"):
         out = _out_path(cfg, raw["out"])
         write_json(out, record)
-        _write_manifest(cfg, coin, [out], results={"classification": record["classification"]})
+        results = {"classification": record["classification"], "s_perp": am.s_perp, "max_speed": am.max_speed}
+        _write_manifest(cfg, coin, [out], results=results)
     return 0
 
 
@@ -397,7 +410,8 @@ def _cmd_weak_limit(cfg: RunConfig, raw: dict) -> int:
     vd = weak_limit_density(coin, init, cfg.grid_size, cfg.bins)
     out = _out_path(cfg, raw["out"])
     velocity_density_to_csv(vd, out)
-    _write_manifest(cfg, coin, [out], results={"degenerate": vd.degenerate})
+    results = {"degenerate": vd.degenerate, "s_perp": vd.s_perp, "max_speed": vd.max_speed}
+    _write_manifest(cfg, coin, [out], results=results)
     if vd.degenerate:
         print("note: coin is in the sigma_x family; the density collapses onto v = 0")
     return 0
@@ -441,7 +455,9 @@ def _cmd_compare(cfg: RunConfig, raw: dict) -> int:
     lo = max(1, cfg.steps // 10)
     window = np.arange(lo, cfg.steps + 1)
     slope = None
-    if np.all(var[window] > 0):
+    if window.size < 2:
+        print(f"log-log slope unavailable: --steps {cfg.steps} leaves fewer than 2 points in the fit window")
+    elif np.all(var[window] > 0):
         slope = float(np.polyfit(np.log(window), np.log(var[window]), 1)[0])
         print(f"log-log variance slope over t in [{lo}, {cfg.steps}]: {slope:.6f}")
     else:

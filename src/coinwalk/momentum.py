@@ -132,14 +132,15 @@ def _band_arrays(c: float, s: np.ndarray, k):
     k = np.asarray(k, dtype=np.float64)
     ck, sk = np.cos(k), np.sin(k)
     omega = _omega_from_cos(c * ck + s[2] * sk)
-    sin_w = np.sin(omega)
-    degenerate = sin_w <= DEGENERACY_THRESHOLD
 
-    # U_k = cos(w) I + i (m . sigma) with |m| = sin(w); n = -m / sin(w)
-    safe = np.where(degenerate, 1.0, sin_w)
+    # U_k = cos(w) I + i (m . sigma) with |m| = sin(w); n = -m / sin(w).  |m|
+    # keeps its precision near band touchings, where sin(arccos(.)) cancels
     mx = ck * s[0] - sk * s[1]
     my = ck * s[1] + sk * s[0]
     mz = ck * s[2] - c * sk
+    sin_w = np.sqrt(mx * mx + my * my + mz * mz)
+    degenerate = sin_w <= DEGENERACY_THRESHOLD
+    safe = np.where(degenerate, 1.0, sin_w)
     n = np.stack([-mx / safe, -my / safe, -mz / safe], axis=-1)
     v = (c * sk - s[2] * ck) / safe  # dw/dk, equals n_z
     n = np.where(degenerate[..., None], np.nan, n)

@@ -5,14 +5,14 @@ The closed forms here are written out term by term, independent of the
 package's matrix algebra, so they can serve as oracles for it.  The
 reference implementations compute the same quantities as the package's fast
 paths by a different route (full-width stepping, eigenbasis expansion,
-full-mesh closure scan).
+velocity measure sampled on a momentum grid, full-mesh closure scan).
 """
 
 import math
 
 import numpy as np
 
-from coinwalk.coins import CoinSpec, compose, random_coin_spec, sigma_x_distance
+from coinwalk.coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, random_coin_spec, sigma_x_distance
 from coinwalk.gapscan import (
     BAND_PI,
     BAND_ZERO,
@@ -22,7 +22,13 @@ from coinwalk.gapscan import (
     canonical_angle,
     min_gap,
 )
-from coinwalk.momentum import DegeneratePointError, _band_arrays, _eigvecs_from_bloch, _su2_parts
+from coinwalk.momentum import (
+    DEGENERACY_THRESHOLD,
+    DegeneratePointError,
+    _band_arrays,
+    _eigvecs_from_bloch,
+    _su2_parts,
+)
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
 
@@ -138,6 +144,52 @@ def eigenbasis_integrands(coin, init, grid_size: int):
         g1[idx] = 0.5 * (left[0][0] + right[0][0])
         g2[idx] = 0.5 * (left[1][0] + right[1][0])
     return g1, g2
+
+
+def sampled_velocity_measure(coin, init, grid_size: int):
+    """Atoms ``(v, n_s0, weight)`` of the velocity measure on the uniform k-grid.
+
+    Sample i puts mass ``weight[i] * (1 +- n_s0[i]) / (2 * grid_size)`` at
+    velocity ``+-v[i]``, with ``v = -m_z / |m|`` and ``n.s0 = -(m.s0) / |m|``
+    for ``U_k = cos(w) I + i (m.sigma)``.  ``weight`` is 1, or 1/2 for each of
+    the two samples a tenth of a grid spacing either side of a band touching
+    (``|m| <= DEGENERACY_THRESHOLD``); those samples come after the regular
+    ones.  Its first two moments converge to the closed-form drift rate and
+    spread coefficient, its histogram to the closed-form bin masses.
+    """
+    c, s = _su2_parts(compose(coin))
+    phi0 = np.asarray(init.coin_state, dtype=np.complex128)
+    s0 = np.array([float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+    s_perp_sq = s[0] ** 2 + s[1] ** 2
+
+    k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    ck, sk = np.cos(k), np.sin(k)
+    weight = np.ones(grid_size)
+    m_z = ck * s[2] - c * sk
+    sin_w = np.sqrt(s_perp_sq + m_z * m_z)
+    touching = sin_w <= DEGENERACY_THRESHOLD
+    if np.any(touching):
+        h = (2.0 * math.pi / grid_size) / 10.0
+        k_off = np.concatenate([k[touching] - h, k[touching] + h])
+        ck = np.concatenate([ck[~touching], np.cos(k_off)])
+        sk = np.concatenate([sk[~touching], np.sin(k_off)])
+        weight = np.concatenate([weight[~touching], np.full(k_off.size, 0.5)])
+        m_z = ck * s[2] - c * sk
+        sin_w = np.sqrt(s_perp_sq + m_z * m_z)
+
+    m_s0 = ck * float(s @ s0) + sk * (s[0] * s0[1] - s[1] * s0[0] - c * s0[2])
+    return -m_z / sin_w, -m_s0 / sin_w, weight
+
+
+def sampled_velocity_masses(coin, init, grid_size: int, bins: int) -> np.ndarray:
+    """Bin masses of the sampled velocity measure on ``bins`` uniform bins over [-1, 1]."""
+    v, n_s0, weight = sampled_velocity_measure(coin, init, grid_size)
+    width = 2.0 / bins
+    return np.bincount(
+        np.clip(((np.concatenate([v, -v]) + 1.0) / width).astype(int), 0, bins - 1),
+        weights=np.concatenate([weight * (1.0 + n_s0), weight * (1.0 - n_s0)]) / (2 * grid_size),
+        minlength=bins,
+    )
 
 
 def reference_write_csv(path, header, rows) -> None:

@@ -14,7 +14,13 @@ from coinwalk.asymptotics import (
 from coinwalk.coins import preset_coin
 from coinwalk.momentum import eigensystem, quasi_energy
 from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
-from helpers import eigenbasis_integrands, random_multirot_coin, random_coin_state, SIGMA_X_EXCLUSION
+from helpers import (
+    SIGMA_X_EXCLUSION,
+    eigenbasis_integrands,
+    random_coin_state,
+    random_multirot_coin,
+    sampled_velocity_masses,
+)
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 BALANCED = InitialCondition(np.array([1.0, 1.0j]) / math.sqrt(2))
@@ -223,3 +229,63 @@ def test_asymptotic_moments_record():
     assert record["grid_size"] == 1024
     assert record["sign_calibration"]["drift_sign"] == 1
     assert record["second_coeff"] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-3)
+
+
+def test_closed_form_moments_match_eigenbasis_quadrature():
+    rng = np.random.default_rng(49)
+    for _ in range(12):
+        coin = random_multirot_coin(rng, 1, 3)
+        init = InitialCondition(random_coin_state(rng))
+        g1, g2 = eigenbasis_integrands(coin, init, 65536)
+        am = moment_integrals(coin, init)
+        assert abs(am.mean_rate - float(np.mean(g1))) <= 1e-12
+        assert abs(am.second_coeff - float(np.mean(g2))) <= 1e-12
+
+
+def test_closed_form_bins_match_sampled_histogram():
+    rng = np.random.default_rng(50)
+    bins = 64
+    for _ in range(8):
+        coin = random_multirot_coin(rng, 1, 3)
+        init = InitialCondition(random_coin_state(rng))
+        vd = weak_limit_density(coin, init, bins=bins)
+        sampled = sampled_velocity_masses(coin, init, 2**20, bins) * (bins / 2.0)
+        assert float(np.max(np.abs(vd.density - sampled))) <= 2e-4
+
+
+def test_results_do_not_depend_on_grid_size():
+    rng = np.random.default_rng(51)
+    coin = random_multirot_coin(rng, 1, 3)
+    init = InitialCondition(random_coin_state(rng))
+    lo, hi = moment_integrals(coin, init, 64), moment_integrals(coin, init, 262144)
+    assert (lo.mean_rate, lo.second_coeff, lo.variance_coeff) == (hi.mean_rate, hi.second_coeff, hi.variance_coeff)
+    assert np.array_equal(weak_limit_density(coin, init, 64).density, weak_limit_density(coin, init, 262144).density)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3])
+def test_near_touching_density_is_a_probability(eps):
+    rng = np.random.default_rng(52)
+    coins = [preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2)]
+    if eps == 0.0:
+        coins.append(preset_coin("identity"))
+    states = [COIN0, BALANCED, InitialCondition(np.array([0.0, 1.0]))]
+    states += [InitialCondition(random_coin_state(rng)) for _ in range(3)]
+    for coin in coins:
+        for init in states:
+            for bins in (64, 33):
+                vd = weak_limit_density(coin, init, bins=bins)
+                assert np.all(vd.density >= 0.0)
+                assert float(np.sum(vd.density)) * (2.0 / bins) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_max_speed_is_one_atom_next_to_zero():
+    rng = np.random.default_rng(53)
+    coins = (preset_coin("sigma_x"), preset_coin("paper_xy", theta=math.pi / 2, phi=0.0))
+    for coin in coins:
+        for init in (COIN0, BALANCED, InitialCondition(random_coin_state(rng))):
+            for bins in (64, 33):
+                vd = weak_limit_density(coin, init, bins=bins)
+                width = 2.0 / bins
+                (full,) = np.nonzero(vd.density)
+                assert abs(vd.v_grid[full[0]]) <= width
+                assert vd.density[full[0]] * width == 1.0

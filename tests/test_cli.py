@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,39 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     assert run(*argv) == 0
     assert (tmp_path / "m.csv").read_bytes() == first[0]
     assert (tmp_path / "m.csv.manifest.json").read_bytes() == first[1]
+
+
+def test_spectral_manifests_are_byte_identical_across_runs(tmp_path):
+    expected = {  # coin -> (s_perp, max_speed) in the manifest results
+        "hadamard_analog": (math.sin(math.pi / 4), math.cos(math.pi / 4)),
+        "identity": (0.0, 1.0),
+        "sigma_x": (1.0, 0.0),
+    }
+    for coin, (s_perp, max_speed) in expected.items():
+        for command, out in (("asymptotics", "a.json"), ("weak-limit", "w.csv")):
+            argv = (command, "--coin", coin, "--initial-coin", "0.6,0.8j", "--out", out,
+                    "--output-dir", str(tmp_path / coin))
+            paths = [tmp_path / coin / out, tmp_path / coin / (out + ".manifest.json")]
+            assert run(*argv) == 0
+            first = [p.read_bytes() for p in paths]
+            assert run(*argv) == 0
+            assert [p.read_bytes() for p in paths] == first
+            results = json.loads(first[1])["results"]
+            assert results["s_perp"] == pytest.approx(s_perp, abs=1e-15)
+            assert results["max_speed"] == pytest.approx(max_speed, abs=1e-15)
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_compare_too_short_for_a_slope(tmp_path, capfd, steps):
+    out = tmp_path / "recon.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("compare", "--coin", "hadamard_analog", "--steps", steps, "--out", str(out)) == 0
+    captured = capfd.readouterr()
+    assert "fewer than 2 points in the fit window" in captured.out
+    assert captured.err == ""
+    assert len(out.read_text().splitlines()) == 1 + int(steps)
+    assert json.loads((tmp_path / "recon.csv.manifest.json").read_text())["results"]["loglog_slope"] is None
 
 
 def test_degree_suffix_equivalent_to_radians(tmp_path):

@@ -293,6 +293,16 @@ def test_cli_gapscan_at_200001_under_memory_cap(tmp_path):
     assert (record["count_points"], record["count_points_mod_2pi"]) == (13, 8)
 
 
+def test_cli_oversized_gap_map_is_a_config_error_under_memory_cap(tmp_path):
+    argv = [sys.executable, "-m", "coinwalk.cli", "gapscan", "--grid", "181", "--map-grid", "20001",
+            "--output-dir", str(tmp_path), "--out", "c.json", "--map-out", "m.csv"]
+    proc = _run_under_memory_cap(argv)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: map_grid must be <=")
+    assert not any(tmp_path.iterdir())
+
+
 def test_no_boundary_calls_gap_fn_once_on_every_probe():
     closures = enumerate_closures(361, 1e-8)
     calls = []

@@ -296,3 +296,10 @@ def test_dispersion_band_and_csv(tmp_path):
     # every populated float field round-trips; pick a row away from the touchings
     row = lines[17].split(",")
     assert abs(float(row[5])) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_bloch_vectors_are_unit_near_band_touching(eps):
+    band = dispersion_band(preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2), 4096)
+    assert not np.any(np.isnan(band.bloch))
+    assert float(np.max(np.abs(np.linalg.norm(band.bloch, axis=1) - 1.0))) <= 1e-12
