@@ -36,7 +36,6 @@ from .walk import (
     evolve,
     moment_series,
     moments,
-    ring_oracle,
     step,
 )
 from .asymptotics import (
@@ -53,7 +52,6 @@ from .gapscan import (
     assert_no_boundary,
     enumerate_closures,
     min_gap,
-    min_gap_sampled,
     scan_gap_map,
 )
 

@@ -64,6 +64,12 @@ __all__ = [
     "asymptotic_moments_to_dict",
 ]
 
+# defaults and lower bounds of the grid_size and bins parameters
+DEFAULT_GRID_SIZE = 4096
+DEFAULT_BINS = 64
+MIN_GRID_SIZE = 64
+MIN_BINS = 32
+
 _SPREAD_TOL = 1e-10
 _SIGMA_X_FAMILY_TOL = 1e-9
 # s_perp or R at or below this is the rounding of an exact touching (s_perp = 0)
@@ -117,8 +123,8 @@ def _measure_parameters(coin: CoinSpec, init: InitialCondition, grid_size: int) 
 
     ``grid_size`` is only validated: the measure needs no momentum grid.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}")
     c, s = _su2_parts(compose(coin))
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
     s0 = [float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
@@ -141,7 +147,9 @@ def drift_sign() -> int:
     return 1
 
 
-def moment_integrals(coin: CoinSpec, init: InitialCondition, grid_size: int = 4096) -> AsymptoticMoments:
+def moment_integrals(
+    coin: CoinSpec, init: InitialCondition, grid_size: int = DEFAULT_GRID_SIZE
+) -> AsymptoticMoments:
     """Drift rate and quadratic spread coefficient: the first two moments of the velocity measure."""
     s_perp, max_speed, drift = _measure_parameters(coin, init, grid_size)
     mean_rate = drift / (1.0 + s_perp)
@@ -156,17 +164,17 @@ def moment_integrals(coin: CoinSpec, init: InitialCondition, grid_size: int = 40
     )
 
 
-def classify_spreading(coin: CoinSpec, init: InitialCondition, grid_size: int = 4096) -> str:
+def classify_spreading(coin: CoinSpec, init: InitialCondition, grid_size: int = DEFAULT_GRID_SIZE) -> str:
     """``"ballistic"`` or ``"non-spreading"``; see ``AsymptoticMoments.classification``."""
     return moment_integrals(coin, init, grid_size).classification
 
 
 def weak_limit_density(
-    coin: CoinSpec, init: InitialCondition, grid_size: int = 4096, bins: int = 64
+    coin: CoinSpec, init: InitialCondition, grid_size: int = DEFAULT_GRID_SIZE, bins: int = DEFAULT_BINS
 ) -> VelocityDensity:
     """The velocity measure binned on ``bins`` uniform bins over [-1, 1], as a density."""
-    if bins < 32:
-        raise ValueError("bins must be >= 32")
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}")
     s_perp, r, drift = _measure_parameters(coin, init, grid_size)
     width = 2.0 / bins
     mass = np.zeros(bins)

@@ -15,17 +15,24 @@ Exit codes: 0 success, 1 configuration error, 2 numerical-domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    DEFAULT_BINS,
+    DEFAULT_GRID_SIZE,
+    MIN_BINS,
+    MIN_GRID_SIZE,
     asymptotic_moments_to_dict,
     drift_sign,
     moment_integrals,
@@ -35,6 +42,11 @@ from .asymptotics import (
 from .coins import CoinSpec, preset_coin
 from .export import write_csv, write_json
 from .gapscan import (
+    DEFAULT_GRID,
+    DEFAULT_MAP_GRID,
+    DEFAULT_TOL,
+    MAX_TOL,
+    MIN_GRID,
     assert_no_boundary,
     closures_to_dict,
     enumerate_closures,
@@ -53,12 +65,19 @@ __all__ = ["main", "ConfigError", "RunConfig"]
 
 _OUTPUT_DIR_ENV = "COINWALK_OUTPUT_DIR"
 
-# scan_gap_map plus gap_map_to_csv peak at about 350 bytes per map cell (the
-# float64 grids, one Python float per CSV field and the formatted text), so
-# the map side is bounded to keep a gap map within 1 GiB
-_MAP_BYTES_PER_CELL = 400
-_MAP_MEMORY_BUDGET = 1 << 30
-_MAX_MAP_GRID = math.isqrt(_MAP_MEMORY_BUDGET // _MAP_BYTES_PER_CELL)
+# The size options are bounded so that one run fits in 1 GiB of address space:
+# 256 MiB for the interpreter and numpy (about 140 MiB measured), the rest for
+# work arrays, one Python float per CSV field and the formatted text.  Each
+# divisor is the measured growth of peak address space (VmPeak) per unit, in
+# the subcommand that needs the most for that option, rounded up.
+_MEMORY_BUDGET = (1 << 30) - (256 << 20)
+_MAX_STEPS = _MEMORY_BUDGET // 640  # simulate --distribution-out, 539 bytes per step
+_MAX_GRID_SIZE = _MEMORY_BUDGET // 768  # dispersion, 634 bytes per momentum
+_MAX_BINS = _MEMORY_BUDGET // 256  # weak-limit, 190 bytes per bin
+_MAX_GRID = _MEMORY_BUDGET // 64  # gapscan closure scan, 48 bytes per grid line
+_MAX_MAP_GRID = math.isqrt(_MEMORY_BUDGET // 400)  # gap map, 351 bytes per cell
+# sites are reduced as float64, which holds every integer up to 2^53
+_MAX_SITE = 2**53
 
 
 class ConfigError(ValueError):
@@ -82,11 +101,11 @@ class RunConfig:
     initial_coin: list[list[float]] = field(default_factory=lambda: [[1.0, 0.0], [0.0, 0.0]])
     position: int = 0
     steps: int = 100
-    grid_size: int = 4096
-    bins: int = 64
-    grid: int = 721
-    tol: float = 1e-8
-    map_grid: int = 181
+    grid_size: int = DEFAULT_GRID_SIZE
+    bins: int = DEFAULT_BINS
+    grid: int = DEFAULT_GRID
+    tol: float = DEFAULT_TOL
+    map_grid: int = DEFAULT_MAP_GRID
     output_dir: str = "."
     seed: int = 0
 
@@ -116,26 +135,64 @@ def _parse_complex_pair(text: str) -> np.ndarray:
         raise ConfigError(f"bad complex component in {text!r}") from exc
 
 
-_CONFIG_KEYS = {
-    "coin",
-    "coin_file",
-    "theta",
-    "phi",
-    "initial_coin",
-    "initial_bloch",
-    "position",
-    "steps",
-    "grid_size",
-    "bins",
-    "grid",
-    "tol",
-    "map_grid",
-    "out",
-    "distribution_out",
-    "map_out",
-    "output_dir",
-    "seed",
-}
+_WALKS = ("simulate", "moments", "asymptotics", "weak-limit", "compare")  # take a coin and an initial state
+_COINS = (*_WALKS, "dispersion")
+_ALL = (*_COINS, "gapscan")
+
+
+class _Option(NamedTuple):
+    """Config key ``name``, flag ``--name`` (``-`` for ``_``).  ``parse`` sets the
+    ``RunConfig`` field of that name, which holds the default, to a value in
+    ``bounds``; without it the raw text goes to the subcommand."""
+
+    name: str
+    commands: tuple[str, ...]
+    parse: Callable | None = None
+    bounds: tuple | None = None
+    help: str | None = None
+
+
+_OPTIONS = (
+    _Option("output_dir", _ALL, str, help=f"output directory, or ${_OUTPUT_DIR_ENV} when not given"),
+    _Option("seed", _ALL, int, (-(2**63), 2**63 - 1), "seed recorded for reproducibility"),
+    _Option("coin", _COINS, str, help="preset name: identity, sigma_x, hadamard_analog, paper_xy"),
+    _Option("coin_file", _COINS, str, help="JSON file with a list of {axis, angle_rad|angle_deg} records"),
+    _Option("theta", _COINS, parse_angle, help="paper_xy first rotation angle (radians, or e.g. 45deg)"),
+    _Option("phi", _COINS, parse_angle, help="paper_xy second rotation angle (radians, or e.g. 45deg)"),
+    _Option("initial_coin", _WALKS, help="two complex components, e.g. '1,0' or '0.6,0.8j'"),
+    _Option("initial_bloch", _WALKS, help="alpha,beta Bloch angles for the initial coin state"),
+    _Option("position", _WALKS, int, (-_MAX_SITE, _MAX_SITE), "initial site"),
+    _Option("steps", ("simulate", "moments", "compare"), int, (0, _MAX_STEPS), "walk steps"),
+    _Option(
+        "grid_size", ("dispersion", "asymptotics", "weak-limit", "compare"), int,
+        (MIN_GRID_SIZE, _MAX_GRID_SIZE), "momentum samples of the dispersion band; the others record it",
+    ),
+    _Option("bins", ("weak-limit",), int, (MIN_BINS, _MAX_BINS), "velocity bins over [-1, 1]"),
+    _Option("grid", ("gapscan",), int, (MIN_GRID, _MAX_GRID), "scan resolution per axis (inclusive of both edges)"),
+    # tol > 0: math.ulp(0.0) is the smallest positive float
+    _Option("tol", ("gapscan",), float, (math.ulp(0.0), MAX_TOL), "gap threshold for a closure"),
+    _Option("out", _ALL),
+    _Option("distribution_out", ("simulate",), help="also write the final-step distribution CSV (t,x,p)"),
+    _Option("map_out", ("gapscan",), help="also write a gap-map CSV theta,phi,gap_zero,gap_pi"),
+    _Option("map_grid", ("gapscan",), int, (2, _MAX_MAP_GRID), "gap-map resolution per axis"),
+)
+
+
+def _value(opt: _Option, text: str):
+    """Parse ``text`` for ``opt`` and check it against the option's bounds."""
+    if opt.parse is parse_angle:
+        return parse_angle(text, f"{opt.name} angle")
+    try:
+        value = opt.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {opt.name} {text!r}: expected {opt.parse.__name__}") from exc
+    if opt.bounds:
+        lo, hi = opt.bounds
+        if not value >= lo:
+            raise ConfigError(f"{opt.name} must be >= {lo}")
+        if not value <= hi:
+            raise ConfigError(f"{opt.name} must be <= {hi}")
+    return value
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -154,7 +211,7 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in {opt.name for opt in _OPTIONS}:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
@@ -162,126 +219,51 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _add_common(p: _Parser, coin: bool = True, initial: bool = False) -> None:
-    p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--output-dir", help=f"output directory (default: ${_OUTPUT_DIR_ENV} or '.')")
-    p.add_argument("--seed", type=int, help="seed recorded for reproducibility (default 0)")
-    if coin:
-        p.add_argument("--coin", help="preset name: identity, sigma_x, hadamard_analog, paper_xy")
-        p.add_argument("--coin-file", help="JSON file with a list of {axis, angle_rad|angle_deg} records")
-        p.add_argument("--theta", help="paper_xy first rotation angle (radians, or e.g. 45deg)")
-        p.add_argument("--phi", help="paper_xy second rotation angle (radians, or e.g. 45deg)")
-    if initial:
-        p.add_argument("--initial-coin", help="two complex components, e.g. '1,0' or '0.6,0.8j'")
-        p.add_argument("--initial-bloch", help="alpha,beta Bloch angles for the initial coin state")
-        p.add_argument("--position", type=int, help="initial site (default 0)")
+def _help(opt: _Option) -> str:
+    notes = []
+    default = getattr(RunConfig, opt.name, None)
+    if default is not None:
+        notes.append(f"default {default!r}")
+    if opt.bounds:
+        notes.append("%s to %s" % opt.bounds)
+    return f"{opt.help} ({'; '.join(notes)})" if notes else opt.help
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built from the option and subcommand tables once per process."""
     parser = _Parser(prog="coinwalk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"coinwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="exact walk; writes the per-step moment table")
-    _add_common(p, initial=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--out", required=True, help="moment table CSV (t,mean,second,variance)")
-    p.add_argument("--distribution-out", help="also write the final-step distribution CSV (t,x,p)")
-
-    p = sub.add_parser("moments", help="per-step moment table only")
-    _add_common(p, initial=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("dispersion", help="quasi-energy band export")
-    _add_common(p)
-    p.add_argument("--grid-size", type=int, help="number of momentum samples")
-    p.add_argument("--out", required=True, help="CSV k,omega,nx,ny,nz,v_group")
-
-    p = sub.add_parser("asymptotics", help="long-time drift and spread coefficients")
-    _add_common(p, initial=True)
-    p.add_argument("--grid-size", type=int)
-    p.add_argument("--out", help="JSON output (printed to stdout when omitted)")
-
-    p = sub.add_parser("weak-limit", help="limiting velocity density of x/t")
-    _add_common(p, initial=True)
-    p.add_argument("--grid-size", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--out", required=True, help="CSV v,density")
-
-    p = sub.add_parser("gapscan", help="gap-closure survey of the paper_xy parameter square")
-    _add_common(p, coin=False)
-    p.add_argument("--grid", type=int, help="scan resolution per axis (inclusive of both edges)")
-    p.add_argument("--tol", type=float, help="gap threshold for a closure")
-    p.add_argument("--out", required=True, help="closures JSON")
-    p.add_argument("--map-out", help="also write a gap-map CSV theta,phi,gap_zero,gap_pi")
-    p.add_argument("--map-grid", type=int, help=f"gap-map resolution per axis (at most {_MAX_MAP_GRID})")
-
-    p = sub.add_parser("compare", help="reconcile exact variance with the asymptotic prediction")
-    _add_common(p, initial=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--grid-size", type=int)
-    p.add_argument("--out", required=True, help="CSV t,var_exact,var_predicted,abs_err,rel_err")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key = value configuration file")
+        for opt in (opt for opt in _OPTIONS if name in opt.commands):
+            out = opt.name == "out"  # its help and whether it is required belong to the subcommand
+            p.add_argument(
+                "--" + opt.name.replace("_", "-"),
+                required=out and command.out_required,
+                help=command.out_help if out else _help(opt),
+            )
     return parser
 
 
 def _merge(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
     """Apply config-file values underneath the parsed flags; return the
     resolved RunConfig plus raw string leftovers (out paths, initial state)."""
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name: str, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    cfg = RunConfig(command=args.command)
-    cfg.coin = pick("coin")
-    cfg.coin_file = pick("coin_file")
-    theta = pick("theta")
-    phi = pick("phi")
-    cfg.theta = parse_angle(theta, "theta angle") if theta is not None else None
-    cfg.phi = parse_angle(phi, "phi angle") if phi is not None else None
-    try:
-        cfg.position = int(pick("position", 0))
-        cfg.steps = int(pick("steps", 100))
-        cfg.grid_size = int(pick("grid_size", 4096))
-        cfg.bins = int(pick("bins", 64))
-        cfg.grid = int(pick("grid", 721))
-        cfg.tol = float(pick("tol", 1e-8))
-        cfg.map_grid = int(pick("map_grid", 181))
-        cfg.seed = int(pick("seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric option: {exc}") from exc
-    cfg.output_dir = str(pick("output_dir", os.environ.get(_OUTPUT_DIR_ENV, ".")))
-
-    if cfg.steps < 0:
-        raise ConfigError("steps must be >= 0")
-    if cfg.grid_size < 64:
-        raise ConfigError("grid_size must be >= 64")
-    if cfg.bins < 32:
-        raise ConfigError("bins must be >= 32")
-    if cfg.grid < 181:
-        raise ConfigError("grid must be >= 181")
-    if not 0.0 < cfg.tol <= 1e-6:
-        raise ConfigError("tol must be in (0, 1e-6]")
-    if cfg.map_grid > _MAX_MAP_GRID:
-        raise ConfigError(
-            f"map_grid must be <= {_MAX_MAP_GRID}: a gap map takes about {_MAP_BYTES_PER_CELL} bytes "
-            f"per cell, {cfg.map_grid}^2 cells would need {cfg.map_grid**2 * _MAP_BYTES_PER_CELL / 2**30:.1f} GiB"
-        )
-
-    raw = {
-        "out": pick("out"),
-        "distribution_out": pick("distribution_out"),
-        "map_out": pick("map_out"),
-        "initial_coin": pick("initial_coin"),
-        "initial_bloch": pick("initial_bloch"),
-    }
+    file_values = read_config_file(args.config) if args.config else {}
+    cfg = RunConfig(command=args.command, output_dir=os.environ.get(_OUTPUT_DIR_ENV, RunConfig.output_dir))
+    raw = {}
+    for opt in _OPTIONS:
+        text = getattr(args, opt.name, None)
+        if isinstance(text, list):  # argparse reads "--name=--" as no value at all
+            raise ConfigError(f"argument --{opt.name.replace('_', '-')}: expected one argument")
+        if text is None:
+            text = file_values.get(opt.name)
+        if opt.parse is None:
+            raw[opt.name] = text
+        elif text is not None:
+            setattr(cfg, opt.name, _value(opt, text))
     return cfg, raw
 
 
@@ -466,22 +448,38 @@ def _cmd_compare(cfg: RunConfig, raw: dict) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    run: Callable[[RunConfig, dict], int]
+    help: str
+    out_help: str | None = None
+    out_required: bool = True
+
+
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "moments": _cmd_simulate,  # same table, no distribution option
-    "dispersion": _cmd_dispersion,
-    "asymptotics": _cmd_asymptotics,
-    "weak-limit": _cmd_weak_limit,
-    "gapscan": _cmd_gapscan,
-    "compare": _cmd_compare,
+    "simulate": _Command(
+        _cmd_simulate, "exact walk; writes the per-step moment table", "moment table CSV (t,mean,second,variance)"
+    ),
+    # same table, no distribution option
+    "moments": _Command(_cmd_simulate, "per-step moment table only"),
+    "dispersion": _Command(_cmd_dispersion, "quasi-energy band export", "CSV k,omega,nx,ny,nz,v_group"),
+    "asymptotics": _Command(
+        _cmd_asymptotics, "long-time drift and spread coefficients",
+        "JSON output (printed to stdout when omitted)", out_required=False,
+    ),
+    "weak-limit": _Command(_cmd_weak_limit, "limiting velocity density of x/t", "CSV v,density"),
+    "gapscan": _Command(_cmd_gapscan, "gap-closure survey of the paper_xy parameter square", "closures JSON"),
+    "compare": _Command(
+        _cmd_compare, "reconcile exact variance with the asymptotic prediction",
+        "CSV t,var_exact,var_predicted,abs_err,rel_err",
+    ),
 }
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg, raw = _merge(args)
-        return _COMMANDS[args.command](cfg, raw)
+        return _COMMANDS[args.command].run(cfg, raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -9,8 +9,8 @@ with amplitude ``A = hypot(cos theta cos phi, sin theta sin phi)`` and phase
 ``d = atan2(sin theta sin phi, cos theta cos phi)``.  The band therefore
 sweeps ``[arccos A, pi - arccos A]``: the gap at w = 0 and the gap at
 w = +-pi are both ``arccos A``, and they close exactly where A = 1, at
-isolated parameter points.  A brute-force sampled minimiser over k is kept
-alongside the closed form as a cross-check.
+isolated parameter points.  The tests check the closed form against a
+brute-force sampled minimiser over k.
 
 Closure points are enumerated on the closed square [-pi, pi]^2 (the +-pi
 edges are geometrically distinct there); each point is reported once even
@@ -38,7 +38,6 @@ __all__ = [
     "GapClosure",
     "GapMap",
     "min_gap",
-    "min_gap_sampled",
     "scan_gap_map",
     "enumerate_closures",
     "closure_points",
@@ -52,9 +51,17 @@ __all__ = [
 BAND_ZERO = "omega_zero"
 BAND_PI = "omega_pi"
 
+# enumerate_closures: defaults and the bounds it enforces
+DEFAULT_GRID = 721
+DEFAULT_TOL = 1e-8
+MIN_GRID = 181
+MAX_TOL = 1e-6
+# scan_gap_map: default points per axis
+DEFAULT_MAP_GRID = 181
+
 _POINT_MERGE_TOL = 1e-6
 
-# A hit needs arccos(A) < tol <= 1e-6, so 1 - A^2 <= arccos(A)^2 < 1e-12, and
+# A hit needs arccos(A) < tol <= MAX_TOL, so 1 - A^2 <= arccos(A)^2 < 1e-12, and
 # 1 - A^2 >= min(cos^2, sin^2) of either angle (module docstring).  Keeping
 # every grid line with min(cos^2, sin^2) <= 1e-9 leaves three orders of
 # magnitude for rounding.
@@ -99,56 +106,7 @@ def min_gap(theta: float, phi: float):
     return g, g
 
 
-def _cos_w(theta, phi, k):
-    return np.cos(k) * np.cos(theta) * np.cos(phi) - np.sin(k) * np.sin(theta) * np.sin(phi)
-
-
-def _refine_extremum(fun, lo, hi, iters: int = 70):
-    """Vectorised ternary search for the minimum of ``fun`` on [lo, hi]."""
-    a = np.array(lo, dtype=np.float64, copy=True)
-    b = np.array(hi, dtype=np.float64, copy=True)
-    for _ in range(iters):
-        third = (b - a) / 3.0
-        m1 = a + third
-        m2 = b - third
-        take_left = fun(m1) < fun(m2)
-        b = np.where(take_left, m2, b)
-        a = np.where(take_left, a, m1)
-    return 0.5 * (a + b)
-
-
-def min_gap_sampled(theta, phi, k_samples: int = 1024):
-    """Brute-force ``(gap_zero, gap_pi)``: coarse k-scan plus local refinement.
-
-    Independent of the amplitude/phase closed form; agrees with
-    :func:`min_gap` to well below 1e-8 away from the closures.  Broadcasts
-    over array-valued ``theta``/``phi``.
-    """
-    if k_samples < 256:
-        raise ValueError("k_samples must be >= 256")
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    k = np.linspace(-math.pi, math.pi, k_samples, endpoint=False)
-    f = _cos_w(theta[..., None], phi[..., None], k)
-    dk = 2.0 * math.pi / k_samples
-
-    k_hi = k[np.argmax(f, axis=-1)]
-    k_best_hi = _refine_extremum(
-        lambda kk: -_cos_w(theta, phi, kk), k_hi - dk, k_hi + dk
-    )
-    k_lo = k[np.argmin(f, axis=-1)]
-    k_best_lo = _refine_extremum(
-        lambda kk: _cos_w(theta, phi, kk), k_lo - dk, k_lo + dk
-    )
-
-    f_max = np.clip(_cos_w(theta, phi, k_best_hi), -1.0, 1.0)
-    f_min = np.clip(_cos_w(theta, phi, k_best_lo), -1.0, 1.0)
-    gap_zero = np.arccos(f_max)  # min of w
-    gap_pi = math.pi - np.arccos(f_min)  # min of pi - w
-    return gap_zero, gap_pi
-
-
-def scan_gap_map(n_theta: int = 181, n_phi: int = 181) -> GapMap:
+def scan_gap_map(n_theta: int = DEFAULT_MAP_GRID, n_phi: int = DEFAULT_MAP_GRID) -> GapMap:
     """Closed-form gap map over inclusive grids covering [-pi, pi]."""
     theta = np.linspace(-math.pi, math.pi, n_theta)
     phi = np.linspace(-math.pi, math.pi, n_phi)
@@ -184,7 +142,7 @@ def _closure_lines(cos_a, sin_a) -> np.ndarray:
     return np.flatnonzero(np.minimum(cos_a * cos_a, sin_a * sin_a) <= _LINE_SCREEN)
 
 
-def enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[GapClosure]:
+def enumerate_closures(grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> list[GapClosure]:
     """All gap closures on the closed square [-pi, pi]^2.
 
     Scans an inclusive ``grid`` x ``grid`` mesh, merges grid-adjacent hits,
@@ -196,10 +154,10 @@ def enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[GapClosure]:
     docstring are evaluated, so time and memory grow with ``grid``, not
     ``grid**2``; every other cell has ``1 - A^2 > 1e-9`` and cannot be a hit.
     """
-    if grid < 181:
-        raise ValueError("grid must be >= 181 per axis")
-    if tol > 1e-6:
-        raise ValueError("tol must be <= 1e-6")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID} per axis")
+    if not 0.0 < tol <= MAX_TOL:
+        raise ValueError(f"tol must be in (0, {MAX_TOL}]")
 
     theta = np.linspace(-math.pi, math.pi, grid)  # phi runs over the same grid
     lines = _closure_lines(np.cos(theta), np.sin(theta))
@@ -252,7 +210,7 @@ def canonical_points(closures: list[GapClosure]) -> list[tuple[float, float]]:
 def assert_no_boundary(
     closures: list[GapClosure],
     gap_fn=None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     radii=(0.02, 0.04, 0.06, 0.08, 0.1),
     n_directions: int = 16,
 ) -> bool:

@@ -48,8 +48,6 @@ __all__ = [
     "momentum_point",
     "dispersion_band",
     "dispersion_to_csv",
-    "cos_omega_two_rotation",
-    "uk_entries_two_rotation",
 ]
 
 # below sin(w) ~ 1e-8 the 1/sin(w) normalisation of the Bloch axis loses all
@@ -179,10 +177,14 @@ def build_uk(coin: CoinSpec, k: float) -> NDArray[np.complex128]:
     return shift @ compose(coin)
 
 
+def _band_at(coin: CoinSpec, k: float):
+    """``_band_arrays`` at one momentum, so scalar and band values agree exactly."""
+    return _band_arrays(*_su2_parts(compose(coin)), float(k))
+
+
 def quasi_energy(coin: CoinSpec, k: float) -> float:
     """Quasi-energy ``w(k)`` on the principal branch [0, pi]."""
-    c, s = _su2_parts(compose(coin))
-    return float(_omega_from_cos(c * math.cos(k) + s[2] * math.sin(k)))
+    return float(_band_at(coin, k)[0])
 
 
 def bloch_vector(coin: CoinSpec, k: float) -> NDArray[np.float64]:
@@ -190,8 +192,7 @@ def bloch_vector(coin: CoinSpec, k: float) -> NDArray[np.float64]:
 
     Raises :class:`DegeneratePointError` where the gap is closed.
     """
-    c, s = _su2_parts(compose(coin))
-    _, n, _, degenerate = _band_arrays(c, s, float(k))
+    _, n, _, degenerate = _band_at(coin, k)
     if degenerate:
         raise DegeneratePointError(f"gap closed at k={k!r}: Bloch axis undefined")
     return n
@@ -199,12 +200,10 @@ def bloch_vector(coin: CoinSpec, k: float) -> NDArray[np.float64]:
 
 def group_velocity(coin: CoinSpec, k: float) -> float:
     """``dw/dk`` from analytic differentiation of the dispersion argument."""
-    c, s = _su2_parts(compose(coin))
-    omega = _omega_from_cos(c * math.cos(k) + s[2] * math.sin(k))
-    sin_w = math.sin(float(omega))
-    if sin_w <= DEGENERACY_THRESHOLD:
+    _, _, v, degenerate = _band_at(coin, k)
+    if degenerate:
         raise DegeneratePointError(f"gap closed at k={k!r}: group velocity undefined")
-    return float((c * math.sin(k) - s[2] * math.cos(k)) / sin_w)
+    return float(v)
 
 
 def effective_hamiltonian(coin: CoinSpec, k: float) -> NDArray[np.complex128]:
@@ -214,14 +213,7 @@ def effective_hamiltonian(coin: CoinSpec, k: float) -> NDArray[np.complex128]:
     return omega * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
-def eigensystem(coin: CoinSpec, k: float) -> Eigensystem:
-    """Orthonormal eigenvectors of ``U_k`` paired with ``e^{-i w}`` / ``e^{+i w}``.
-
-    At a band-touching momentum any orthonormal basis is an eigenbasis; the
-    canonical basis is returned with ``degenerate=True``.
-    """
-    c, s = _su2_parts(compose(coin))
-    omega, n, _, degenerate = _band_arrays(c, s, float(k))
+def _eigensystem(omega, n, degenerate) -> Eigensystem:
     if degenerate:
         return Eigensystem(
             np.array([1.0, 0.0], dtype=np.complex128),
@@ -233,11 +225,20 @@ def eigensystem(coin: CoinSpec, k: float) -> Eigensystem:
     return Eigensystem(v_plus.astype(np.complex128), v_minus.astype(np.complex128), float(omega), False)
 
 
+def eigensystem(coin: CoinSpec, k: float) -> Eigensystem:
+    """Orthonormal eigenvectors of ``U_k`` paired with ``e^{-i w}`` / ``e^{+i w}``.
+
+    At a band-touching momentum any orthonormal basis is an eigenbasis; the
+    canonical basis is returned with ``degenerate=True``.
+    """
+    omega, n, _, degenerate = _band_at(coin, k)
+    return _eigensystem(omega, n, degenerate)
+
+
 def momentum_point(coin: CoinSpec, k: float) -> MomentumPoint:
     """Bundle ``U_k``, quasi-energy, eigenvectors, Bloch axis and velocity at one ``k``."""
-    c, s = _su2_parts(compose(coin))
-    omega, n, v, degenerate = _band_arrays(c, s, float(k))
-    eig = eigensystem(coin, k)
+    omega, n, v, degenerate = _band_at(coin, k)
+    eig = _eigensystem(omega, n, degenerate)
     return MomentumPoint(
         k=float(k),
         u_k=build_uk(coin, k),
@@ -264,62 +265,3 @@ def dispersion_to_csv(band: DispersionBand, path) -> None:
     """Write ``k,omega,nx,ny,nz,v_group`` rows; degenerate momenta get empty n/v fields."""
     columns = [band.k_grid, band.omega_values, *band.bloch.T, band.group_velocity]
     write_csv(path, ["k", "omega", "nx", "ny", "nz", "v_group"], columns)
-
-
-def cos_omega_two_rotation(
-    first_axis, first_angle: float, second_axis, second_angle: float, k: float
-):
-    """Closed-form dispersion argument ``cos w(k)`` for a two-rotation coin.
-
-    ``first_*`` is the rotation applied first to the coin state, ``second_*``
-    the one applied after it.  Kept as an explicit trigonometric expression,
-    independent of any matrix product, so the generic path can be checked
-    against it.
-    """
-    bx, by, bz = first_axis
-    ax, ay, az = second_axis
-    th = first_angle
-    ph = second_angle
-    dot = ax * bx + ay * by + az * bz
-    return np.cos(k) * (
-        np.cos(ph) * np.cos(th) - dot * np.sin(ph) * np.sin(th)
-    ) + np.sin(k) * (
-        bz * np.cos(ph) * np.sin(th)
-        + np.sin(ph) * (az * np.cos(th) + ay * bx * np.sin(th) - ax * by * np.sin(th))
-    )
-
-
-def uk_entries_two_rotation(
-    first_axis, first_angle: float, second_axis, second_angle: float, k: float
-) -> NDArray[np.complex128]:
-    """Closed-form entries of ``U_k`` for a two-rotation coin.
-
-    Same argument convention as :func:`cos_omega_two_rotation`.  Spelled out
-    entry by entry (no matrix products) as an independent cross-check of
-    :func:`build_uk`.
-    """
-    bx, by, bz = first_axis  # applied first
-    ax, ay, az = second_axis  # applied second
-    th = first_angle
-    ph = second_angle
-    cth, sth = np.cos(th), np.sin(th)
-    cph, sph = np.cos(ph), np.sin(ph)
-    em, ep = np.exp(-1j * k), np.exp(1j * k)
-
-    a11 = em * (
-        -(ax - 1j * ay) * (bx + 1j * by) * sph * sth
-        + (cph + 1j * az * sph) * (cth + 1j * bz * sth)
-    )
-    a12 = em * (
-        (1j * ax + ay) * sph * (cth - 1j * bz * sth)
-        + (1j * bx + by) * (cph + 1j * az * sph) * sth
-    )
-    a21 = ep * (
-        (1j * ax - ay) * sph * (cth + 1j * bz * sth)
-        + (bx + 1j * by) * (1j * cph + az * sph) * sth
-    )
-    a22 = ep * (
-        -(ax + 1j * ay) * (bx - 1j * by) * sph * sth
-        + (cph - 1j * az * sph) * (cth - 1j * bz * sth)
-    )
-    return np.array([[a11, a12], [a21, a22]], dtype=np.complex128)

@@ -30,7 +30,6 @@ __all__ = [
     "distribution",
     "moments",
     "moment_series",
-    "ring_oracle",
     "distribution_to_csv",
 ]
 
@@ -233,41 +232,6 @@ def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentS
         second=second,
         final=_light_cone(steps, init.position - steps, sub),
     )
-
-
-def ring_oracle(
-    init: InitialCondition, coin: CoinSpec, steps: int, ring_size: int
-) -> dict[int, float]:
-    """Independent cross-check: evolve on a cyclic lattice by dense unitary
-    application and unwrap back to line coordinates.
-
-    Requires ``ring_size > 2*steps + 1`` so no amplitude can wrap around;
-    the result is then site-for-site comparable with the line walk.
-    """
-    if ring_size <= 2 * steps + 1:
-        raise ValueError(f"ring_size {ring_size} too small for {steps} steps (need > {2 * steps + 1})")
-
-    n = ring_size
-    coin_mat = compose(coin)
-    full = np.kron(np.eye(n, dtype=np.complex128), coin_mat)
-    shift = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    for x in range(n):
-        shift[2 * ((x + 1) % n), 2 * x] = 1.0
-        shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0
-    u = shift @ full
-
-    psi = np.zeros(2 * n, dtype=np.complex128)
-    origin = init.position % n
-    psi[2 * origin : 2 * origin + 2] = init.coin_state
-    for _ in range(steps):
-        psi = u @ psi
-
-    probs = np.abs(psi) ** 2
-    site_probs = probs[0::2] + probs[1::2]
-    out: dict[int, float] = {}
-    for x in range(init.position - steps, init.position + steps + 1):
-        out[x] = float(site_probs[x % n])
-    return out
 
 
 def distribution_to_csv(state: WalkerState, path) -> None:

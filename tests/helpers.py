@@ -1,11 +1,13 @@
 """Shared test utilities: random coin draws, hand-derived closed forms and
 slower reference implementations.
 
-The closed forms here are written out term by term, independent of the
-package's matrix algebra, so they can serve as oracles for it.  The
-reference implementations compute the same quantities as the package's fast
-paths by a different route (full-width stepping, eigenbasis expansion,
-velocity measure sampled on a momentum grid, full-mesh closure scan).
+The closed forms here (two-rotation ``cos w(k)`` and ``U_k`` entries, band
+axes) are written out term by term, independent of the package's matrix
+algebra, so they can serve as oracles for it.  The reference implementations
+compute the same quantities as the package's fast paths by a different route
+(full-width stepping, dense ring-lattice evolution, eigenbasis expansion,
+velocity measure sampled on a momentum grid, full-mesh closure scan, sampled
+minimum gap).
 """
 
 import math
@@ -29,6 +31,7 @@ from coinwalk.momentum import (
     _eigvecs_from_bloch,
     _su2_parts,
 )
+from coinwalk.walk import InitialCondition
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
 
@@ -231,3 +234,146 @@ def reference_enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[Gap
             closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
     closures.sort(key=lambda c: (c.theta, c.phi, c.band))
     return closures
+
+
+def ring_oracle(
+    init: InitialCondition, coin: CoinSpec, steps: int, ring_size: int
+) -> dict[int, float]:
+    """Independent cross-check: evolve on a cyclic lattice by dense unitary
+    application and unwrap back to line coordinates.
+
+    Requires ``ring_size > 2*steps + 1`` so no amplitude can wrap around;
+    the result is then site-for-site comparable with the line walk.
+    """
+    if ring_size <= 2 * steps + 1:
+        raise ValueError(f"ring_size {ring_size} too small for {steps} steps (need > {2 * steps + 1})")
+
+    n = ring_size
+    coin_mat = compose(coin)
+    full = np.kron(np.eye(n, dtype=np.complex128), coin_mat)
+    shift = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    for x in range(n):
+        shift[2 * ((x + 1) % n), 2 * x] = 1.0
+        shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0
+    u = shift @ full
+
+    psi = np.zeros(2 * n, dtype=np.complex128)
+    origin = init.position % n
+    psi[2 * origin : 2 * origin + 2] = init.coin_state
+    for _ in range(steps):
+        psi = u @ psi
+
+    probs = np.abs(psi) ** 2
+    site_probs = probs[0::2] + probs[1::2]
+    out: dict[int, float] = {}
+    for x in range(init.position - steps, init.position + steps + 1):
+        out[x] = float(site_probs[x % n])
+    return out
+
+
+def cos_omega_two_rotation(
+    first_axis, first_angle: float, second_axis, second_angle: float, k: float
+):
+    """Closed-form dispersion argument ``cos w(k)`` for a two-rotation coin.
+
+    ``first_*`` is the rotation applied first to the coin state, ``second_*``
+    the one applied after it.  Kept as an explicit trigonometric expression,
+    independent of any matrix product, so the generic path can be checked
+    against it.
+    """
+    bx, by, bz = first_axis
+    ax, ay, az = second_axis
+    th = first_angle
+    ph = second_angle
+    dot = ax * bx + ay * by + az * bz
+    return np.cos(k) * (
+        np.cos(ph) * np.cos(th) - dot * np.sin(ph) * np.sin(th)
+    ) + np.sin(k) * (
+        bz * np.cos(ph) * np.sin(th)
+        + np.sin(ph) * (az * np.cos(th) + ay * bx * np.sin(th) - ax * by * np.sin(th))
+    )
+
+
+def uk_entries_two_rotation(
+    first_axis, first_angle: float, second_axis, second_angle: float, k: float
+) -> np.ndarray:
+    """Closed-form entries of ``U_k`` for a two-rotation coin.
+
+    Same argument convention as :func:`cos_omega_two_rotation`.  Spelled out
+    entry by entry (no matrix products) as an independent cross-check of
+    :func:`build_uk`.
+    """
+    bx, by, bz = first_axis  # applied first
+    ax, ay, az = second_axis  # applied second
+    th = first_angle
+    ph = second_angle
+    cth, sth = np.cos(th), np.sin(th)
+    cph, sph = np.cos(ph), np.sin(ph)
+    em, ep = np.exp(-1j * k), np.exp(1j * k)
+
+    a11 = em * (
+        -(ax - 1j * ay) * (bx + 1j * by) * sph * sth
+        + (cph + 1j * az * sph) * (cth + 1j * bz * sth)
+    )
+    a12 = em * (
+        (1j * ax + ay) * sph * (cth - 1j * bz * sth)
+        + (1j * bx + by) * (cph + 1j * az * sph) * sth
+    )
+    a21 = ep * (
+        (1j * ax - ay) * sph * (cth + 1j * bz * sth)
+        + (bx + 1j * by) * (1j * cph + az * sph) * sth
+    )
+    a22 = ep * (
+        -(ax + 1j * ay) * (bx - 1j * by) * sph * sth
+        + (cph - 1j * az * sph) * (cth - 1j * bz * sth)
+    )
+    return np.array([[a11, a12], [a21, a22]], dtype=np.complex128)
+
+
+def _cos_w(theta, phi, k):
+    return np.cos(k) * np.cos(theta) * np.cos(phi) - np.sin(k) * np.sin(theta) * np.sin(phi)
+
+
+def _refine_extremum(fun, lo, hi, iters: int = 70):
+    """Vectorised ternary search for the minimum of ``fun`` on [lo, hi]."""
+    a = np.array(lo, dtype=np.float64, copy=True)
+    b = np.array(hi, dtype=np.float64, copy=True)
+    for _ in range(iters):
+        third = (b - a) / 3.0
+        m1 = a + third
+        m2 = b - third
+        take_left = fun(m1) < fun(m2)
+        b = np.where(take_left, m2, b)
+        a = np.where(take_left, a, m1)
+    return 0.5 * (a + b)
+
+
+def min_gap_sampled(theta, phi, k_samples: int = 1024):
+    """Brute-force ``(gap_zero, gap_pi)``: coarse k-scan plus local refinement.
+
+    Independent of the amplitude/phase closed form; agrees with
+    :func:`min_gap` to well below 1e-8 away from the closures.  Broadcasts
+    over array-valued ``theta``/``phi``.
+    """
+    if k_samples < 256:
+        raise ValueError("k_samples must be >= 256")
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    k = np.linspace(-math.pi, math.pi, k_samples, endpoint=False)
+    f = _cos_w(theta[..., None], phi[..., None], k)
+    dk = 2.0 * math.pi / k_samples
+
+    k_hi = k[np.argmax(f, axis=-1)]
+    k_best_hi = _refine_extremum(
+        lambda kk: -_cos_w(theta, phi, kk), k_hi - dk, k_hi + dk
+    )
+    k_lo = k[np.argmin(f, axis=-1)]
+    k_best_lo = _refine_extremum(
+        lambda kk: _cos_w(theta, phi, kk), k_lo - dk, k_lo + dk
+    )
+
+    f_max = np.clip(_cos_w(theta, phi, k_best_hi), -1.0, 1.0)
+    f_min = np.clip(_cos_w(theta, phi, k_best_lo), -1.0, 1.0)
+    gap_zero = np.arccos(f_max)  # min of w
+    gap_pi = math.pi - np.arccos(f_min)  # min of pi - w
+    return gap_zero, gap_pi

@@ -16,8 +16,8 @@ from coinwalk.asymptotics import moment_integrals, weak_limit_density
 from coinwalk.coins import preset_coin
 from coinwalk.gapscan import assert_no_boundary, canonical_points, closure_points, enumerate_closures
 from coinwalk.momentum import build_uk, effective_hamiltonian, quasi_energy
-from coinwalk.walk import InitialCondition, distribution, evolve, moment_series, ring_oracle
-from helpers import SIGMA_X_EXCLUSION, random_coin_state, random_multirot_coin
+from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
+from helpers import SIGMA_X_EXCLUSION, random_coin_state, random_multirot_coin, ring_oracle
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 BALANCED = InitialCondition(np.array([1.0, 1.0j]) / math.sqrt(2))
@@ -85,7 +85,7 @@ def test_criterion_02_closed_form_dispersion():
 
     # general two-rotation coins: eigenphases vs the explicit dispersion formula
     uk, first_axes, thetas, second_axes, phis, ks = batch_uk(rng, n)
-    from coinwalk.momentum import cos_omega_two_rotation
+    from helpers import cos_omega_two_rotation
 
     arg = cos_omega_two_rotation(
         (first_axes[:, 0], first_axes[:, 1], first_axes[:, 2]),
@@ -129,7 +129,7 @@ def test_criterion_03_matrix_elements():
     rng = np.random.default_rng(103)
     n = 10_000
     uk, first_axes, thetas, second_axes, phis, ks = batch_uk(rng, n)
-    from coinwalk.momentum import uk_entries_two_rotation
+    from helpers import uk_entries_two_rotation
 
     entries = uk_entries_two_rotation(
         (first_axes[:, 0], first_axes[:, 1], first_axes[:, 2]),

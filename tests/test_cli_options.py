@@ -1,0 +1,239 @@
+"""The CLI option table: flags, defaults and bounds, and how every value ends.
+
+Each run must either exit 0 with outputs that hold only finite numbers or
+empty fields, or exit 1, 2 or 3 with exactly one stderr line, no traceback
+and no file written.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import resource
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coinwalk import cli
+
+# flags per subcommand and config keys of the hand-written parser this table replaced
+FLAGS = {
+    "simulate": "coin coin-file config distribution-out initial-bloch initial-coin out output-dir phi position seed "
+    "steps theta",
+    "moments": "coin coin-file config initial-bloch initial-coin out output-dir phi position seed steps theta",
+    "dispersion": "coin coin-file config grid-size out output-dir phi seed theta",
+    "asymptotics": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position seed theta",
+    "weak-limit": "bins coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position seed "
+    "theta",
+    "gapscan": "config grid map-grid map-out out output-dir seed tol",
+    "compare": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position seed steps "
+    "theta",
+}
+CONFIG_KEYS = {
+    "bins", "coin", "coin_file", "distribution_out", "grid", "grid_size", "initial_bloch", "initial_coin",
+    "map_grid", "map_out", "out", "output_dir", "phi", "position", "seed", "steps", "theta", "tol",
+}
+PREFIX = {1: "config error:", 2: "numerical-domain error:", 3: "i/o error:"}
+
+# a quick valid run of each subcommand, as config key -> text
+COIN = {"coin": "paper_xy", "theta": "0.3", "phi": "0.7"}
+BASE = {
+    "simulate": {**COIN, "steps": "3", "out": "o.csv", "distribution_out": "d.csv"},
+    "moments": {**COIN, "steps": "3", "out": "o.csv"},
+    "dispersion": {**COIN, "grid_size": "64", "out": "o.csv"},
+    "asymptotics": {**COIN, "initial_bloch": "1,2", "out": "o.json"},
+    "weak-limit": {**COIN, "bins": "32", "out": "o.csv"},
+    "gapscan": {"grid": "181", "out": "o.json", "map_out": "m.csv", "map_grid": "5"},
+    "compare": {**COIN, "steps": "3", "out": "o.csv"},
+}
+# the size options, each with the largest in-range value the fuzz draws (keeps each run fast)
+CHEAP = {"steps": 200, "grid_size": 4096, "bins": 4096, "grid": 2000, "map_grid": 60}
+# (subcommand, option) pairs that take a number
+ROWS = [
+    (command, opt)
+    for command in cli._COMMANDS
+    for opt in cli._OPTIONS
+    if command in opt.commands and (opt.bounds or opt.parse is cli.parse_angle)
+]
+
+
+def _flags(options: dict) -> list[str]:
+    return [f"--{key.replace('_', '-')}={text}" for key, text in options.items()]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON number {name}")
+
+
+def _assert_clean(code: int, out: str, err: str, outdir: Path) -> None:
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)", out, re.IGNORECASE), out
+        for path in outdir.iterdir():
+            text = path.read_text()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_reject_constant)
+                continue
+            for row in text.splitlines()[1:]:
+                assert all(f == "" or math.isfinite(float(f)) for f in row.split(",")), (path.name, row)
+        return
+    assert code in PREFIX, (code, err)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(PREFIX[code]), err
+    assert "Traceback" not in err
+    assert not any(outdir.iterdir())
+
+
+@st.composite
+def _cases(draw):
+    command, opt = draw(st.sampled_from(ROWS))
+    kind = draw(st.sampled_from(["in range", "below", "text", "nan"] if opt.bounds else ["in range", "text", "nan"]))
+    if kind == "in range" and opt.bounds:
+        lo, hi = opt.bounds
+        hi = min(hi, CHEAP.get(opt.name, hi))
+        text = repr(draw(st.integers(lo, hi) if opt.parse is int else st.floats(lo, hi)))
+    elif kind == "in range":
+        text = repr(draw(st.floats(-1e6, 1e6))) + draw(st.sampled_from(["", "deg"]))
+    elif kind == "below":
+        text = repr(opt.bounds[0] - 1)
+    elif kind == "text":
+        text = draw(st.sampled_from(["abc", "1x", "0x10", "1e3", "", "--"]) | st.text(max_size=6))
+    else:
+        text = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "nandeg"]))
+    return command, opt.name, text, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+def test_every_option_value_ends_cleanly(case):
+    command, name, text, via_config = case
+    options = dict(BASE[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        outdir = tmp / "out"
+        outdir.mkdir()
+        argv = [command, f"--output-dir={outdir}"]
+        if via_config:
+            options.pop(name, None)
+            (tmp / "run.cfg").write_text(f"{name} = {text}\n")
+            argv.append(f"--config={tmp / 'run.cfg'}")
+        else:
+            options[name] = text
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + _flags(options))
+        _assert_clean(code, out.getvalue(), err.getvalue(), outdir)
+
+
+_OVERSIZED_RUNNER = """
+import contextlib, io, json, os, sys, tempfile
+from coinwalk.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--output-dir", outdir])
+        results.append([code, err.getvalue(), os.listdir(outdir)])
+print(json.dumps(results))
+"""
+
+
+def test_oversized_values_are_config_errors_under_memory_cap():
+    # one value just past each upper bound and one far past it, run in a
+    # child process under a 1 GiB address-space cap, never in this one
+    cases, argvs = [], []
+    for command, opt in ROWS:
+        if opt.bounds:
+            hi = opt.bounds[1]
+            for value in (hi + 1, hi * 1000) if opt.parse is int else (hi * 2,):
+                cases.append((command, opt.name))
+                argvs.append([command, *_flags({**BASE[command], opt.name: repr(value)})])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _OVERSIZED_RUNNER], input=json.dumps(argvs), env=env, preexec_fn=cap,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases) > 20
+    for (command, name), (code, err, left) in zip(cases, results):
+        assert code == 1, (command, name, err)
+        assert err.splitlines() == [err.strip()] and err.startswith(f"config error: {name} must be <= "), err
+        assert left == [], (command, name)
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-1"])
+def test_map_grid_below_two_writes_nothing(tmp_path, capsys, value):
+    options = {**BASE["gapscan"], "map_grid": value}
+    assert cli.main(["gapscan", f"--output-dir={tmp_path}", *_flags(options)]) == 1
+    assert capsys.readouterr().err == "config error: map_grid must be >= 2\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_table_gives_the_same_flags_and_config_keys():
+    assert {opt.name for opt in cli._OPTIONS} == CONFIG_KEYS
+    for command in cli._COMMANDS:
+        parser = cli._parser()._subparsers._group_actions[0].choices[command]
+        flags = {o[2:] for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")}
+        assert flags == set(FLAGS[command].split()), command
+
+
+def test_defaults_and_sizes_in_use_lie_within_bounds():
+    in_use = {"grid_size": 262144, "grid": 200001, "steps": 10**4, "bins": 256, "map_grid": 181}
+    for opt in cli._OPTIONS:
+        if opt.bounds:
+            lo, hi = opt.bounds
+            assert lo <= getattr(cli.RunConfig, opt.name) <= hi, opt.name
+            assert lo <= in_use.get(opt.name, lo) <= hi, opt.name
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._parser.cache_clear()
+    for steps in ("1", "2", "3"):
+        assert cli.main(["moments", "--coin", "identity", "--steps", steps, "--out", str(tmp_path / "m.csv")]) == 0
+    assert len(built) == 1 + len(cli._COMMANDS)  # the top-level parser and one per subcommand
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_renders(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    if command is None:
+        assert all(name in text for name in cli._COMMANDS)
+        return
+    for flag in FLAGS[command].split():
+        assert f"--{flag}" in text, flag
+    for opt in cli._OPTIONS:
+        if opt.bounds and command in opt.commands:
+            assert f"{opt.bounds[0]} to {opt.bounds[1]}" in " ".join(text.split()), opt.name
+
+
+def test_readme_states_the_size_ranges():
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    for opt in cli._OPTIONS:
+        if opt.name in CHEAP:
+            default = getattr(cli.RunConfig, opt.name)
+            assert f"`--{opt.name.replace('_', '-')}`" in readme
+            assert f"default {default}, {opt.bounds[0]} to {opt.bounds[1]}" in readme, opt.name

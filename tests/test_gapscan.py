@@ -26,10 +26,9 @@ from coinwalk.gapscan import (
     enumerate_closures,
     gap_map_to_csv,
     min_gap,
-    min_gap_sampled,
     scan_gap_map,
 )
-from helpers import reference_enumerate_closures
+from helpers import min_gap_sampled, reference_enumerate_closures
 
 HALF_PI = math.pi / 2
 
@@ -337,3 +336,9 @@ def test_no_boundary_matches_scalar_probe_loop():
         expected = scalar_probe(lambda th, ph: float(gap_fn(th, ph)))
         assert assert_no_boundary(closures, gap_fn=gap_fn, radii=radii, n_directions=n_dir) == expected
     assert not assert_no_boundary(closures, gap_fn=ray_fn, radii=radii, n_directions=n_dir)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), 2e-6])
+def test_enumerate_rejects_tol_outside_zero_to_max(tol):
+    with pytest.raises(ValueError, match="tol must be in"):
+        enumerate_closures(181, tol)

@@ -11,7 +11,6 @@ from coinwalk.momentum import (
     _omega_from_cos,
     bloch_vector,
     build_uk,
-    cos_omega_two_rotation,
     dispersion_band,
     dispersion_to_csv,
     effective_hamiltonian,
@@ -19,9 +18,8 @@ from coinwalk.momentum import (
     group_velocity,
     momentum_point,
     quasi_energy,
-    uk_entries_two_rotation,
 )
-from helpers import band_axis_two_rotation, random_multirot_coin
+from helpers import band_axis_two_rotation, cos_omega_two_rotation, random_multirot_coin, uk_entries_two_rotation
 
 PXY4 = preset_coin("paper_xy", theta=math.pi / 4, phi=math.pi / 4)
 
@@ -303,3 +301,19 @@ def test_bloch_vectors_are_unit_near_band_touching(eps):
     band = dispersion_band(preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2), 4096)
     assert not np.any(np.isnan(band.bloch))
     assert float(np.max(np.abs(np.linalg.norm(band.bloch, axis=1) - 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_scalar_path_equals_band_near_touching(eps):
+    coin = preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2)
+    band = dispersion_band(coin, 4096)
+    assert not np.any(np.isnan(band.group_velocity))
+    for i in range(0, band.k_grid.size, 7):
+        k = band.k_grid[i]
+        point = momentum_point(coin, k)
+        assert abs(quasi_energy(coin, k) - band.omega_values[i]) <= 1e-15
+        assert abs(point.omega - band.omega_values[i]) <= 1e-15
+        assert abs(group_velocity(coin, k) - band.group_velocity[i]) <= 1e-15
+        assert abs(point.group_velocity - band.group_velocity[i]) <= 1e-15
+        assert float(np.max(np.abs(bloch_vector(coin, k) - band.bloch[i]))) <= 1e-15
+        assert float(np.max(np.abs(point.bloch - band.bloch[i]))) <= 1e-15

@@ -13,10 +13,9 @@ from coinwalk.walk import (
     evolve,
     moment_series,
     moments,
-    ring_oracle,
     step,
 )
-from helpers import random_coin_state, reference_evolve, reference_step
+from helpers import random_coin_state, reference_evolve, reference_step, ring_oracle
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 COIN1 = InitialCondition(np.array([0.0, 1.0]))
