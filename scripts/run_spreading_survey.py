@@ -3,7 +3,8 @@
 
 Draws random multi-rotation coins, runs the exact walk, fits the log-log
 variance slope, and reconciles the t -> infinity variance coefficient against
-the momentum-space integrals.  Writes one CSV row per coin.
+the momentum-space integrals.  Writes one CSV row per coin; a slope or ratio
+that is undefined (too few steps, or a vanishing variance) is an empty field.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import numpy as np
 from coinwalk.asymptotics import moment_integrals
 from coinwalk.coins import compose, random_coin_spec, sigma_x_distance
 from coinwalk.export import write_csv
-from coinwalk.walk import InitialCondition, moment_series
+from coinwalk.walk import InitialCondition, loglog_slope, moment_series
 
 
 def main() -> int:
@@ -34,10 +35,9 @@ def main() -> int:
         coin = random_coin_spec(rng, int(rng.integers(2, 5)))
         ms = moment_series(init, coin, args.steps)
         am = moment_integrals(coin, init)
-        window = np.arange(max(1, args.steps // 10), args.steps + 1)
-        var = ms.variance[window]
-        slope = float(np.polyfit(np.log(window), np.log(var), 1)[0]) if np.all(var > 0) else math.nan
-        var_ratio = float(ms.variance[args.steps]) / args.steps**2
+        slope = loglog_slope(ms.variance)
+        slope = math.nan if slope is None else slope
+        var_ratio = float(ms.variance[args.steps]) / args.steps**2 if args.steps else math.nan
         n_rotations[i] = len(coin.rotations)
         columns[:, i] = (
             sigma_x_distance(compose(coin)),

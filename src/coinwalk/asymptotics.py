@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, sigma_x_distance
+from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose
 from .export import write_csv
 from .momentum import _su2_parts
 from .walk import InitialCondition
@@ -57,6 +57,7 @@ __all__ = [
     "AsymptoticMoments",
     "VelocityDensity",
     "drift_sign",
+    "sign_calibration",
     "moment_integrals",
     "weak_limit_density",
     "classify_spreading",
@@ -71,7 +72,6 @@ MIN_GRID_SIZE = 64
 MIN_BINS = 32
 
 _SPREAD_TOL = 1e-10
-_SIGMA_X_FAMILY_TOL = 1e-9
 # s_perp or R at or below this is the rounding of an exact touching (s_perp = 0)
 # or sigma_x-family (R = 0) coin: a few ulps of the unit-modulus coin entries
 _ATOM_TOL = 8 * np.finfo(np.float64).eps
@@ -105,8 +105,9 @@ class AsymptoticMoments:
 class VelocityDensity:
     """Histogram of the limiting x/t distribution on [-1, 1].
 
-    ``degenerate`` flags coins in the sigma_x family, whose density collapses
-    onto v = 0.
+    ``degenerate`` flags coins with ``R = |C00| = 0`` at rounding level (the
+    sigma_x family up to a z-rotation, such as ``i sigma_y``), whose density
+    collapses onto v = 0.
     """
 
     v_grid: NDArray[np.float64]  # bin centres
@@ -145,6 +146,11 @@ def drift_sign() -> int:
     suite checks against the exact walk; manifests record it.
     """
     return 1
+
+
+def sign_calibration() -> dict:
+    """The drift-sign convention record that JSON records and manifests carry."""
+    return {"drift_sign": drift_sign(), "reference": "identity coin, coin state |0>, drifts to +t"}
 
 
 def moment_integrals(
@@ -197,7 +203,7 @@ def weak_limit_density(
         density=mass / width,
         coin=coin,
         initial=init,
-        degenerate=sigma_x_distance(compose(coin)) <= _SIGMA_X_FAMILY_TOL,
+        degenerate=bool(r <= _ATOM_TOL),
         s_perp=s_perp,
         max_speed=r,
     )
@@ -214,8 +220,5 @@ def asymptotic_moments_to_dict(am: AsymptoticMoments) -> dict:
         "second_coeff": am.second_coeff,
         "variance_coeff": am.variance_coeff,
         "grid_size": am.grid_size,
-        "sign_calibration": {
-            "drift_sign": drift_sign(),
-            "reference": "identity coin, coin state |0>, drifts to +t",
-        },
+        "sign_calibration": sign_calibration(),
     }

@@ -5,7 +5,8 @@ Subcommands: ``simulate``, ``moments``, ``dispersion``, ``asymptotics``,
 configuration (flat ``key = value`` config file, overridden by command-line
 flags), writes the requested data files, and pairs each output with a
 ``<name>.manifest.json`` echoing the full configuration so the artifact can
-be reproduced byte for byte.
+be reproduced byte for byte.  A run that fails while writing deletes the
+files it wrote, so it leaves no output and no manifest behind.
 
 Angles are radians by default; append ``deg`` for degrees (``--theta 45deg``).
 Exit codes: 0 success, 1 configuration error, 2 numerical-domain error,
@@ -34,8 +35,8 @@ from .asymptotics import (
     MIN_BINS,
     MIN_GRID_SIZE,
     asymptotic_moments_to_dict,
-    drift_sign,
     moment_integrals,
+    sign_calibration,
     velocity_density_to_csv,
     weak_limit_density,
 )
@@ -59,7 +60,7 @@ from .momentum import (
     dispersion_band,
     dispersion_to_csv,
 )
-from .walk import InitialCondition, MomentSeries, distribution_to_csv, moment_series
+from .walk import InitialCondition, MomentSeries, distribution_to_csv, fit_window, loglog_slope, moment_series
 
 __all__ = ["main", "ConfigError", "RunConfig"]
 
@@ -314,63 +315,54 @@ def _resolve_initial(cfg: RunConfig, raw: dict) -> InitialCondition:
     return init
 
 
-def _out_path(cfg: RunConfig, name: str) -> Path:
-    p = Path(name)
-    if not p.is_absolute():
-        p = Path(cfg.output_dir) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _write_manifest(cfg: RunConfig, coin: CoinSpec | None, outputs: list[Path], results: dict | None = None) -> None:
+def _write_outputs(cfg: RunConfig, raw: dict, coin: CoinSpec | None, writers: dict, results: dict | None) -> None:
+    """Write each output that the subcommand takes and was given, under
+    ``cfg.output_dir``, then its ``<name>.manifest.json``.  If any write fails,
+    delete every file this run wrote and re-raise."""
+    outputs = [
+        (Path(cfg.output_dir) / raw[opt.name], writers[opt.name])
+        for opt in _OPTIONS
+        if opt.name in writers and cfg.command in opt.commands and raw[opt.name]
+    ]
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
         "coin_rotations": coin.to_dicts() if coin is not None else None,
-        "outputs": [p.name for p in outputs],
-        "sign_calibration": {
-            "drift_sign": drift_sign(),
-            "reference": "identity coin, coin state |0>, drifts to +t",
-        },
+        "outputs": [path.name for path, _ in outputs],
+        "sign_calibration": sign_calibration(),
     }
     if results:
         manifest["results"] = results
-    for p in outputs:
-        write_json(p.with_name(p.name + ".manifest.json"), manifest)
+    write_manifest = functools.partial(write_json, obj=manifest)
+    jobs = [*outputs, *((path.with_name(path.name + ".manifest.json"), write_manifest) for path, _ in outputs)]
+    written: list[Path] = []
+    for path, write in jobs:
+        fresh = False
+        try:
+            fresh = not path.exists()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write(path)
+        except BaseException:  # an interrupted run must not leave a partial output either
+            if fresh and path.is_file():  # this run created it before the write failed
+                written.append(path)
+            for done in written:
+                done.unlink(missing_ok=True)
+            raise
+        written.append(path)
 
 
-def _moment_table(ms: MomentSeries, path: Path) -> None:
-    # skip the trivial t=0 row: a run of N steps yields N data rows
-    MomentSeries(times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:]).to_csv(path)
-
-
-def _cmd_simulate(cfg: RunConfig, raw: dict) -> int:
-    coin = _resolve_coin(cfg)
-    init = _resolve_initial(cfg, raw)
+def _cmd_simulate(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     ms = moment_series(init, coin, cfg.steps)
-    out = _out_path(cfg, raw["out"])
-    _moment_table(ms, out)
-    outputs = [out]
-    if cfg.command == "simulate" and raw.get("distribution_out"):
-        dist_out = _out_path(cfg, raw["distribution_out"])
-        distribution_to_csv(ms.final, dist_out)
-        outputs.append(dist_out)
-    _write_manifest(cfg, coin, outputs)
-    return 0
+    # skip the trivial t=0 row: a run of N steps yields N data rows
+    table = MomentSeries(times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:])
+    return {"out": table.to_csv, "distribution_out": functools.partial(distribution_to_csv, ms.final)}, None
 
 
-def _cmd_dispersion(cfg: RunConfig, raw: dict) -> int:
-    coin = _resolve_coin(cfg)
-    band = dispersion_band(coin, cfg.grid_size)
-    out = _out_path(cfg, raw["out"])
-    dispersion_to_csv(band, out)
-    _write_manifest(cfg, coin, [out])
-    return 0
+def _cmd_dispersion(cfg: RunConfig, coin: CoinSpec, init: None):
+    return {"out": functools.partial(dispersion_to_csv, dispersion_band(coin, cfg.grid_size))}, None
 
 
-def _cmd_asymptotics(cfg: RunConfig, raw: dict) -> int:
-    coin = _resolve_coin(cfg)
-    init = _resolve_initial(cfg, raw)
+def _cmd_asymptotics(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     am = moment_integrals(coin, init, cfg.grid_size)
     record = asymptotic_moments_to_dict(am)
     record["classification"] = am.classification
@@ -378,46 +370,32 @@ def _cmd_asymptotics(cfg: RunConfig, raw: dict) -> int:
     print(f"second_coeff   = {am.second_coeff:.17g}")
     print(f"variance_coeff = {am.variance_coeff:.17g}")
     print(f"classification = {record['classification']}")
-    if raw.get("out"):
-        out = _out_path(cfg, raw["out"])
-        write_json(out, record)
-        results = {"classification": record["classification"], "s_perp": am.s_perp, "max_speed": am.max_speed}
-        _write_manifest(cfg, coin, [out], results=results)
-    return 0
+    results = {"classification": record["classification"], "s_perp": am.s_perp, "max_speed": am.max_speed}
+    return {"out": functools.partial(write_json, obj=record)}, results
 
 
-def _cmd_weak_limit(cfg: RunConfig, raw: dict) -> int:
-    coin = _resolve_coin(cfg)
-    init = _resolve_initial(cfg, raw)
+def _cmd_weak_limit(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     vd = weak_limit_density(coin, init, cfg.grid_size, cfg.bins)
-    out = _out_path(cfg, raw["out"])
-    velocity_density_to_csv(vd, out)
-    results = {"degenerate": vd.degenerate, "s_perp": vd.s_perp, "max_speed": vd.max_speed}
-    _write_manifest(cfg, coin, [out], results=results)
     if vd.degenerate:
         print("note: coin is in the sigma_x family; the density collapses onto v = 0")
-    return 0
+    results = {"degenerate": vd.degenerate, "s_perp": vd.s_perp, "max_speed": vd.max_speed}
+    return {"out": functools.partial(velocity_density_to_csv, vd)}, results
 
 
-def _cmd_gapscan(cfg: RunConfig, raw: dict) -> int:
+def _cmd_gapscan(cfg: RunConfig, coin: None, init: None):
     closures = enumerate_closures(cfg.grid, cfg.tol)
     record = closures_to_dict(closures, grid=cfg.grid, tol=cfg.tol)
     record["no_boundary"] = assert_no_boundary(closures, tol=cfg.tol)
-    out = _out_path(cfg, raw["out"])
-    write_json(out, record)
-    outputs = [out]
-    if raw.get("map_out"):
-        map_out = _out_path(cfg, raw["map_out"])
-        gap_map_to_csv(scan_gap_map(cfg.map_grid, cfg.map_grid), map_out)
-        outputs.append(map_out)
-    _write_manifest(cfg, None, outputs, results={"count_points": record["count_points"]})
     print(f"{record['count_points']} closure points; no_boundary = {record['no_boundary']}")
-    return 0
+    writers = {
+        "out": functools.partial(write_json, obj=record),
+        # the map is computed only when it is written
+        "map_out": lambda path: gap_map_to_csv(scan_gap_map(cfg.map_grid, cfg.map_grid), path),
+    }
+    return writers, {"count_points": record["count_points"]}
 
 
-def _cmd_compare(cfg: RunConfig, raw: dict) -> int:
-    coin = _resolve_coin(cfg)
-    init = _resolve_initial(cfg, raw)
+def _cmd_compare(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     am = moment_integrals(coin, init, cfg.grid_size)
     ms = moment_series(init, coin, cfg.steps)
     var = ms.variance
@@ -427,29 +405,24 @@ def _cmd_compare(cfg: RunConfig, raw: dict) -> int:
     abs_err = np.abs(var[1:] - predicted)
     # NaN (an empty field) where the prediction is zero
     rel_err = np.divide(abs_err, predicted, out=np.full(t.shape, np.nan), where=predicted > 0)
-    out = _out_path(cfg, raw["out"])
-    write_csv(
-        out,
-        ["t", "var_exact", "var_predicted", "abs_err", "rel_err"],
-        [t, var[1:], predicted, abs_err, rel_err],
-    )
+    header = ["t", "var_exact", "var_predicted", "abs_err", "rel_err"]
+    columns = [t, var[1:], predicted, abs_err, rel_err]
 
-    lo = max(1, cfg.steps // 10)
-    window = np.arange(lo, cfg.steps + 1)
-    slope = None
+    window = fit_window(cfg.steps)
+    slope = loglog_slope(var)
     if window.size < 2:
         print(f"log-log slope unavailable: --steps {cfg.steps} leaves fewer than 2 points in the fit window")
-    elif np.all(var[window] > 0):
-        slope = float(np.polyfit(np.log(window), np.log(var[window]), 1)[0])
-        print(f"log-log variance slope over t in [{lo}, {cfg.steps}]: {slope:.6f}")
-    else:
+    elif slope is None:
         print("log-log slope unavailable: variance vanishes inside the fit window")
-    _write_manifest(cfg, coin, [out], results={"loglog_slope": slope})
-    return 0
+    else:
+        print(f"log-log variance slope over t in [{window[0]}, {cfg.steps}]: {slope:.6f}")
+    return {"out": functools.partial(write_csv, header=header, columns=columns)}, {"loglog_slope": slope}
 
 
 class _Command(NamedTuple):
-    run: Callable[[RunConfig, dict], int]
+    # computes and prints; returns one writer per output option, path -> None,
+    # and the manifest ``results``
+    run: Callable[[RunConfig, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
     help: str
     out_help: str | None = None
     out_required: bool = True
@@ -479,7 +452,11 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg, raw = _merge(args)
-        return _COMMANDS[args.command].run(cfg, raw)
+        coin = _resolve_coin(cfg) if cfg.command in _COINS else None
+        init = _resolve_initial(cfg, raw) if cfg.command in _WALKS else None
+        writers, results = _COMMANDS[cfg.command].run(cfg, coin, init)
+        _write_outputs(cfg, raw, coin, writers, results)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

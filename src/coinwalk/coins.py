@@ -162,7 +162,10 @@ def sigma_x_distance(mat: NDArray[np.complex128]) -> float:
     """Max-norm distance of a 2x2 matrix from the family ``exp(i*g)*sigma_x``.
 
     The free phase ``g`` is fitted from the off-diagonal entries, so members
-    of the family score ~0 regardless of their global phase.
+    of the family score ~0 regardless of their global phase.  This family is
+    not the only non-spreading one: every coin with ``C00 = 0`` (``sigma_x``
+    up to a phase and a z-rotation, e.g. ``i*sigma_y``) is non-spreading, and
+    ``i*sigma_y`` scores 2 here.
     """
     mat = np.asarray(mat, dtype=np.complex128)
     off = 0.5 * (mat[0, 1] + mat[1, 0])

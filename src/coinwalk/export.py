@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +49,3 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))

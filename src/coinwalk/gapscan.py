@@ -177,11 +177,9 @@ def enumerate_closures(grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> li
         best = max(group, key=amp_at.__getitem__)
         th, ph = float(theta[best[0]]), float(theta[best[1]])
         delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
-        gap_zero, gap_pi = min_gap(th, ph)
-        if gap_zero < tol:
-            closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
-        if gap_pi < tol:
-            closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
+        # the best cell is a hit, and both bands' gaps are the same arccos A
+        closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
+        closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
     closures.sort(key=lambda c: (c.theta, c.phi, c.band))
     return closures
 

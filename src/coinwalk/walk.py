@@ -30,6 +30,8 @@ __all__ = [
     "distribution",
     "moments",
     "moment_series",
+    "fit_window",
+    "loglog_slope",
     "distribution_to_csv",
 ]
 
@@ -232,6 +234,22 @@ def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentS
         second=second,
         final=_light_cone(steps, init.position - steps, sub),
     )
+
+
+def fit_window(steps: int) -> NDArray[np.int64]:
+    """Times ``[max(1, steps // 10), steps]`` over which the log-log variance slope is fitted."""
+    return np.arange(max(1, steps // 10), steps + 1)
+
+
+def loglog_slope(variance: NDArray[np.float64]) -> float | None:
+    """Least-squares slope of log Var against log t over :func:`fit_window`, for
+    ``variance[t]`` at t = 0 .. steps.  ``None`` when the window has fewer than
+    2 points or the variance vanishes inside it."""
+    window = fit_window(len(variance) - 1)
+    var = variance[window]
+    if window.size < 2 or not np.all(var > 0):
+        return None
+    return float(np.polyfit(np.log(window), np.log(var), 1)[0])
 
 
 def distribution_to_csv(state: WalkerState, path) -> None:

@@ -186,14 +186,17 @@ def test_weak_limit_symmetric_initial_coin_is_even():
 
 
 def test_weak_limit_sigma_x_degenerate_flag():
-    vd = weak_limit_density(preset_coin("sigma_x"), COIN0)
-    assert vd.degenerate
-    width = vd.v_grid[1] - vd.v_grid[0]
-    # velocities are zero up to ~1e-16 noise, so the mass may straddle the
-    # two bins around v = 0 but nothing lands further out
-    near_zero = np.abs(vd.v_grid) <= width
-    assert float(np.sum(vd.density[near_zero]) * width) == pytest.approx(1.0, abs=1e-12)
-    assert float(np.sum(vd.density[~near_zero])) == 0.0
+    # every coin with C00 = 0 is flagged, not only exp(ig) sigma_x: paper_xy at
+    # theta = pi/2, phi = 0 is i sigma_y
+    for coin in (preset_coin("sigma_x"), preset_coin("paper_xy", theta=math.pi / 2, phi=0.0)):
+        vd = weak_limit_density(coin, COIN0)
+        assert vd.degenerate
+        width = vd.v_grid[1] - vd.v_grid[0]
+        # velocities are zero up to ~1e-16 noise, so the mass may straddle the
+        # two bins around v = 0 but nothing lands further out
+        near_zero = np.abs(vd.v_grid) <= width
+        assert float(np.sum(vd.density[near_zero]) * width) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(vd.density[~near_zero])) == 0.0
     assert not weak_limit_density(HAD, COIN0).degenerate
 
 

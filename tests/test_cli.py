@@ -259,6 +259,37 @@ def test_weak_limit_output(tmp_path, capsys):
     assert len(lines) == 33
 
 
+def test_weak_limit_flags_i_sigma_y(tmp_path, capsys):
+    # C = i sigma_y has C00 = 0 like sigma_x: all its mass sits in one bin
+    argv = ("weak-limit", "--coin", "paper_xy", "--theta", "90deg", "--phi", "0", "--out", "w.csv")
+    assert run(*argv, "--output-dir", str(tmp_path)) == 0
+    assert "sigma_x family" in capsys.readouterr().out
+    assert json.loads((tmp_path / "w.csv.manifest.json").read_text())["results"]["degenerate"] is True
+    density = [float(row.split(",")[1]) for row in (tmp_path / "w.csv").read_text().splitlines()[1:]]
+    assert sum(d > 0 for d in density) == 1
+
+
+def test_failed_write_removes_the_partial_file(tmp_path, monkeypatch, capsys):
+    def disk_full(state, path):
+        Path(path).write_text("t,x,p\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "distribution_to_csv", disk_full)
+    argv = ("simulate", "--coin", "identity", "--steps", "3", "--out", "m.csv", "--distribution-out", "d.csv")
+    assert run(*argv, "--output-dir", str(tmp_path)) == 3
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_moments_ignores_a_distribution_out_config_key(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("coin = hadamard_analog\nsteps = 5\ndistribution_out = d.csv\n")
+    outdir = tmp_path / "out"
+    assert run("moments", "--config", str(config), "--out", "m.csv", "--output-dir", str(outdir)) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == ["m.csv", "m.csv.manifest.json"]
+    assert json.loads((outdir / "m.csv.manifest.json").read_text())["outputs"] == ["m.csv"]
+
+
 def test_gapscan_output(tmp_path):
     out = tmp_path / "closures.json"
     map_out = tmp_path / "map.csv"

@@ -182,6 +182,33 @@ def test_map_grid_below_two_writes_nothing(tmp_path, capsys, value):
     assert not any(tmp_path.iterdir())
 
 
+# (subcommand, option) pairs that name an output file
+OUTPUT_ROWS = [
+    (command, opt.name)
+    for command in cli._COMMANDS
+    for opt in cli._OPTIONS
+    if command in opt.commands and opt.name in ("out", "distribution_out", "map_out")
+]
+
+
+@pytest.mark.parametrize("command, name", OUTPUT_ROWS)
+@pytest.mark.parametrize("target", ["dir", "file/under.csv"])
+def test_unwritable_output_leaves_no_file_of_the_run(tmp_path, capsys, command, name, target):
+    # the other outputs of the run are written before or after this one fails;
+    # none of them, and no manifest, may be left behind
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("a file\n")
+    (tmp_path / "keep.txt").write_text("unrelated\n")
+    options = {**BASE[command], name: target}
+    assert cli.main([command, f"--output-dir={tmp_path}", *_flags(options)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("i/o error:") and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file", "keep.txt"]
+    assert not any((tmp_path / "dir").iterdir())
+    assert (tmp_path / "file").read_text() == "a file\n"
+    assert (tmp_path / "keep.txt").read_text() == "unrelated\n"
+
+
 def test_table_gives_the_same_flags_and_config_keys():
     assert {opt.name for opt in cli._OPTIONS} == CONFIG_KEYS
     for command in cli._COMMANDS:

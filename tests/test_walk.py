@@ -149,11 +149,14 @@ def test_sigma_x_variance_alternates_from_balanced_coin():
 
 def test_sigma_x_variance_bounded_for_any_initial_coin():
     rng = np.random.default_rng(33)
+    # i sigma_x, and i sigma_y = paper_xy at theta = pi/2, phi = 0: both have C00 = 0
+    coins = (preset_coin("sigma_x"), preset_coin("paper_xy", theta=math.pi / 2, phi=0.0))
     for _ in range(5):
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
         init = InitialCondition(vec / np.linalg.norm(vec))
-        ms = moment_series(init, preset_coin("sigma_x"), 200)
-        assert np.all(ms.variance <= 1.0 + 1e-12)
+        for coin in coins:
+            ms = moment_series(init, coin, 200)
+            assert np.all(ms.variance <= 1.0 + 1e-12)
 
 
 def test_hadamard_long_run_moment_coefficients():
