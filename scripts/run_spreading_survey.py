@@ -3,8 +3,9 @@
 
 Draws random multi-rotation coins, runs the exact walk, fits the log-log
 variance slope, and reconciles the t -> infinity variance coefficient against
-the momentum-space integrals.  Writes one CSV row per coin; a slope or ratio
-that is undefined (too few steps, or a vanishing variance) is an empty field.
+its closed form.  Writes one CSV row per coin, with the coin's largest speed
+``max_speed`` = |C00| (0 for the non-spreading coins); a slope or ratio that
+is undefined (too few steps, or a vanishing variance) is an empty field.
 """
 
 import argparse
@@ -14,23 +15,40 @@ from pathlib import Path
 import numpy as np
 
 from coinwalk.asymptotics import moment_integrals
-from coinwalk.coins import compose, random_coin_spec, sigma_x_distance
+from coinwalk.cli import _OPTIONS
+from coinwalk.coins import random_coin_spec
 from coinwalk.export import write_csv
 from coinwalk.walk import InitialCondition, loglog_slope, moment_series
 
 
+# the CLI's bounds of the options these scripts share with it
+_BOUNDS = {opt.name: opt.bounds for opt in _OPTIONS}
+
+
+def _int_in(lo, hi=math.inf):
+    """argparse ``type`` for an integer in ``[lo, hi]``."""
+
+    def integer(text):
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi}]")
+        return value
+
+    return integer
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--coins", type=int, default=20)
-    ap.add_argument("--steps", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--coins", type=_int_in(0), default=20)
+    ap.add_argument("--steps", type=_int_in(*_BOUNDS["steps"]), default=1000)
+    ap.add_argument("--seed", type=_int_in(0), default=0)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
     init = InitialCondition(np.array([1.0, 0.0]))
     n_rotations = np.empty(args.coins, dtype=np.int64)
-    columns = np.empty((5, args.coins))  # sigma_x_distance, slope, var_ratio, variance_coeff, abs_err
+    columns = np.empty((5, args.coins))  # max_speed, slope, var_ratio, variance_coeff, abs_err
     for i in range(args.coins):
         coin = random_coin_spec(rng, int(rng.integers(2, 5)))
         ms = moment_series(init, coin, args.steps)
@@ -40,7 +58,7 @@ def main() -> int:
         var_ratio = float(ms.variance[args.steps]) / args.steps**2 if args.steps else math.nan
         n_rotations[i] = len(coin.rotations)
         columns[:, i] = (
-            sigma_x_distance(compose(coin)),
+            am.max_speed,
             slope,
             var_ratio,
             am.variance_coeff,
@@ -56,7 +74,7 @@ def main() -> int:
     out = outdir / "spreading_survey.csv"
     write_csv(
         out,
-        ["coin", "n_rotations", "sigma_x_distance", "loglog_slope", "var_ratio", "variance_coeff", "abs_err"],
+        ["coin", "n_rotations", "max_speed", "loglog_slope", "var_ratio", "variance_coeff", "abs_err"],
         [np.arange(args.coins), n_rotations, *columns],
     )
     print(f"wrote {out}")

@@ -11,15 +11,32 @@ from pathlib import Path
 import numpy as np
 
 from coinwalk.asymptotics import weak_limit_density
+from coinwalk.cli import _OPTIONS
 from coinwalk.coins import preset_coin
 from coinwalk.export import write_csv
 from coinwalk.walk import InitialCondition, evolve
 
 
+# the CLI's bounds of the options these scripts share with it
+_BOUNDS = {opt.name: opt.bounds for opt in _OPTIONS}
+
+
+def _int_in(lo, hi=math.inf):
+    """argparse ``type`` for an integer in ``[lo, hi]``."""
+
+    def integer(text):
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi}]")
+        return value
+
+    return integer
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=1000)
-    ap.add_argument("--bins", type=int, default=32)
+    ap.add_argument("--steps", type=_int_in(1, _BOUNDS["steps"][1]), default=1000)
+    ap.add_argument("--bins", type=_int_in(*_BOUNDS["bins"]), default=32)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
 

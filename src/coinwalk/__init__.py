@@ -13,7 +13,6 @@ from .coins import (
     preset_coin,
     random_coin_spec,
     rotation_matrix,
-    sigma_x_distance,
 )
 from .momentum import (
     DegeneratePointError,

@@ -31,9 +31,6 @@ near a band touching (``s_perp -> 0``) and near the sigma_x family
 ``(1 +- mean_rate) / 2`` at ``v = +-1`` and a coin with ``R = 0`` puts
 everything at ``v = 0``.
 
-``grid_size`` is still validated and recorded in the JSON record, but the
-results no longer depend on it.
-
 The sign is a convention, not a calibration: with ``n(k)`` fixed as above,
 the identity coin drives the coin-|0> walker to +t and the measure gives a
 drift rate of +1.  The test suite checks that sign against the exact walk;
@@ -65,10 +62,8 @@ __all__ = [
     "asymptotic_moments_to_dict",
 ]
 
-# defaults and lower bounds of the grid_size and bins parameters
-DEFAULT_GRID_SIZE = 4096
+# default and lower bound of the bins parameter
 DEFAULT_BINS = 64
-MIN_GRID_SIZE = 64
 MIN_BINS = 32
 
 _SPREAD_TOL = 1e-10
@@ -84,7 +79,6 @@ class AsymptoticMoments:
     mean_rate: float  # <x>_t / t
     second_coeff: float  # <x^2>_t / t^2
     variance_coeff: float  # second_coeff - mean_rate^2
-    grid_size: int
     s_perp: float  # |C01|; 0 for a band-touching coin
     max_speed: float  # R = |C00|; 0 for the sigma_x family
 
@@ -92,11 +86,11 @@ class AsymptoticMoments:
     def classification(self) -> str:
         """``"ballistic"`` or ``"non-spreading"``.
 
-        Non-spreading means both the quadratic spread coefficient and the
-        variance coefficient vanish; a deterministic drift (zero variance but
-        nonzero rate) still counts as ballistic.
+        Non-spreading means the quadratic spread coefficient vanishes, and with
+        it the variance coefficient, which never exceeds it; a deterministic
+        drift (zero variance but nonzero rate) still counts as ballistic.
         """
-        if self.variance_coeff <= _SPREAD_TOL and self.second_coeff <= _SPREAD_TOL:
+        if self.second_coeff <= _SPREAD_TOL:
             return "non-spreading"
         return "ballistic"
 
@@ -112,20 +106,13 @@ class VelocityDensity:
 
     v_grid: NDArray[np.float64]  # bin centres
     density: NDArray[np.float64]
-    coin: CoinSpec
-    initial: InitialCondition
     degenerate: bool
     s_perp: float
     max_speed: float
 
 
-def _measure_parameters(coin: CoinSpec, init: InitialCondition, grid_size: int) -> tuple[float, float, float]:
-    """``(s_perp, R, alpha s_z - beta c)``, which fix the velocity measure.
-
-    ``grid_size`` is only validated: the measure needs no momentum grid.
-    """
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}")
+def _measure_parameters(coin: CoinSpec, init: InitialCondition) -> tuple[float, float, float]:
+    """``(s_perp, R, alpha s_z - beta c)``, which fix the velocity measure."""
     c, s = _su2_parts(compose(coin))
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
     s0 = [float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
@@ -153,35 +140,30 @@ def sign_calibration() -> dict:
     return {"drift_sign": drift_sign(), "reference": "identity coin, coin state |0>, drifts to +t"}
 
 
-def moment_integrals(
-    coin: CoinSpec, init: InitialCondition, grid_size: int = DEFAULT_GRID_SIZE
-) -> AsymptoticMoments:
+def moment_integrals(coin: CoinSpec, init: InitialCondition) -> AsymptoticMoments:
     """Drift rate and quadratic spread coefficient: the first two moments of the velocity measure."""
-    s_perp, max_speed, drift = _measure_parameters(coin, init, grid_size)
+    s_perp, max_speed, drift = _measure_parameters(coin, init)
     mean_rate = drift / (1.0 + s_perp)
     second_coeff = 1.0 - s_perp
     return AsymptoticMoments(
         mean_rate=mean_rate,
         second_coeff=second_coeff,
         variance_coeff=second_coeff - mean_rate**2,
-        grid_size=grid_size,
         s_perp=s_perp,
         max_speed=max_speed,
     )
 
 
-def classify_spreading(coin: CoinSpec, init: InitialCondition, grid_size: int = DEFAULT_GRID_SIZE) -> str:
+def classify_spreading(coin: CoinSpec, init: InitialCondition) -> str:
     """``"ballistic"`` or ``"non-spreading"``; see ``AsymptoticMoments.classification``."""
-    return moment_integrals(coin, init, grid_size).classification
+    return moment_integrals(coin, init).classification
 
 
-def weak_limit_density(
-    coin: CoinSpec, init: InitialCondition, grid_size: int = DEFAULT_GRID_SIZE, bins: int = DEFAULT_BINS
-) -> VelocityDensity:
+def weak_limit_density(coin: CoinSpec, init: InitialCondition, bins: int = DEFAULT_BINS) -> VelocityDensity:
     """The velocity measure binned on ``bins`` uniform bins over [-1, 1], as a density."""
     if bins < MIN_BINS:
         raise ValueError(f"bins must be >= {MIN_BINS}")
-    s_perp, r, drift = _measure_parameters(coin, init, grid_size)
+    s_perp, r, drift = _measure_parameters(coin, init)
     width = 2.0 / bins
     mass = np.zeros(bins)
     if r <= _ATOM_TOL:
@@ -201,8 +183,6 @@ def weak_limit_density(
     return VelocityDensity(
         v_grid=centres,
         density=mass / width,
-        coin=coin,
-        initial=init,
         degenerate=bool(r <= _ATOM_TOL),
         s_perp=s_perp,
         max_speed=r,
@@ -219,6 +199,5 @@ def asymptotic_moments_to_dict(am: AsymptoticMoments) -> dict:
         "mean_rate": am.mean_rate,
         "second_coeff": am.second_coeff,
         "variance_coeff": am.variance_coeff,
-        "grid_size": am.grid_size,
         "sign_calibration": sign_calibration(),
     }

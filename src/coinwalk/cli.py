@@ -31,9 +31,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     DEFAULT_BINS,
-    DEFAULT_GRID_SIZE,
     MIN_BINS,
-    MIN_GRID_SIZE,
     asymptotic_moments_to_dict,
     moment_integrals,
     sign_calibration,
@@ -55,6 +53,8 @@ from .gapscan import (
     scan_gap_map,
 )
 from .momentum import (
+    DEFAULT_GRID_SIZE,
+    MIN_GRID_SIZE,
     DegeneratePointError,
     NumericalDomainError,
     dispersion_band,
@@ -280,7 +280,7 @@ def _resolve_coin(cfg: RunConfig) -> CoinSpec:
             raise ConfigError(f"coin file {cfg.coin_file}: {exc}") from exc
         try:
             return CoinSpec.from_dicts(records)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an integer past float range
             raise ConfigError(f"coin file {cfg.coin_file}: {exc}") from exc
     if not cfg.coin:
         raise ConfigError("no coin given: use --coin or --coin-file")
@@ -363,9 +363,10 @@ def _cmd_dispersion(cfg: RunConfig, coin: CoinSpec, init: None):
 
 
 def _cmd_asymptotics(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
-    am = moment_integrals(coin, init, cfg.grid_size)
+    am = moment_integrals(coin, init)
     record = asymptotic_moments_to_dict(am)
     record["classification"] = am.classification
+    record["grid_size"] = cfg.grid_size
     print(f"mean_rate      = {am.mean_rate:.17g}")
     print(f"second_coeff   = {am.second_coeff:.17g}")
     print(f"variance_coeff = {am.variance_coeff:.17g}")
@@ -375,7 +376,7 @@ def _cmd_asymptotics(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
 
 
 def _cmd_weak_limit(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
-    vd = weak_limit_density(coin, init, cfg.grid_size, cfg.bins)
+    vd = weak_limit_density(coin, init, cfg.bins)
     if vd.degenerate:
         print("note: coin is in the sigma_x family; the density collapses onto v = 0")
     results = {"degenerate": vd.degenerate, "s_perp": vd.s_perp, "max_speed": vd.max_speed}
@@ -396,7 +397,7 @@ def _cmd_gapscan(cfg: RunConfig, coin: None, init: None):
 
 
 def _cmd_compare(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
-    am = moment_integrals(coin, init, cfg.grid_size)
+    am = moment_integrals(coin, init)
     ms = moment_series(init, coin, cfg.steps)
     var = ms.variance
 

@@ -32,7 +32,6 @@ __all__ = [
     "rotation_matrix",
     "compose",
     "check_unitary",
-    "sigma_x_distance",
     "preset_coin",
     "random_coin_spec",
     "PRESET_NAMES",
@@ -73,6 +72,10 @@ class CoinRotation:
             raise ValueError(f"axis components must be finite, got {ax!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
+        # a component past 2 puts the norm past 1 + tol; rejecting it first
+        # keeps the squares from overflowing
+        if max(map(abs, ax)) > 2.0:
+            raise ValueError(f"axis {ax!r} is far from unit length")
         norm = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
         if abs(norm - 1.0) > _AXIS_NORM_TOL:
             raise ValueError(f"axis norm {norm!r} differs from 1 by more than {_AXIS_NORM_TOL}")
@@ -156,21 +159,6 @@ def check_unitary(mat: NDArray[np.complex128], tol: float) -> bool:
     mat = np.asarray(mat, dtype=np.complex128)
     dev = mat.conj().T @ mat - np.eye(2)
     return bool(np.max(np.abs(dev)) <= tol)
-
-
-def sigma_x_distance(mat: NDArray[np.complex128]) -> float:
-    """Max-norm distance of a 2x2 matrix from the family ``exp(i*g)*sigma_x``.
-
-    The free phase ``g`` is fitted from the off-diagonal entries, so members
-    of the family score ~0 regardless of their global phase.  This family is
-    not the only non-spreading one: every coin with ``C00 = 0`` (``sigma_x``
-    up to a phase and a z-rotation, e.g. ``i*sigma_y``) is non-spreading, and
-    ``i*sigma_y`` scores 2 here.
-    """
-    mat = np.asarray(mat, dtype=np.complex128)
-    off = 0.5 * (mat[0, 1] + mat[1, 0])
-    phase = off / abs(off) if abs(off) > 0 else 1.0 + 0.0j
-    return float(np.max(np.abs(mat - phase * PAULI_X)))
 
 
 def preset_coin(name: str, theta: float | None = None, phi: float | None = None) -> CoinSpec:

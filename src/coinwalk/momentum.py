@@ -33,6 +33,8 @@ from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose
 from .export import write_csv
 
 __all__ = [
+    "DEFAULT_GRID_SIZE",
+    "MIN_GRID_SIZE",
     "DEGENERACY_THRESHOLD",
     "DegeneratePointError",
     "NumericalDomainError",
@@ -55,6 +57,10 @@ __all__ = [
 DEGENERACY_THRESHOLD = 1e-8
 
 _ACOS_CLAMP = 1e-12
+
+# default and lower bound of the momentum count of a sampled band
+DEFAULT_GRID_SIZE = 4096
+MIN_GRID_SIZE = 64
 
 
 class DegeneratePointError(ValueError):
@@ -99,7 +105,6 @@ class DispersionBand:
     omega_values: NDArray[np.float64]
     bloch: NDArray[np.float64]
     group_velocity: NDArray[np.float64]
-    coin: CoinSpec
 
 
 def _su2_parts(mat: NDArray[np.complex128]) -> tuple[float, np.ndarray]:
@@ -251,14 +256,14 @@ def momentum_point(coin: CoinSpec, k: float) -> MomentumPoint:
     )
 
 
-def dispersion_band(coin: CoinSpec, n_k: int = 512) -> DispersionBand:
+def dispersion_band(coin: CoinSpec, n_k: int = DEFAULT_GRID_SIZE) -> DispersionBand:
     """Sample the band on ``n_k`` uniform momenta over [-pi, pi)."""
-    if n_k < 2:
-        raise ValueError("n_k must be >= 2")
+    if n_k < MIN_GRID_SIZE:
+        raise ValueError(f"n_k must be >= {MIN_GRID_SIZE}")
     k = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
     c, s = _su2_parts(compose(coin))
     omega, n, v, _ = _band_arrays(c, s, k)
-    return DispersionBand(k_grid=k, omega_values=omega, bloch=n, group_velocity=v, coin=coin)
+    return DispersionBand(k_grid=k, omega_values=omega, bloch=n, group_velocity=v)
 
 
 def dispersion_to_csv(band: DispersionBand, path) -> None:

@@ -51,6 +51,10 @@ class InitialCondition:
             raise ValueError(f"coin_state must have 2 components, got shape {vec.shape}")
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"coin_state components must be finite, got {vec.tolist()!r}")
+        # a real or imaginary part past 2 puts norm^2 past 1 + tol; rejecting
+        # it first keeps the squares from overflowing
+        if any(abs(z.real) > 2.0 or abs(z.imag) > 2.0 for z in vec.tolist()):
+            raise ValueError(f"coin_state {vec.tolist()!r} is far from unit norm")
         norm_sq = float(np.sum(np.abs(vec) ** 2))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"coin_state norm^2 = {norm_sq!r} is not 1 within {_NORM_TOL}")

@@ -5,7 +5,8 @@ The closed forms here (two-rotation ``cos w(k)`` and ``U_k`` entries, band
 axes) are written out term by term, independent of the package's matrix
 algebra, so they can serve as oracles for it.  The reference implementations
 compute the same quantities as the package's fast paths by a different route
-(full-width stepping, dense ring-lattice evolution, eigenbasis expansion,
+(full-width stepping, dense ring-lattice evolution, momentum-space powers of
+the step operator, eigenbasis expansion,
 velocity measure sampled on a momentum grid, full-mesh closure scan, sampled
 minimum gap).
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from coinwalk.coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, random_coin_spec, sigma_x_distance
+from coinwalk.coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, random_coin_spec
 from coinwalk.gapscan import (
     BAND_PI,
     BAND_ZERO,
@@ -34,6 +35,23 @@ from coinwalk.momentum import (
 from coinwalk.walk import InitialCondition
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
+
+
+def sigma_x_distance(mat) -> float:
+    """Max-norm distance of a 2x2 matrix from the family ``exp(i*g)*sigma_x``.
+
+    The free phase ``g`` is fitted from the off-diagonal entries, so members
+    of the family score ~0 regardless of their global phase.  This family is
+    not the only non-spreading one: every coin with ``C00 = 0`` (``sigma_x``
+    up to a phase and a z-rotation, e.g. ``i*sigma_y``) is non-spreading, and
+    ``i*sigma_y`` scores 2 here.  The package's non-spreading test is
+    ``max_speed = |C00| = 0``; this distance only keeps sigma_x-like coins out
+    of the random draws.
+    """
+    mat = np.asarray(mat, dtype=np.complex128)
+    off = 0.5 * (mat[0, 1] + mat[1, 0])
+    phase = off / abs(off) if abs(off) > 0 else 1.0 + 0.0j
+    return float(np.max(np.abs(mat - phase * PAULI_X)))
 
 
 def random_multirot_coin(rng, min_rot=2, max_rot=4, exclude_sigma_x=None) -> CoinSpec:
@@ -269,6 +287,34 @@ def ring_oracle(
     for x in range(init.position - steps, init.position + steps + 1):
         out[x] = float(site_probs[x % n])
     return out
+
+
+def momentum_oracle(init: InitialCondition, coin: CoinSpec, steps: int) -> dict[int, float]:
+    """Independent cross-check: site probabilities after ``steps`` steps from
+    ``U_k^steps phi0`` in momentum space.
+
+    ``U_k = diag(e^{-ik}, e^{ik}) C`` is raised to the power ``steps`` by
+    repeated squaring on ``n`` uniform momenta, ``n`` a power of two
+    ``>= 2 * steps + 1``.  Each component is then a trigonometric polynomial
+    of degree ``steps`` in k, so an inverse FFT gives the position amplitudes
+    exactly up to rounding, in O(n log steps) time.
+    """
+    n = 1 << (2 * steps).bit_length()
+    k = 2.0 * math.pi * np.arange(n) / n
+    mat = compose(coin)
+    em, ep = np.exp(-1j * k), np.exp(1j * k)
+    a, b, c, d = em * mat[0, 0], em * mat[0, 1], ep * mat[1, 0], ep * mat[1, 1]
+    v0 = np.full(n, init.coin_state[0], dtype=np.complex128)
+    v1 = np.full(n, init.coin_state[1], dtype=np.complex128)
+    t = steps
+    while t:
+        if t & 1:
+            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+        t >>= 1
+        if t:
+            a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+    probs = np.abs(np.fft.ifft(v0)) ** 2 + np.abs(np.fft.ifft(v1)) ** 2
+    return {init.position + x: float(probs[x % n]) for x in range(-steps, steps + 1)}
 
 
 def cos_omega_two_rotation(

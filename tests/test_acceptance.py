@@ -17,7 +17,7 @@ from coinwalk.coins import preset_coin
 from coinwalk.gapscan import assert_no_boundary, canonical_points, closure_points, enumerate_closures
 from coinwalk.momentum import build_uk, effective_hamiltonian, quasi_energy
 from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
-from helpers import SIGMA_X_EXCLUSION, random_coin_state, random_multirot_coin, ring_oracle
+from helpers import SIGMA_X_EXCLUSION, momentum_oracle, random_coin_state, random_multirot_coin, ring_oracle
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 BALANCED = InitialCondition(np.array([1.0, 1.0j]) / math.sqrt(2))
@@ -228,7 +228,7 @@ def test_criterion_08_weak_limit_distance():
         ("hadamard_analog", preset_coin("hadamard_analog")),
         ("paper_xy", preset_coin("paper_xy", theta=math.pi / 4, phi=math.pi / 4)),
     ):
-        vd = weak_limit_density(coin, COIN0, grid_size=4096, bins=bins)
+        vd = weak_limit_density(coin, COIN0, bins=bins)
         emp = np.zeros(bins)
         for x, p in distribution(evolve(COIN0, coin, t)).items():
             emp[min(bins - 1, int((x / t + 1.0) / width))] += p
@@ -268,4 +268,17 @@ def test_criterion_10_ring_oracle_equivalence():
         d_line = distribution(evolve(init, coin, steps))
         d_ring = ring_oracle(init, coin, steps, 2 * steps + 3)
         worst = max(worst, max(abs(d_line.get(x, 0.0) - p) for x, p in d_ring.items()))
-    report(10, worst <= 1e-12, f"line vs ring at t=64: max site deviation {worst:.2e} over 50 coins")
+    # the dense ring is O(T N^2); the momentum-space powers reach T = 10^4
+    steps, worst_long = 10_000, 0.0
+    for _ in range(4):
+        coin = random_multirot_coin(rng, min_rot=1, max_rot=4)
+        init = InitialCondition(random_coin_state(rng), int(rng.integers(-50, 50)))
+        d_line = distribution(evolve(init, coin, steps))
+        d_momentum = momentum_oracle(init, coin, steps)
+        worst_long = max(worst_long, max(abs(d_line.get(x, 0.0) - p) for x, p in d_momentum.items()))
+    report(
+        10,
+        worst <= 1e-12 and worst_long <= 1e-12,
+        f"line vs ring at t=64: max site deviation {worst:.2e} over 50 coins; "
+        f"line vs momentum space at t=10^4: {worst_long:.2e} over 4 coins",
+    )

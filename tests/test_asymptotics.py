@@ -15,7 +15,6 @@ from coinwalk.coins import preset_coin
 from coinwalk.momentum import eigensystem, quasi_energy
 from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
 from helpers import (
-    SIGMA_X_EXCLUSION,
     eigenbasis_integrands,
     random_coin_state,
     random_multirot_coin,
@@ -58,20 +57,23 @@ def test_moments_match_eigenbasis_oracle(grid_size):
     for coin in coins:
         for init in (COIN0, InitialCondition(random_coin_state(rng))):
             g1, g2 = eigenbasis_integrands(coin, init, grid_size)
-            am = moment_integrals(coin, init, grid_size)
+            am = moment_integrals(coin, init)
             assert abs(am.mean_rate - float(np.mean(g1))) <= 1e-10
             assert abs(am.second_coeff - float(np.mean(g2))) <= 1e-10
 
 
 @pytest.mark.parametrize("grid_size", [4096, 65536])
 def test_touching_coins_share_the_touching_rule(grid_size):
+    # grid_size sizes the sampled oracle; the closed forms take no grid
     rng = np.random.default_rng(48)
     for coin in TOUCHING_COINS:
         for init in (COIN0, BALANCED, InitialCondition(random_coin_state(rng))):
-            am = moment_integrals(coin, init, grid_size)
+            am = moment_integrals(coin, init)
             assert am.second_coeff == pytest.approx(1.0, abs=1e-13)  # |v_k| = 1 for both coins
-            vd = weak_limit_density(coin, init, grid_size, bins=64)
+            vd = weak_limit_density(coin, init, bins=64)
             width = vd.v_grid[1] - vd.v_grid[0]
+            sampled = sampled_velocity_masses(coin, init, grid_size, 64)
+            assert float(np.max(np.abs(vd.density * width - sampled))) <= 1e-11
             assert np.all(vd.density >= 0.0)
             mass = vd.density * width
             assert float(np.sum(mass)) == pytest.approx(1.0, abs=1e-12)
@@ -111,20 +113,9 @@ def test_moment_bounds_and_cauchy_schwarz():
     for _ in range(20):
         coin = random_multirot_coin(rng)
         init = InitialCondition(random_coin_state(rng))
-        am = moment_integrals(coin, init, 2048)
+        am = moment_integrals(coin, init)
         assert 0.0 <= am.second_coeff <= 1.0
         assert am.mean_rate**2 <= am.second_coeff + 1e-10
-
-
-def test_grid_convergence():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        coin = random_multirot_coin(rng, exclude_sigma_x=SIGMA_X_EXCLUSION)
-        init = InitialCondition(random_coin_state(rng))
-        lo = moment_integrals(coin, init, 4096)
-        hi = moment_integrals(coin, init, 8192)
-        assert abs(lo.mean_rate - hi.mean_rate) < 1e-8
-        assert abs(lo.second_coeff - hi.second_coeff) < 1e-8
 
 
 def test_eigenbasis_completeness():
@@ -142,8 +133,6 @@ def test_eigenbasis_completeness():
 
 def test_moment_integrals_input_validation():
     with pytest.raises(ValueError):
-        moment_integrals(HAD, COIN0, grid_size=32)
-    with pytest.raises(ValueError):
         InitialCondition(np.array([1.0, 1.0]))
 
 
@@ -152,7 +141,7 @@ def test_weak_limit_normalisation_and_support():
     for _ in range(5):
         coin = random_multirot_coin(rng)
         init = InitialCondition(random_coin_state(rng))
-        vd = weak_limit_density(coin, init, grid_size=4096, bins=64)
+        vd = weak_limit_density(coin, init, bins=64)
         width = vd.v_grid[1] - vd.v_grid[0]
         assert float(np.sum(vd.density * width)) == pytest.approx(1.0, abs=1e-3)
         assert np.all(vd.density >= 0.0)
@@ -164,7 +153,7 @@ def test_weak_limit_supported_inside_max_velocity():
 
     rng = np.random.default_rng(45)
     for coin in (HAD, random_multirot_coin(rng), random_multirot_coin(rng)):
-        vd = weak_limit_density(coin, COIN0, grid_size=4096, bins=64)
+        vd = weak_limit_density(coin, COIN0, bins=64)
         band = dispersion_band(coin, 4096)
         v_max = float(np.nanmax(np.abs(band.group_velocity)))
         width = vd.v_grid[1] - vd.v_grid[0]
@@ -203,7 +192,7 @@ def test_weak_limit_sigma_x_degenerate_flag():
 def test_weak_limit_matches_rescaled_simulation():
     bins = 32
     t = 600
-    vd = weak_limit_density(HAD, COIN0, grid_size=4096, bins=bins)
+    vd = weak_limit_density(HAD, COIN0, bins=bins)
     d = distribution(evolve(COIN0, HAD, t))
     width = 2.0 / bins
     emp = np.zeros(bins)
@@ -228,8 +217,7 @@ def test_velocity_density_csv(tmp_path):
 
 
 def test_asymptotic_moments_record():
-    record = asymptotic_moments_to_dict(moment_integrals(HAD, COIN0, 1024))
-    assert record["grid_size"] == 1024
+    record = asymptotic_moments_to_dict(moment_integrals(HAD, COIN0))
     assert record["sign_calibration"]["drift_sign"] == 1
     assert record["second_coeff"] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-3)
 
@@ -254,15 +242,6 @@ def test_closed_form_bins_match_sampled_histogram():
         vd = weak_limit_density(coin, init, bins=bins)
         sampled = sampled_velocity_masses(coin, init, 2**20, bins) * (bins / 2.0)
         assert float(np.max(np.abs(vd.density - sampled))) <= 2e-4
-
-
-def test_results_do_not_depend_on_grid_size():
-    rng = np.random.default_rng(51)
-    coin = random_multirot_coin(rng, 1, 3)
-    init = InitialCondition(random_coin_state(rng))
-    lo, hi = moment_integrals(coin, init, 64), moment_integrals(coin, init, 262144)
-    assert (lo.mean_rate, lo.second_coeff, lo.variance_coeff) == (hi.mean_rate, hi.second_coeff, hi.variance_coeff)
-    assert np.array_equal(weak_limit_density(coin, init, 64).density, weak_limit_density(coin, init, 262144).density)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3])

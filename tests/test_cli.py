@@ -231,6 +231,7 @@ def test_asymptotics_stdout_and_json(tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run("asymptotics", "--coin", "hadamard_analog", "--grid-size", "1024", "--out", str(out)) == 0
     record = json.loads(out.read_text())
+    assert record["grid_size"] == 1024
     assert record["classification"] == "ballistic"
     assert record["second_coeff"] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-3)
     assert (tmp_path / "a.json.manifest.json").exists()

@@ -109,6 +109,17 @@ def _cases(draw):
     return command, opt.name, text, draw(st.booleans())
 
 
+def _run_cleanly(tmp: Path, argv: list[str]) -> int:
+    """Run ``argv`` with its outputs under ``tmp/out``, check how it ended and return its exit code."""
+    outdir = tmp / "out"
+    outdir.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, f"--output-dir={outdir}"])
+    _assert_clean(code, out.getvalue(), err.getvalue(), outdir)
+    return code
+
+
 @settings(max_examples=150, deadline=None)
 @given(_cases())
 def test_every_option_value_ends_cleanly(case):
@@ -116,19 +127,75 @@ def test_every_option_value_ends_cleanly(case):
     options = dict(BASE[command])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        outdir = tmp / "out"
-        outdir.mkdir()
-        argv = [command, f"--output-dir={outdir}"]
+        argv = [command]
         if via_config:
             options.pop(name, None)
             (tmp / "run.cfg").write_text(f"{name} = {text}\n")
             argv.append(f"--config={tmp / 'run.cfg'}")
         else:
             options[name] = text
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv + _flags(options))
-        _assert_clean(code, out.getvalue(), err.getvalue(), outdir)
+        _run_cleanly(tmp, argv + _flags(options))
+
+
+# one number as text: any float, values whose squares overflow or underflow,
+# an integer past float range, and a few that are not numbers
+_EDGES = ["0", "1", "-1", "0.6", "1e200", "-1e300", "1e-320", "1" + "0" * 400]
+_NUMBER = st.floats().map(repr) | st.sampled_from([*_EDGES, "nan", "-inf", "abc", ""])
+_JSON_NUMBER = st.floats().map(json.dumps) | st.sampled_from([*_EDGES, "1e400", '"1"', "null"])
+
+
+@st.composite
+def _state_cases(draw):
+    """A walk subcommand and ``initial_coin`` or ``initial_bloch`` text: a
+    normalised state, a pair of drawn numbers, or any text."""
+    command = draw(st.sampled_from(cli._WALKS))
+    name = draw(st.sampled_from(["initial_coin", "initial_bloch"]))
+    kind = draw(st.sampled_from(["valid", "pair", "text"]))
+    if kind == "text":
+        return command, name, draw(st.text(max_size=8))
+    if kind == "valid" and name == "initial_coin":
+        a, b = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+        return command, name, f"{math.cos(a)!r},{complex(math.sin(a) * math.cos(b), math.sin(a) * math.sin(b))!r}"
+    number = st.floats(-1e6, 1e6).map(repr) if kind == "valid" else _NUMBER
+    suffix = st.sampled_from(["", "j"] if name == "initial_coin" else ["", "deg"])
+    return command, name, ",".join(draw(number) + draw(suffix) for _ in range(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_state_cases())
+def test_initial_state_text_ends_cleanly(case):
+    command, name, text = case
+    options = {key: value for key, value in BASE[command].items() if key != "initial_bloch"}
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_cleanly(Path(tmp), [command, *_flags({**options, name: text})]) in (0, 1)
+
+
+@st.composite
+def _coin_files(draw):
+    """Coin-file JSON of one or two records, each with a unit axis or three drawn
+    numbers, and a drawn ``angle_rad`` or ``angle_deg``."""
+    records = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+        norm = math.sqrt(sum(c * c for c in v))
+        if draw(st.booleans()) and norm > 0.1:
+            axis = [repr(c / norm) for c in v]
+        else:
+            axis = draw(st.lists(_JSON_NUMBER, min_size=3, max_size=3))
+        key = draw(st.sampled_from(["angle_rad", "angle_deg"]))
+        records.append(f'{{"axis": [{", ".join(axis)}], "{key}": {draw(_JSON_NUMBER)}}}')
+    return draw(st.sampled_from(cli._COINS)), f"[{', '.join(records)}]"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coin_files())
+def test_coin_file_values_end_cleanly(case):
+    command, text = case
+    options = {key: value for key, value in BASE[command].items() if key not in COIN}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "coin.json").write_text(text)
+        assert _run_cleanly(tmp, [command, *_flags({**options, "coin_file": str(tmp / "coin.json")})]) in (0, 1)
 
 
 _OVERSIZED_RUNNER = """

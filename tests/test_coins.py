@@ -14,9 +14,8 @@ from coinwalk.coins import (
     preset_coin,
     random_coin_spec,
     rotation_matrix,
-    sigma_x_distance,
 )
-from helpers import xy_product_entries
+from helpers import sigma_x_distance, xy_product_entries
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -46,6 +45,8 @@ def test_axis_renormalised_within_tolerance():
 def test_axis_rejected_beyond_tolerance():
     with pytest.raises(ValueError):
         CoinRotation((1.1, 0.0, 0.0), 0.1)
+    with pytest.raises(ValueError, match="far from unit length"):  # squaring would overflow
+        CoinRotation((0.0, -1e200, 0.0), 0.1)
     with pytest.raises(ValueError):
         CoinRotation((0.0, 0.0, 0.0), 0.1)
 

@@ -109,7 +109,7 @@ def test_compare_bytes(tmp_path, coin):
     assert cli.main(["compare", "--coin", coin, "--steps", str(steps), "--grid-size", str(grid),
                      "--out", str(out)]) == 0
     var = moment_series(COIN0, preset_coin(coin), steps).variance
-    coeff = moment_integrals(preset_coin(coin), COIN0, grid).variance_coeff
+    coeff = moment_integrals(preset_coin(coin), COIN0).variance_coeff
     rows = []
     for t in range(1, steps + 1):
         predicted = coeff * t * t
@@ -137,7 +137,7 @@ def test_dispersion_bytes_on_touching_coin(tmp_path):
 
 
 def test_velocity_density_bytes(tmp_path):
-    vd = weak_limit_density(preset_coin("hadamard_analog"), COIN0, 1024, 64)
+    vd = weak_limit_density(preset_coin("hadamard_analog"), COIN0, bins=64)
     velocity_density_to_csv(vd, tmp_path / "new.csv")
     rows = list(zip(map(float, vd.v_grid), map(float, vd.density)))
     reference_write_csv(tmp_path / "ref.csv", ["v", "density"], rows)

@@ -187,13 +187,13 @@ def test_ballistic_at_gap_open_and_gap_closed_parameters():
     closed = [(0.0, 0.0), (0.0, math.pi), (HALF_PI, HALF_PI), (HALF_PI, -HALF_PI)]
     for th, ph in closed:
         coin = preset_coin("paper_xy", theta=th, phi=ph)
-        assert classify_spreading(coin, init, 2048) == "ballistic"
+        assert classify_spreading(coin, init) == "ballistic"
     for _ in range(20):
         th, ph = rng.uniform(-math.pi, math.pi, 2)
         if min_gap(th, ph)[0] < 1e-3:
             continue
         coin = preset_coin("paper_xy", theta=th, phi=ph)
-        assert classify_spreading(coin, init, 2048) == "ballistic"
+        assert classify_spreading(coin, init) == "ballistic"
 
 
 def _closures_json(closures, grid, tol):

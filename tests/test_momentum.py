@@ -6,6 +6,8 @@ import scipy.linalg
 
 from coinwalk.coins import CoinRotation, CoinSpec, PAULI_X, PAULI_Y, PAULI_Z, preset_coin
 from coinwalk.momentum import (
+    DEFAULT_GRID_SIZE,
+    MIN_GRID_SIZE,
     DegeneratePointError,
     NumericalDomainError,
     _omega_from_cos,
@@ -277,6 +279,9 @@ def test_momentum_point_bundle():
 
 
 def test_dispersion_band_and_csv(tmp_path):
+    assert dispersion_band(preset_coin("identity")).k_grid.size == DEFAULT_GRID_SIZE
+    with pytest.raises(ValueError, match="n_k must be >= 64"):
+        dispersion_band(preset_coin("identity"), MIN_GRID_SIZE - 1)
     band = dispersion_band(preset_coin("identity"), 64)
     assert band.k_grid.size == 64
     dk = np.diff(band.k_grid)

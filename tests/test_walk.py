@@ -27,6 +27,9 @@ def test_initial_condition_validation():
         InitialCondition(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         InitialCondition(np.array([1.0, 0.0, 0.0]))
+    for big in (1e200, 1e300j, 1e308 + 1e308j):  # squaring would overflow
+        with pytest.raises(ValueError, match="far from unit norm"):
+            InitialCondition(np.array([big, 0.0]))
     with pytest.raises(ValueError, match="coin_state components must be finite"):
         InitialCondition(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError, match="alpha must be finite"):
