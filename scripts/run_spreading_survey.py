@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from coinwalk.asymptotics import moment_integrals
-from coinwalk.cli import _OPTIONS
+from coinwalk.cli import _MEMORY_BUDGET, _OPTIONS
 from coinwalk.coins import random_coin_spec
 from coinwalk.export import write_csv
 from coinwalk.walk import InitialCondition, loglog_slope, moment_series
@@ -23,6 +23,9 @@ from coinwalk.walk import InitialCondition, loglog_slope, moment_series
 
 # the CLI's bounds of the options these scripts share with it
 _BOUNDS = {opt.name: opt.bounds for opt in _OPTIONS}
+# within the CLI's memory budget: peak address space (VmPeak) grows by about
+# 425 bytes per coin (result arrays, CSV fields and text), rounded up
+_MAX_COINS = _MEMORY_BUDGET // 512
 
 
 def _int_in(lo, hi=math.inf):
@@ -39,7 +42,7 @@ def _int_in(lo, hi=math.inf):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--coins", type=_int_in(0), default=20)
+    ap.add_argument("--coins", type=_int_in(0, _MAX_COINS), default=20)
     ap.add_argument("--steps", type=_int_in(*_BOUNDS["steps"]), default=1000)
     ap.add_argument("--seed", type=_int_in(0), default=0)
     ap.add_argument("--outdir", default="out")

@@ -35,7 +35,6 @@ from .walk import (
     evolve,
     moment_series,
     moments,
-    step,
 )
 from .asymptotics import (
     AsymptoticMoments,

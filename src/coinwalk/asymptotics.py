@@ -14,7 +14,7 @@ form, so no momentum grid is built.  With ``s_perp = hypot(s_x, s_y) = |C01|``,
 ``beta = s_x s0_y - s_y s0_x - c s0_z``:
 
     <x>_t   / t   ->  mean_rate    = (alpha s_z - beta c) / (1 + s_perp)
-    <x^2>_t / t^2 ->  second_coeff = 1 - s_perp
+    <x^2>_t / t^2 ->  second_coeff = 1 - s_perp = R^2 / (1 + s_perp)
 
 and on ``|v| < R`` the measure has Konno's density (N. Konno, J. Math. Soc.
 Japan 57, 1179, 2005)
@@ -66,7 +66,6 @@ __all__ = [
 DEFAULT_BINS = 64
 MIN_BINS = 32
 
-_SPREAD_TOL = 1e-10
 # s_perp or R at or below this is the rounding of an exact touching (s_perp = 0)
 # or sigma_x-family (R = 0) coin: a few ulps of the unit-modulus coin entries
 _ATOM_TOL = 8 * np.finfo(np.float64).eps
@@ -86,11 +85,13 @@ class AsymptoticMoments:
     def classification(self) -> str:
         """``"ballistic"`` or ``"non-spreading"``.
 
-        Non-spreading means the quadratic spread coefficient vanishes, and with
-        it the variance coefficient, which never exceeds it; a deterministic
-        drift (zero variance but nonzero rate) still counts as ballistic.
+        Non-spreading means the largest speed ``R`` vanishes at rounding level,
+        the test behind ``VelocityDensity.degenerate``: then the quadratic
+        spread coefficient and the variance coefficient, which never exceeds
+        it, vanish too.  A deterministic drift (zero variance but nonzero
+        rate) still counts as ballistic.
         """
-        if self.second_coeff <= _SPREAD_TOL:
+        if self.max_speed <= _ATOM_TOL:
             return "non-spreading"
         return "ballistic"
 
@@ -144,7 +145,8 @@ def moment_integrals(coin: CoinSpec, init: InitialCondition) -> AsymptoticMoment
     """Drift rate and quadratic spread coefficient: the first two moments of the velocity measure."""
     s_perp, max_speed, drift = _measure_parameters(coin, init)
     mean_rate = drift / (1.0 + s_perp)
-    second_coeff = 1.0 - s_perp
+    # 1 - s_perp in a form without cancellation: exact to rounding as R -> 0
+    second_coeff = max_speed * max_speed / (1.0 + s_perp)
     return AsymptoticMoments(
         mean_rate=mean_rate,
         second_coeff=second_coeff,

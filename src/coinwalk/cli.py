@@ -354,8 +354,9 @@ def _write_outputs(cfg: RunConfig, raw: dict, coin: CoinSpec | None, writers: di
 def _cmd_simulate(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     ms = moment_series(init, coin, cfg.steps)
     # skip the trivial t=0 row: a run of N steps yields N data rows
-    table = MomentSeries(times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:])
-    return {"out": table.to_csv, "distribution_out": functools.partial(distribution_to_csv, ms.final)}, None
+    table = MomentSeries(times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:], norm=ms.norm[1:])
+    writers = {"out": table.to_csv, "distribution_out": functools.partial(distribution_to_csv, ms.final)}
+    return writers, {"max_norm_drift": ms.max_norm_drift}
 
 
 def _cmd_dispersion(cfg: RunConfig, coin: CoinSpec, init: None):
@@ -417,7 +418,8 @@ def _cmd_compare(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
         print("log-log slope unavailable: variance vanishes inside the fit window")
     else:
         print(f"log-log variance slope over t in [{window[0]}, {cfg.steps}]: {slope:.6f}")
-    return {"out": functools.partial(write_csv, header=header, columns=columns)}, {"loglog_slope": slope}
+    results = {"loglog_slope": slope, "max_norm_drift": ms.max_norm_drift}
+    return {"out": functools.partial(write_csv, header=header, columns=columns)}, results
 
 
 class _Command(NamedTuple):
@@ -438,7 +440,8 @@ _COMMANDS = {
     "dispersion": _Command(_cmd_dispersion, "quasi-energy band export", "CSV k,omega,nx,ny,nz,v_group"),
     "asymptotics": _Command(
         _cmd_asymptotics, "long-time drift and spread coefficients",
-        "JSON output (printed to stdout when omitted)", out_required=False,
+        "JSON output; without it only the coefficients and the classification are printed",
+        out_required=False,
     ),
     "weak-limit": _Command(_cmd_weak_limit, "limiting velocity density of x/t", "CSV v,density"),
     "gapscan": _Command(_cmd_gapscan, "gap-closure survey of the paper_xy parameter square", "closures JSON"),

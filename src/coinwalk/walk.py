@@ -25,7 +25,6 @@ __all__ = [
     "InitialCondition",
     "WalkerState",
     "MomentSeries",
-    "step",
     "evolve",
     "distribution",
     "moments",
@@ -89,60 +88,66 @@ class WalkerState:
     def positions(self) -> NDArray[np.int64]:
         return self.offset + np.arange(self.amplitudes.shape[0])
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 @dataclass
 class MomentSeries:
-    """Position mean / second moment / variance after each step, plus the
-    state after the last step when the series comes from a walk run."""
+    """Position mean / second moment / variance and total probability ``norm``
+    after each step, plus the state after the last step when the series comes
+    from a walk run."""
 
     times: NDArray[np.int64]
     mean: NDArray[np.float64]
     second: NDArray[np.float64]
+    norm: NDArray[np.float64]
     final: WalkerState | None = None
 
     @property
     def variance(self) -> NDArray[np.float64]:
         return self.second - self.mean**2
 
+    @property
+    def max_norm_drift(self) -> float:
+        """``max_t |norm[t] - 1|``: how far rounding moved the walk off unitarity."""
+        return float(np.max(np.abs(self.norm - 1.0)))
+
     def to_csv(self, path) -> None:
         columns = [self.times, self.mean, self.second, self.variance]
         write_csv(path, ["t", "mean", "second", "variance"], columns)
 
 
-def _advance(sub, offset, mat, steps, observe=None, sums=None):
-    """Advance one parity sublattice by ``steps`` walk steps.
+def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = False):
+    """Walk ``steps`` steps from ``init``; returns the light-cone state and,
+    with ``reduce``, a (3, steps + 1) array of ``sum p``, ``sum x p`` and
+    ``sum x^2 p`` after each step, reduced with absolute site positions.
 
-    ``sub`` is an (m, 2) array of amplitudes at sites ``offset + 2i``; the
-    result is the (m + steps, 2) sublattice at sites ``offset - steps + 2i``.
-    Both coin components sit in one flat buffer: coin 1 at a fixed base, so
-    its left shift keeps sublattice index i, and coin 0 in a block whose base
-    moves down one slot per step, so its right shift is free too.  A step
-    then writes the 2x2 coin map's output back into the same slots.
-
-    After step k, ``observe(k, offset - k, amps)`` gets a read-only (m + k, 2)
-    view, and ``sums = (mean, second)`` receives ``sum x p`` and
-    ``sum x^2 p`` at index k, reduced with absolute site positions.
+    Only the sublattice at sites ``x0 - t + 2i`` is stored: after step k it
+    holds k + 1 sites.  Both coin components sit in one flat buffer: coin 1
+    at a fixed base, so its left shift keeps sublattice index i, and coin 0 in
+    a block whose base moves down one slot per step, so its right shift is
+    free too.  A step then writes the 2x2 coin map's output back into the
+    same slots.
     """
-    m = sub.shape[0]
-    width = m + steps
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    width = steps + 1
     flat = np.zeros(2 * width, dtype=np.complex128)
-    flat[steps:width] = sub[:, 0]
-    flat[width : width + m] = sub[:, 1]
-    c00, c01, c10, c11 = mat.ravel()
+    flat[steps], flat[width] = init.coin_state
+    c00, c01, c10, c11 = compose(coin).ravel()
     scratch = np.empty((3, width), dtype=np.complex128)
-    if sums is not None:
-        mean, second = sums
+    sums = None
+    if reduce:
+        sums = norm, mean, second = np.empty((3, width))
+        norm[0] = np.sum(np.abs(init.coin_state) ** 2)  # within 1e-12 of 1, not 1 itself
+        mean[0] = init.position
+        second[0] = init.position**2
         floats = flat.view(np.float64)
-        squares = np.empty(4 * width)
-        x = offset - steps + np.arange(2 * width - 1, dtype=np.float64)  # every site ever reached
+        work = np.empty(6 * width)
+        x = init.position - steps + np.arange(2 * width - 1, dtype=np.float64)  # every site ever reached
         # x and x^2 per parity class, each repeated for the real and imaginary part
         weights = [np.repeat(np.stack((x[p::2], x[p::2] ** 2)), 2, axis=1) for p in (0, 1)]
-    for k in range(1, steps + 1):
+    for k in range(1, width):
         # after this step: coin 0 at flat[lo:width], coin 1 at flat[width:width + n]
-        lo, n = steps - k, m + k
+        lo, n = steps - k, k + 1
         a0, a1 = flat[lo + 1 : width], flat[width : width + n - 1]
         s0, s1, s2 = scratch[:, : n - 1]
         # products go to scratch, never in place: numpy rounds a one-element
@@ -153,55 +158,27 @@ def _advance(sub, offset, mat, steps, observe=None, sums=None):
         np.add(s0, s1, out=a0)
         np.multiply(a1, c11, out=s0)
         np.add(s2, s0, out=a1)
-        if observe is not None:
-            view = flat[lo : lo + 2 * n].reshape(2, n).T
-            view.flags.writeable = False
-            observe(k, offset - k, view)
         if sums is not None:
             # block site i is x[lo + 2i], entry lo // 2 + i of its parity class
             w = weights[lo % 2][:, 2 * (lo // 2) : 2 * (lo // 2 + n)]
             block = floats[2 * lo : 2 * (lo + 2 * n)]
-            sq = squares[: 4 * n]
-            np.multiply(block, block, out=sq)
-            probs, tmp = sq[: 2 * n], sq[2 * n :]
-            probs += tmp  # site probabilities, split into real and imaginary parts
-            np.multiply(probs, w[0], out=tmp)
-            mean[k] = tmp.sum()
-            np.multiply(probs, w[1], out=tmp)
-            second[k] = tmp.sum()
-    return flat.reshape(2, width).T.copy()
+            # rows p, x p and x^2 p, split into real and imaginary parts; the
+            # squares of the block fill the last two rows first
+            terms = work[: 6 * n].reshape(3, 2 * n)
+            np.multiply(block, block, out=work[2 * n : 6 * n])
+            np.add(terms[1], terms[2], out=terms[0])
+            np.multiply(w, terms[0], out=terms[1:])
+            # one reduction call sums each row on its own, as a 1-D sum would
+            np.add.reduce(terms, axis=1, out=sums[:, k])
+    # the empty parity class holds exact zeros
+    amps = np.zeros((2 * width - 1, 2), dtype=np.complex128)
+    amps[0::2] = flat.reshape(2, width).T
+    return WalkerState(t=steps, offset=init.position - steps, amplitudes=amps), sums
 
 
-def _light_cone(t: int, offset: int, sub: NDArray[np.complex128]) -> WalkerState:
-    """Full light-cone state from the occupied sublattice at sites ``offset + 2i``."""
-    amps = np.zeros((2 * sub.shape[0] - 1, 2), dtype=np.complex128)
-    amps[0::2] = sub
-    return WalkerState(t=t, offset=offset, amplitudes=amps)
-
-
-def step(state: WalkerState, coin: CoinSpec) -> WalkerState:
-    """One walk step; returns a new state, leaving the input untouched.
-
-    ``state`` may occupy both parity classes; each is advanced on its own.
-    """
-    mat = compose(coin)
-    amps = np.zeros((state.amplitudes.shape[0] + 2, 2), dtype=np.complex128)
-    for parity in (0, 1):
-        amps[parity::2] = _advance(state.amplitudes[parity::2], state.offset + parity, mat, 1)
-    return WalkerState(t=state.t + 1, offset=state.offset - 1, amplitudes=amps)
-
-
-def evolve(init: InitialCondition, coin: CoinSpec, steps: int, observe=None) -> WalkerState:
-    """Apply ``steps`` walk steps to a point-localised initial state.
-
-    ``observe(t, offset, amps)``, if given, is called after every step with a
-    read-only (t + 1, 2) view of the occupied sublattice, sites
-    ``offset + 2i``; it must not hold on to ``amps``.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    sub = _advance(init.coin_state.reshape(1, 2), init.position, compose(coin), steps, observe)
-    return _light_cone(steps, init.position - steps, sub)
+def evolve(init: InitialCondition, coin: CoinSpec, steps: int) -> WalkerState:
+    """Apply ``steps`` walk steps to a point-localised initial state."""
+    return _advance(init, coin, steps)[0]
 
 
 def _site_probabilities(state: WalkerState) -> NDArray[np.float64]:
@@ -221,22 +198,12 @@ def moments(state: WalkerState) -> tuple[float, float]:
 
 
 def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentSeries:
-    """Mean and second moment after every step from 0 through ``steps``,
-    reduced inside one kernel run; the series carries the final state."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    mean = np.empty(steps + 1)
-    second = np.empty(steps + 1)
-    mean[0] = init.position
-    second[0] = init.position**2
-    sub = _advance(
-        init.coin_state.reshape(1, 2), init.position, compose(coin), steps, sums=(mean, second)
-    )
+    """Total probability, mean and second moment after every step from 0
+    through ``steps``, reduced inside one kernel run; the series carries the
+    final state."""
+    final, (norm, mean, second) = _advance(init, coin, steps, reduce=True)
     return MomentSeries(
-        times=np.arange(steps + 1, dtype=np.int64),
-        mean=mean,
-        second=second,
-        final=_light_cone(steps, init.position - steps, sub),
+        times=np.arange(steps + 1, dtype=np.int64), mean=mean, second=second, norm=norm, final=final
     )
 
 

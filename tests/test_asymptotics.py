@@ -271,3 +271,24 @@ def test_zero_max_speed_is_one_atom_next_to_zero():
                 (full,) = np.nonzero(vd.density)
                 assert abs(vd.v_grid[full[0]]) <= width
                 assert vd.density[full[0]] * width == 1.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-14, 1e-9, 1e-6, 1.4e-5, 1.5e-5])
+def test_one_non_spreading_rule_near_i_sigma_y(eps):
+    # paper_xy at phi = 0 is R_y(theta): C00 = cos(theta), C01 = sin(theta)
+    theta = math.pi / 2 - eps
+    # pi/2 - theta for the float theta: math.pi / 2 - theta is exact, and
+    # pi/2 exceeds math.pi / 2 by 6.123233995736766e-17 to within 1e-32
+    gap = (math.pi / 2 - theta) + 6.123233995736766e-17
+    coin = preset_coin("paper_xy", theta=theta, phi=0.0)
+    rng = np.random.default_rng(54)
+    for init in (COIN0, BALANCED, InitialCondition(random_coin_state(rng))):
+        am = moment_integrals(coin, init)
+        vd = weak_limit_density(coin, init)
+        # only a float theta within rounding of pi/2 (eps 0 and 1e-16) collapses onto v = 0
+        assert vd.degenerate == (eps <= 1e-16)
+        assert am.classification == ("non-spreading" if vd.degenerate else "ballistic")
+        # 1 - sin(theta) = 2 sin^2(gap / 2), with no cancellation on either side
+        assert am.second_coeff == pytest.approx(2 * math.sin(gap / 2) ** 2, rel=8 * np.finfo(float).eps, abs=0)
+    for init in (COIN0, BALANCED):
+        assert moment_integrals(preset_coin("sigma_x"), init).variance_coeff >= 0.0

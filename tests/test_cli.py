@@ -62,9 +62,9 @@ def test_distribution_out_runs_the_walk_once(tmp_path, monkeypatch):
     runs = []
     kernel = walk._advance
 
-    def counted(sub, offset, mat, steps, *args, **kwargs):
+    def counted(init, coin, steps, *args, **kwargs):
         runs.append(steps)
-        return kernel(sub, offset, mat, steps, *args, **kwargs)
+        return kernel(init, coin, steps, *args, **kwargs)
 
     monkeypatch.setattr(walk, "_advance", counted)
     code = run(
@@ -91,6 +91,18 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     assert run(*argv) == 0
     assert (tmp_path / "m.csv").read_bytes() == first[0]
     assert (tmp_path / "m.csv.manifest.json").read_bytes() == first[1]
+    # every walk manifest records the walk's norm drift, the same on every run
+    init = walk.InitialCondition(np.array([1.0, 0.0]))
+    drift = walk.moment_series(init, preset_coin("hadamard_analog"), 25).max_norm_drift
+    assert drift <= 25 * 1e-14
+    for command in ("simulate", "moments", "compare"):
+        argv = (command, "--coin", "hadamard_analog", "--steps", "25", "--out", "w.csv", "--output-dir", str(tmp_path))
+        manifests = []
+        for _ in range(2):
+            assert run(*argv) == 0
+            manifests.append((tmp_path / "w.csv.manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["results"]["max_norm_drift"] == drift, command
 
 
 def test_spectral_manifests_are_byte_identical_across_runs(tmp_path):
@@ -227,6 +239,9 @@ def test_asymptotics_stdout_and_json(tmp_path, capsys):
     assert run("asymptotics", "--coin", "sigma_x", "--grid-size", "512") == 0
     out_text = capsys.readouterr().out
     assert "classification = non-spreading" in out_text
+    # without --out, the four key = value lines are all that is printed, as its help says
+    keys = [line.split(" = ")[0].strip() for line in out_text.splitlines()]
+    assert keys == ["mean_rate", "second_coeff", "variance_coeff", "classification"]
 
     out = tmp_path / "a.json"
     assert run("asymptotics", "--coin", "hadamard_analog", "--grid-size", "1024", "--out", str(out)) == 0

@@ -322,6 +322,8 @@ def test_help_renders(capsys, command):
     for opt in cli._OPTIONS:
         if opt.bounds and command in opt.commands:
             assert f"{opt.bounds[0]} to {opt.bounds[1]}" in " ".join(text.split()), opt.name
+    if command == "asymptotics":
+        assert "without it only the coefficients and the classification are printed" in " ".join(text.split())
 
 
 def test_readme_states_the_size_ranges():

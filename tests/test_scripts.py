@@ -3,6 +3,7 @@ a small size, exits 0 and writes the files it lists, and an out-of-range
 argument ends in a one-line message."""
 
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -21,6 +22,7 @@ SMALL_RUNS = {
         ["weak_limit_hadamard_analog.csv", "weak_limit_paper_xy_quarter.csv"],
     ),
 }
+MAX_COINS = runpy.run_path(str(ROOT / "scripts" / "run_spreading_survey.py"))["_MAX_COINS"]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
@@ -80,6 +82,7 @@ def test_weak_limit_demo_histogram_matches_per_site_binning(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["run_spreading_survey.py", "--steps", "-1"],
     ["run_spreading_survey.py", "--coins", "-1"],
+    ["run_spreading_survey.py", "--coins", str(MAX_COINS + 1)],
     ["run_spreading_survey.py", "--seed", "-1"],
     ["run_weak_limit_demo.py", "--bins", "5"],
     ["run_weak_limit_demo.py", "--bins", "0"],

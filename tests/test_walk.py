@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk.coins import compose, preset_coin, random_coin_spec
-from coinwalk.walk import (
-    InitialCondition,
-    WalkerState,
-    distribution,
-    evolve,
-    moment_series,
-    moments,
-    step,
-)
-from helpers import random_coin_state, reference_evolve, reference_step, ring_oracle
+from coinwalk.walk import InitialCondition, distribution, evolve, moment_series, moments
+from helpers import random_coin_state, reference_evolve, ring_oracle
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 COIN1 = InitialCondition(np.array([0.0, 1.0]))
@@ -45,7 +37,7 @@ def test_initial_condition_validation():
 
 def test_step_shifts_right_for_coin0():
     start = evolve(COIN0, preset_coin("identity"), 0)
-    out = step(start, preset_coin("identity"))
+    out = evolve(COIN0, preset_coin("identity"), 1)
     d = distribution(out)
     assert d[1] == pytest.approx(1.0, abs=0)
     assert out.t == 1 and out.offset == -1
@@ -54,7 +46,7 @@ def test_step_shifts_right_for_coin0():
 
 
 def test_step_shifts_left_for_coin1():
-    out = step(evolve(COIN1, preset_coin("identity"), 0), preset_coin("identity"))
+    out = evolve(COIN1, preset_coin("identity"), 1)
     assert distribution(out)[-1] == pytest.approx(1.0, abs=0)
 
 
@@ -175,14 +167,12 @@ def test_hadamard_long_run_moment_coefficients():
 def test_norm_conservation_long_run():
     rng = np.random.default_rng(34)
     coin = random_coin_spec(rng, 4)
-    drift = []
-    evolve(
-        COIN0,
-        coin,
-        2000,
-        observe=lambda t, off, amps: drift.append(abs(np.sum(np.abs(amps) ** 2) - 1.0)),
-    )
-    assert max(drift) <= 2000 * 1e-14
+    ms = moment_series(COIN0, coin, 2000)
+    drift = np.max(np.abs(ms.norm - 1.0))
+    assert drift <= 2000 * 1e-14
+    assert ms.max_norm_drift == drift
+    # the final state's norm, summed apart from the kernel
+    assert abs(np.sum(np.abs(ms.final.amplitudes) ** 2) - 1.0) <= 2000 * 1e-14
 
 
 def test_moment_series_light_cone_bounds():
@@ -240,19 +230,6 @@ def test_evolve_matches_reference_stepper(seed, steps):
     assert not np.any(state.amplitudes[1::2])
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
-@settings(max_examples=60, deadline=None)
-def test_step_with_both_parity_classes_matches_reference(seed, width):
-    rng, coin, init = _random_walk_case(seed)
-    amps = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
-    state = WalkerState(t=7, offset=init.position, amplitudes=amps)
-    before = state.amplitudes.copy()
-    out = step(state, coin)
-    assert out.t == 8 and out.offset == init.position - 1
-    assert np.max(np.abs(out.amplitudes - reference_step(before, compose(coin)))) <= 1e-15
-    assert np.array_equal(state.amplitudes, before)
-
-
 @given(st.integers(0, 2**32 - 1), st.integers(0, 64))
 @settings(max_examples=40, deadline=None)
 def test_moment_series_equals_moments_of_evolve(seed, steps):
@@ -260,33 +237,16 @@ def test_moment_series_equals_moments_of_evolve(seed, steps):
     ms = moment_series(init, coin, steps)
     eps = np.finfo(np.float64).eps
     for t in range(steps + 1):
-        mean, second = moments(evolve(init, coin, t))
+        state = evolve(init, coin, t)
+        mean, second = moments(state)
         # 2t + 1 products summed in different orders, plus a few roundings in
         # each probability (at t = 0 the series holds the exact position)
         reach = abs(init.position) + t
         bound = (2 * t + 4) * eps
         assert abs(ms.mean[t] - mean) <= bound * reach
         assert abs(ms.second[t] - second) <= bound * reach**2
+        assert abs(ms.norm[t] - np.sum(np.abs(state.amplitudes) ** 2)) <= bound
     assert np.array_equal(ms.final.amplitudes, evolve(init, coin, steps).amplitudes)
-
-
-def test_observe_receives_occupied_sublattice():
-    seen = []
-
-    def watch(t, offset, amps):
-        assert not amps.flags.writeable
-        seen.append((t, offset, amps.copy()))
-
-    init = InitialCondition(np.array([0.6, 0.8j]), position=3)
-    coin = preset_coin("hadamard_analog")
-    final = evolve(init, coin, 5, observe=watch)
-    expected = [(t, 3 - t, (t + 1, 2)) for t in range(1, 6)]
-    assert [(t, off, a.shape) for t, off, a in seen] == expected
-    for t, offset, sub in seen:
-        full = evolve(init, coin, t)
-        assert offset == full.offset
-        assert np.array_equal(sub, full.amplitudes[0::2])
-    assert np.array_equal(seen[-1][2], final.amplitudes[0::2])
 
 
 # --- cancellation at large t ---
