@@ -38,7 +38,7 @@ from .asymptotics import (
     velocity_density_to_csv,
     weak_limit_density,
 )
-from .coins import CoinSpec, preset_coin
+from .coins import CoinSpec, compose, preset_coin, unitarity_error
 from .export import write_csv, write_json
 from .gapscan import (
     DEFAULT_GRID,
@@ -331,6 +331,9 @@ def _write_outputs(cfg: RunConfig, raw: dict, coin: CoinSpec | None, writers: di
         "outputs": [path.name for path, _ in outputs],
         "sign_calibration": sign_calibration(),
     }
+    if coin is not None:
+        # how far the composed coin is off unitarity after its rotations' roundings
+        results = {**(results or {}), "coin_unitarity_error": unitarity_error(compose(coin))}
     if results:
         manifest["results"] = results
     write_manifest = functools.partial(write_json, obj=manifest)

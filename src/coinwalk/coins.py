@@ -31,6 +31,7 @@ __all__ = [
     "CoinSpec",
     "rotation_matrix",
     "compose",
+    "unitarity_error",
     "check_unitary",
     "preset_coin",
     "random_coin_spec",
@@ -152,13 +153,17 @@ def compose(spec: CoinSpec) -> NDArray[np.complex128]:
     return mat
 
 
+def unitarity_error(mat: NDArray[np.complex128]) -> float:
+    """``max|m^dag m - I|``: how far rounding has moved ``mat`` off unitarity."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(2))))
+
+
 def check_unitary(mat: NDArray[np.complex128], tol: float) -> bool:
-    """True iff ``max|m^dag m - I| <= tol``."""
+    """True iff :func:`unitarity_error` ``<= tol``."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    mat = np.asarray(mat, dtype=np.complex128)
-    dev = mat.conj().T @ mat - np.eye(2)
-    return bool(np.max(np.abs(dev)) <= tol)
+    return unitarity_error(mat) <= tol
 
 
 def preset_coin(name: str, theta: float | None = None, phi: float | None = None) -> CoinSpec:

@@ -8,12 +8,25 @@ x = x0 - t (mod 2) is occupied.  The kernel stores and updates just those
 t + 1 sites, with no truncation or pruning anywhere: the evolution is exact
 up to float rounding.  Returned states still cover the whole light cone, with
 exact zeros on the empty sublattice.
+
+The step loop runs as compiled C (``_walk.c``), built on first use into this
+package's ``__pycache__`` with the C compiler that ``sysconfig`` names, and
+loaded through ``ctypes``.  Where the build or the load fails, the same loop
+runs in numpy.  The two agree to the last few digits; each is deterministic.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import shlex
+import sysconfig
+import tempfile
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,6 +48,9 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+_SOURCE = Path(__file__).with_name("_walk.c")
+# portable and exact: no -march, no -ffast-math, no fused multiply-adds
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -115,6 +131,46 @@ class MomentSeries:
         write_csv(path, ["t", "mean", "second", "variance"], columns)
 
 
+def _load_kernel(cache_dir: Path):
+    """The compiled step loop, built into ``cache_dir`` unless a build of this
+    source with these flags and this compiler is there already; ``None`` when
+    ``sysconfig`` names no compiler, or the build or the load fails."""
+    try:
+        cc = shlex.split(sysconfig.get_config_var("CC") or "")
+        if not cc:
+            return None
+        # crc32 rather than hashlib, whose import alone costs more than the load
+        key = zlib.crc32(b"\0".join([_SOURCE.read_bytes(), *(s.encode() for s in (*_CFLAGS, *cc))]))
+        lib = cache_dir / f"_walk-{key:08x}.so"
+        if not lib.exists():
+            import subprocess  # only a build needs it, and its import is as slow
+
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            # concurrent builds each write their own file; the rename is atomic
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=lib.name, dir=cache_dir)
+            os.close(fd)
+            tmp = Path(tmp)
+            try:
+                build = subprocess.run([*cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], capture_output=True)
+                if build.returncode != 0:
+                    return None
+                os.replace(tmp, lib)
+            finally:
+                tmp.unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(lib)).coinwalk_advance
+    except (OSError, ValueError, AttributeError):
+        return None
+    # flat amplitudes, steps, coin entries, position of flat index 0, sums or NULL
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
+    kernel.restype = None
+    return kernel
+
+
+@functools.cache
+def _kernel():
+    return _load_kernel(_SOURCE.with_name("__pycache__"))
+
+
 def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = False):
     """Walk ``steps`` steps from ``init``; returns the light-cone state and,
     with ``reduce``, a (3, steps + 1) array of ``sum p``, ``sum x p`` and
@@ -125,24 +181,43 @@ def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = 
     at a fixed base, so its left shift keeps sublattice index i, and coin 0 in
     a block whose base moves down one slot per step, so its right shift is
     free too.  A step then writes the 2x2 coin map's output back into the
-    same slots.
+    same slots.  The compiled kernel runs the steps when it loaded; the numpy
+    loop below is its fallback and its test oracle.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     width = steps + 1
     flat = np.zeros(2 * width, dtype=np.complex128)
     flat[steps], flat[width] = init.coin_state
-    c00, c01, c10, c11 = compose(coin).ravel()
-    scratch = np.empty((3, width), dtype=np.complex128)
+    coin_mat = np.ascontiguousarray(compose(coin), dtype=np.complex128)
+    base = float(init.position - steps)  # position of flat index 0
     sums = None
     if reduce:
         sums = norm, mean, second = np.empty((3, width))
         norm[0] = np.sum(np.abs(init.coin_state) ** 2)  # within 1e-12 of 1, not 1 itself
-        mean[0] = init.position
-        second[0] = init.position**2
+        x0 = float(init.position)
+        mean[0] = x0 * norm[0]
+        second[0] = x0 * x0 * norm[0]
+    kernel = _kernel()
+    if kernel is not None:
+        kernel(flat.ctypes.data, steps, coin_mat.ctypes.data, base, None if sums is None else sums.ctypes.data)
+    else:
+        _numpy_steps(flat, coin_mat, steps, base, sums)
+    # the empty parity class holds exact zeros
+    amps = np.zeros((2 * width - 1, 2), dtype=np.complex128)
+    amps[0::2] = flat.reshape(2, width).T
+    return WalkerState(t=steps, offset=init.position - steps, amplitudes=amps), sums
+
+
+def _numpy_steps(flat, coin_mat, steps, base, sums) -> None:
+    """The step loop of ``_walk.c`` in numpy, with the same arguments."""
+    width = steps + 1
+    c00, c01, c10, c11 = coin_mat.ravel()
+    scratch = np.empty((3, width), dtype=np.complex128)
+    if sums is not None:
         floats = flat.view(np.float64)
         work = np.empty(6 * width)
-        x = init.position - steps + np.arange(2 * width - 1, dtype=np.float64)  # every site ever reached
+        x = base + np.arange(2 * width - 1, dtype=np.float64)  # every site ever reached
         # x and x^2 per parity class, each repeated for the real and imaginary part
         weights = [np.repeat(np.stack((x[p::2], x[p::2] ** 2)), 2, axis=1) for p in (0, 1)]
     for k in range(1, width):
@@ -170,10 +245,6 @@ def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = 
             np.multiply(w, terms[0], out=terms[1:])
             # one reduction call sums each row on its own, as a 1-D sum would
             np.add.reduce(terms, axis=1, out=sums[:, k])
-    # the empty parity class holds exact zeros
-    amps = np.zeros((2 * width - 1, 2), dtype=np.complex128)
-    amps[0::2] = flat.reshape(2, width).T
-    return WalkerState(t=steps, offset=init.position - steps, amplitudes=amps), sums
 
 
 def evolve(init: InitialCondition, coin: CoinSpec, steps: int) -> WalkerState:

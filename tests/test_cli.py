@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from coinwalk import asymptotics, cli, walk
-from coinwalk.coins import preset_coin
+from coinwalk.coins import CoinSpec, compose, preset_coin, random_coin_spec, unitarity_error
 from coinwalk.cli import ConfigError, main, parse_angle, read_config_file
 
 
@@ -103,6 +103,25 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
             manifests.append((tmp_path / "w.csv.manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
         assert json.loads(manifests[0])["results"]["max_norm_drift"] == drift, command
+
+
+def test_manifests_record_coin_unitarity_error(tmp_path):
+    records = random_coin_spec(np.random.default_rng(0), 1000).to_dicts()
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text(json.dumps(records))
+    expected = unitarity_error(compose(CoinSpec.from_dicts(records)))
+    assert 1e-14 < expected < 1e-13  # 10^3 rotations' roundings: about 4.6e-14
+    for command, out, extra in (("moments", "m.csv", ("--steps", "5")), ("dispersion", "band.csv", ()),
+                                ("asymptotics", "a.json", ())):
+        argv = (command, "--coin-file", str(coin_file), *extra, "--out", out, "--output-dir", str(tmp_path))
+        manifests = []
+        for _ in range(2):
+            assert run(*argv) == 0
+            manifests.append((tmp_path / (out + ".manifest.json")).read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["results"]["coin_unitarity_error"] == expected, command
+    assert run("gapscan", "--out", "g.json", "--output-dir", str(tmp_path)) == 0
+    assert "coin_unitarity_error" not in json.loads((tmp_path / "g.json.manifest.json").read_text()).get("results", {})
 
 
 def test_spectral_manifests_are_byte_identical_across_runs(tmp_path):

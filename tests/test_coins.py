@@ -14,6 +14,7 @@ from coinwalk.coins import (
     preset_coin,
     random_coin_spec,
     rotation_matrix,
+    unitarity_error,
 )
 from helpers import sigma_x_distance, xy_product_entries
 
@@ -87,6 +88,15 @@ def test_compose_single_rotation_sigma_x_phase():
 def test_compose_xy_matches_hand_expansion(theta, phi):
     spec = preset_coin("paper_xy", theta=theta, phi=phi)
     assert np.max(np.abs(compose(spec) - xy_product_entries(theta, phi))) < 1e-14
+
+
+def test_unitarity_error_grows_with_rotations():
+    assert unitarity_error(np.eye(2)) == 0.0
+    assert unitarity_error(np.array([[1.0, 1.0], [0.0, 1.0]])) == 1.0
+    long_coin = compose(random_coin_spec(np.random.default_rng(0), 1000))
+    err = unitarity_error(long_coin)
+    assert err == unitarity_error(long_coin.copy())  # deterministic
+    assert 1e-14 < err < 1e-13  # about 4.6e-14 at 10^3 rotations
 
 
 def test_check_unitary_examples():

@@ -1,10 +1,20 @@
+import functools
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwalk import walk
 from coinwalk.coins import compose, preset_coin, random_coin_spec
 from coinwalk.walk import InitialCondition, distribution, evolve, moment_series, moments
 from helpers import random_coin_state, reference_evolve, ring_oracle
@@ -280,3 +290,157 @@ def test_variance_survives_near_deterministic_drift(eps):
         assert abs(got) <= 1e-12 and abs(central) <= 1e-12, (got, central)
     else:
         assert abs(got - central) <= 1e-9 * central, (got, central)
+
+
+def test_initial_row_scales_with_the_initial_norm():
+    # the coin state's own norm^2 is 1 + 9e-13; every row, t = 0 included,
+    # weighs the position by it
+    init = InitialCondition(np.array([math.sqrt(1 + 9e-13), 0.0]), position=1000)
+    ms = moment_series(init, preset_coin("identity"), 2)
+    ratios = [ms.mean[t] / ((init.position + t) * ms.norm[t]) for t in range(3)]
+    assert ratios[0] == ratios[1] == ratios[2], ratios
+    assert ms.second[0] == 1000.0 * 1000.0 * ms.norm[0]
+
+
+# --- the compiled kernel against the numpy loop ---
+
+
+def _compiled():
+    kernel = walk._kernel()
+    if kernel is None:
+        pytest.skip("no compiled walk kernel")
+    return kernel
+
+
+def _assert_kernels_agree(init, coin, steps):
+    fast = moment_series(init, coin, steps)
+    with mock.patch.object(walk, "_kernel", lambda: None):
+        slow = moment_series(init, coin, steps)
+    assert np.max(np.abs(fast.final.amplitudes - slow.final.amplitudes)) <= 1e-15
+    # each sums 2t + 2 products in its own order, plus a few roundings in each
+    # probability, as in test_moment_series_equals_moments_of_evolve
+    t = np.arange(steps + 1, dtype=np.float64)
+    reach = abs(init.position) + t
+    bound = (2 * t + 4) * np.finfo(np.float64).eps
+    assert np.all(np.abs(fast.mean - slow.mean) <= bound * reach)
+    assert np.all(np.abs(fast.second - slow.second) <= bound * reach**2)
+    assert np.all(np.abs(fast.norm - slow.norm) <= bound)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 64))
+@settings(max_examples=60, deadline=None)
+def test_compiled_kernel_matches_numpy_loop(seed, steps):
+    _compiled()
+    _, coin, init = _random_walk_case(seed)
+    _assert_kernels_agree(init, coin, steps)
+
+
+def test_compiled_kernel_matches_numpy_loop_through_subnormals():
+    # by t = 2400 about 5% of these amplitudes are subnormal and 15% square to one
+    _compiled()
+    init = InitialCondition(np.array([1.0, 1.0j]) / math.sqrt(2), position=-7)
+    _assert_kernels_agree(init, preset_coin("paper_xy", theta=0.7, phi=1.3), 2400)
+
+
+# the kernel's map arithmetic: x87 extended where long double is that, else double
+_WIDE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.float64
+
+
+def _wide_map(v, c):
+    ar, ai, br, bi = map(_WIDE, v)
+    c = [(_WIDE(z.real), _WIDE(z.imag)) for z in c]
+    return [
+        float((ar * c[0][0] - ai * c[0][1]) + (br * c[1][0] - bi * c[1][1])),
+        float((ar * c[0][1] + ai * c[0][0]) + (br * c[1][1] + bi * c[1][0])),
+        float((ar * c[2][0] - ai * c[2][1]) + (br * c[3][0] - bi * c[3][1])),
+        float((ar * c[2][1] + ai * c[2][0]) + (br * c[3][1] + bi * c[3][0])),
+    ]
+
+
+@pytest.mark.parametrize("magnitude", [0.5, 2.0**-520, 2.0**-700, 2.0**-1000, 2.0**-1060, 0.0])
+def test_compiled_kernel_maps_tiny_pairs_scaled_and_rounded_once(magnitude):
+    """One step from a hand-set pair.  A pair whose components are all below
+    2^-511 is mapped scaled by 2^600 and scaled back with one IEEE rounding;
+    where no operation of the unscaled map meets a subnormal, that gives the
+    unscaled map's bits."""
+    kernel = _compiled()
+    rng = np.random.default_rng(41)
+    coin = compose(random_coin_spec(rng, 3))
+    v = [float(z) * magnitude for z in rng.uniform(-1, 1, size=4)]
+    flat = np.zeros(4, dtype=np.complex128)
+    flat[1], flat[2] = complex(v[0], v[1]), complex(v[2], v[3])
+    sums = np.zeros((3, 2))
+    kernel(flat.ctypes.data, 1, coin.ctypes.data, -3.0, sums.ctypes.data)
+    c = coin.ravel().tolist()
+    up = 2.0**600 if magnitude < 2.0**-511 else 1.0
+    mapped = _wide_map([z * up for z in v], c)
+    expected = [z / up for z in mapped]
+    assert [flat[1].real, flat[1].imag, flat[2].real, flat[2].imag] == expected
+    if 2.0**-1000 <= magnitude:
+        assert expected == _wide_map(v, c)
+    # coin 0 moved to site -1, coin 1 to site -3; scaled pairs sum scaled by 2^1200
+    qa, qb = mapped[0] ** 2 + mapped[1] ** 2, mapped[2] ** 2 + mapped[3] ** 2
+    raw = [qa + qb, -1.0 * qa + -3.0 * qb, (-1.0 * -1.0) * qa + (-3.0 * -3.0) * qb]
+    assert sums[:, 1].tolist() == [z / up / up for z in raw]
+
+
+def test_failed_build_falls_back_to_numpy_loop(tmp_path, monkeypatch):
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(
+        sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc") if name == "CC" else config_var(name)
+    )
+    cache = tmp_path / "cache"
+    assert walk._load_kernel(cache) is None
+    assert not any(cache.iterdir())  # no partial library left behind
+    monkeypatch.setattr(walk, "_kernel", functools.cache(lambda: walk._load_kernel(cache)))
+    _, coin, init = _random_walk_case(43)
+    state = evolve(init, coin, 40)
+    assert walk._kernel() is None
+    assert np.max(np.abs(state.amplitudes - reference_evolve(init.coin_state, compose(coin), 40))) <= 1e-15
+    ms = moment_series(init, coin, 40)
+    mean, second = moments(state)
+    eps = np.finfo(np.float64).eps
+    reach = abs(init.position) + 40
+    assert abs(ms.mean[-1] - mean) <= 84 * eps * reach
+    assert abs(ms.second[-1] - second) <= 84 * eps * reach**2
+
+
+def _compiler_on_path():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("sysconfig names no C compiler on PATH")
+
+
+def test_compiled_kernel_is_active_when_the_compiler_is_on_path():
+    _compiler_on_path()
+    assert walk._kernel() is not None
+
+
+def test_second_load_reuses_the_built_library(tmp_path, monkeypatch):
+    _compiler_on_path()
+    assert walk._load_kernel(tmp_path) is not None
+    built = sorted(tmp_path.iterdir())
+    assert [p.suffix for p in built] == [".so"]
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError(f"the compiler ran again: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert walk._load_kernel(tmp_path) is not None
+    assert sorted(tmp_path.iterdir()) == built
+
+
+def test_two_processes_building_at_once_both_succeed(tmp_path):
+    _compiler_on_path()
+    src = str(Path(walk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from pathlib import Path; from coinwalk import walk; " \
+        "sys.exit(walk._load_kernel(Path(sys.argv[1])) is None)"
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env) for _ in range(2)]
+    try:
+        codes = [p.wait(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert codes == [0, 0]
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]  # no temporary file left
