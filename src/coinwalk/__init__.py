@@ -15,17 +15,9 @@ from .coins import (
     rotation_matrix,
 )
 from .momentum import (
-    DegeneratePointError,
     DispersionBand,
-    MomentumPoint,
     NumericalDomainError,
-    bloch_vector,
-    build_uk,
     dispersion_band,
-    effective_hamiltonian,
-    eigensystem,
-    group_velocity,
-    quasi_energy,
 )
 from .walk import (
     InitialCondition,

@@ -55,7 +55,6 @@ from .gapscan import (
 from .momentum import (
     DEFAULT_GRID_SIZE,
     MIN_GRID_SIZE,
-    DegeneratePointError,
     NumericalDomainError,
     dispersion_band,
     dispersion_to_csv,
@@ -467,7 +466,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DegeneratePointError, NumericalDomainError) as exc:
+    except NumericalDomainError as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -53,6 +53,11 @@ def _wrap_angle(angle: float) -> float:
     return math.remainder(float(angle), _TWO_PI)
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only: ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CoinRotation:
     """One axis-angle rotation of the coin.
@@ -106,21 +111,27 @@ class CoinSpec:
 
     @classmethod
     def from_dicts(cls, records: list[dict]) -> "CoinSpec":
-        """Build from serialised records ``{"axis": [nx, ny, nz], "angle_rad"|"angle_deg": a}``."""
+        """Build from serialised records ``{"axis": [nx, ny, nz], "angle_rad"|"angle_deg": a}``.
+
+        Every axis component and angle must be a number (an ``int`` that is
+        not a ``bool``, or a ``float``); strings, booleans and nulls are rejected.
+        """
         rotations = []
         for i, rec in enumerate(records):
             try:
                 axis = rec["axis"]
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"rotation {i}: missing 'axis'") from exc
+            if not isinstance(axis, (list, tuple)) or not all(map(_is_number, axis)):
+                raise ValueError(f"rotation {i}: axis must be a list of numbers, got {axis!r}")
             if "angle_rad" in rec and "angle_deg" in rec:
                 raise ValueError(f"rotation {i}: give angle_rad or angle_deg, not both")
-            if "angle_rad" in rec:
-                angle = float(rec["angle_rad"])
-            elif "angle_deg" in rec:
-                angle = math.radians(float(rec["angle_deg"]))
-            else:
+            key = "angle_rad" if "angle_rad" in rec else "angle_deg"
+            if key not in rec:
                 raise ValueError(f"rotation {i}: missing 'angle_rad' or 'angle_deg'")
+            if not _is_number(rec[key]):
+                raise ValueError(f"rotation {i}: {key} must be a number, got {rec[key]!r}")
+            angle = float(rec[key]) if key == "angle_rad" else math.radians(float(rec[key]))
             rotations.append(CoinRotation(tuple(axis), angle))
         return cls(tuple(rotations))
 

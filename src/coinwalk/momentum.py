@@ -10,9 +10,8 @@ quasi-energy ``w = w(k)`` taken on the principal branch ``[0, pi]``
 
     U_k = cos(w) I - i sin(w) (n . sigma),
 
-so ``U_k = exp(-i H_k)`` with the effective Hamiltonian ``H_k = w n . sigma``.
-``eigvec_plus`` denotes the eigenvector for ``e^{-i w}`` (the +1 eigenvector
-of ``n . sigma``); ``eigvec_minus`` the one for ``e^{+i w}``.  With these
+so ``U_k = exp(-i H_k)`` with the effective Hamiltonian ``H_k = w n . sigma``,
+and ``e^{-i w}`` belongs to the +1 eigenvector of ``n . sigma``.  With these
 conventions the group velocity ``dw/dk`` equals ``n_z(k)``, and for the coin
 ``|0>`` the walker drifts toward positive sites.
 
@@ -29,25 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose
+from .coins import CoinSpec, compose
 from .export import write_csv
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "MIN_GRID_SIZE",
     "DEGENERACY_THRESHOLD",
-    "DegeneratePointError",
     "NumericalDomainError",
-    "MomentumPoint",
     "DispersionBand",
-    "Eigensystem",
-    "build_uk",
-    "quasi_energy",
-    "bloch_vector",
-    "group_velocity",
-    "effective_hamiltonian",
-    "eigensystem",
-    "momentum_point",
     "dispersion_band",
     "dispersion_to_csv",
 ]
@@ -63,34 +52,8 @@ DEFAULT_GRID_SIZE = 4096
 MIN_GRID_SIZE = 64
 
 
-class DegeneratePointError(ValueError):
-    """The quasi-energy gap is closed at this momentum; n(k) and dw/dk are undefined."""
-
-
 class NumericalDomainError(ArithmeticError):
     """An arccos argument fell outside [-1, 1] by more than the clamping window."""
-
-
-@dataclass(frozen=True)
-class MomentumPoint:
-    """Everything the toolkit knows about one momentum sample."""
-
-    k: float
-    u_k: NDArray[np.complex128]
-    omega: float
-    eigvec_plus: NDArray[np.complex128]
-    eigvec_minus: NDArray[np.complex128]
-    bloch: NDArray[np.float64] | None
-    group_velocity: float | None
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    eigvec_plus: NDArray[np.complex128]
-    eigvec_minus: NDArray[np.complex128]
-    omega: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -149,111 +112,6 @@ def _band_arrays(c: float, s: np.ndarray, k):
     n = np.where(degenerate[..., None], np.nan, n)
     v = np.where(degenerate, np.nan, v)
     return omega, n, v, degenerate
-
-
-def _eigvecs_from_bloch(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal +1/-1 eigenvectors of ``n . sigma`` for unit vectors ``n``.
-
-    Vectorised over leading axes; two charts keep the construction stable on
-    the whole sphere.  Output shape is ``n.shape[:-1] + (2,)``.
-    """
-    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
-    north = nz >= 0.0
-
-    wn = np.sqrt((1.0 + np.where(north, nz, 0.0)) / 2.0)
-    ws = np.sqrt((1.0 - np.where(north, 0.0, nz)) / 2.0)
-    # avoid 0/0 in the unused chart
-    wn_safe = np.where(north, wn, 1.0)
-    ws_safe = np.where(north, 1.0, ws)
-
-    plus0 = np.where(north, wn, (nx - 1j * ny) / (2.0 * ws_safe))
-    plus1 = np.where(north, (nx + 1j * ny) / (2.0 * wn_safe), ws)
-    minus0 = np.where(north, -(nx - 1j * ny) / (2.0 * wn_safe), ws)
-    minus1 = np.where(north, wn, -(nx + 1j * ny) / (2.0 * ws_safe))
-
-    v_plus = np.stack([plus0, plus1], axis=-1)
-    v_minus = np.stack([minus0, minus1], axis=-1)
-    return v_plus, v_minus
-
-
-def build_uk(coin: CoinSpec, k: float) -> NDArray[np.complex128]:
-    """Step operator ``diag(e^{-ik}, e^{ik}) @ C`` at momentum ``k``."""
-    shift = np.array([[np.exp(-1j * k), 0.0], [0.0, np.exp(1j * k)]], dtype=np.complex128)
-    return shift @ compose(coin)
-
-
-def _band_at(coin: CoinSpec, k: float):
-    """``_band_arrays`` at one momentum, so scalar and band values agree exactly."""
-    return _band_arrays(*_su2_parts(compose(coin)), float(k))
-
-
-def quasi_energy(coin: CoinSpec, k: float) -> float:
-    """Quasi-energy ``w(k)`` on the principal branch [0, pi]."""
-    return float(_band_at(coin, k)[0])
-
-
-def bloch_vector(coin: CoinSpec, k: float) -> NDArray[np.float64]:
-    """Unit Bloch axis ``n(k)`` of ``U_k``.
-
-    Raises :class:`DegeneratePointError` where the gap is closed.
-    """
-    _, n, _, degenerate = _band_at(coin, k)
-    if degenerate:
-        raise DegeneratePointError(f"gap closed at k={k!r}: Bloch axis undefined")
-    return n
-
-
-def group_velocity(coin: CoinSpec, k: float) -> float:
-    """``dw/dk`` from analytic differentiation of the dispersion argument."""
-    _, _, v, degenerate = _band_at(coin, k)
-    if degenerate:
-        raise DegeneratePointError(f"gap closed at k={k!r}: group velocity undefined")
-    return float(v)
-
-
-def effective_hamiltonian(coin: CoinSpec, k: float) -> NDArray[np.complex128]:
-    """Hermitian ``H_k = w(k) (n(k) . sigma)`` with ``exp(-i H_k) = U_k``."""
-    n = bloch_vector(coin, k)
-    omega = quasi_energy(coin, k)
-    return omega * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
-
-
-def _eigensystem(omega, n, degenerate) -> Eigensystem:
-    if degenerate:
-        return Eigensystem(
-            np.array([1.0, 0.0], dtype=np.complex128),
-            np.array([0.0, 1.0], dtype=np.complex128),
-            float(omega),
-            True,
-        )
-    v_plus, v_minus = _eigvecs_from_bloch(n)
-    return Eigensystem(v_plus.astype(np.complex128), v_minus.astype(np.complex128), float(omega), False)
-
-
-def eigensystem(coin: CoinSpec, k: float) -> Eigensystem:
-    """Orthonormal eigenvectors of ``U_k`` paired with ``e^{-i w}`` / ``e^{+i w}``.
-
-    At a band-touching momentum any orthonormal basis is an eigenbasis; the
-    canonical basis is returned with ``degenerate=True``.
-    """
-    omega, n, _, degenerate = _band_at(coin, k)
-    return _eigensystem(omega, n, degenerate)
-
-
-def momentum_point(coin: CoinSpec, k: float) -> MomentumPoint:
-    """Bundle ``U_k``, quasi-energy, eigenvectors, Bloch axis and velocity at one ``k``."""
-    omega, n, v, degenerate = _band_at(coin, k)
-    eig = _eigensystem(omega, n, degenerate)
-    return MomentumPoint(
-        k=float(k),
-        u_k=build_uk(coin, k),
-        omega=float(omega),
-        eigvec_plus=eig.eigvec_plus,
-        eigvec_minus=eig.eigvec_minus,
-        bloch=None if degenerate else np.asarray(n, dtype=np.float64),
-        group_velocity=None if degenerate else float(v),
-        degenerate=bool(degenerate),
-    )
 
 
 def dispersion_band(coin: CoinSpec, n_k: int = DEFAULT_GRID_SIZE) -> DispersionBand:

@@ -25,13 +25,7 @@ from coinwalk.gapscan import (
     canonical_angle,
     min_gap,
 )
-from coinwalk.momentum import (
-    DEGENERACY_THRESHOLD,
-    DegeneratePointError,
-    _band_arrays,
-    _eigvecs_from_bloch,
-    _su2_parts,
-)
+from coinwalk.momentum import DEGENERACY_THRESHOLD, _band_arrays, _su2_parts
 from coinwalk.walk import InitialCondition
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
@@ -73,18 +67,24 @@ def reference_step(amps: np.ndarray, coin_mat: np.ndarray) -> np.ndarray:
     coin 0 one site right and coin 1 one site left, giving (L + 2, 2).  Both
     parity classes are stored and multiplied, occupied or not."""
     coined = amps @ coin_mat.T
-    out = np.zeros((amps.shape[0] + 2, 2), dtype=np.complex128)
+    out = np.zeros((amps.shape[0] + 2, 2), dtype=coined.dtype)
     out[2:, 0] = coined[:, 0]  # coin 0 moves right
     out[:-2, 1] = coined[:, 1]  # coin 1 moves left
     return out
 
 
 def reference_evolve(coin_state, coin_mat: np.ndarray, steps: int) -> np.ndarray:
-    """(2 * steps + 1, 2) light-cone amplitudes from ``steps`` reference steps."""
-    amps = np.asarray(coin_state, dtype=np.complex128).reshape(1, 2)
+    """(2 * steps + 1, 2) light-cone amplitudes from ``steps`` reference steps.
+
+    The steps run in ``np.clongdouble`` and the result is rounded to complex128
+    once at the end, so where ``long double`` is wider than double the
+    comparison with a kernel measures that kernel's own rounding alone.
+    """
+    amps = np.asarray(coin_state, dtype=np.complex128).astype(np.clongdouble).reshape(1, 2)
+    coin_mat = np.asarray(coin_mat, dtype=np.complex128).astype(np.clongdouble)
     for _ in range(steps):
         amps = reference_step(amps, coin_mat)
-    return amps
+    return amps.astype(np.complex128)
 
 
 def xy_product_entries(theta: float, phi: float) -> np.ndarray:
@@ -128,13 +128,55 @@ def band_axis_two_rotation(first_axis, first_angle, second_axis, second_angle, k
     return np.array([nx, ny, nz])
 
 
+def uk_matrix(coin: CoinSpec, k: float) -> np.ndarray:
+    """Step operator ``U_k = diag(e^{-ik}, e^{ik}) @ C`` by a plain matrix product."""
+    return np.diag([np.exp(-1j * k), np.exp(1j * k)]) @ compose(coin)
+
+
+def band_at(coin: CoinSpec, k):
+    """``(omega, n, v, degenerate)`` of the coin's band at arbitrary momenta ``k``."""
+    return _band_arrays(*_su2_parts(compose(coin)), k)
+
+
+def bloch_matrix(n) -> np.ndarray:
+    """``n . sigma`` for a real 3-vector ``n``."""
+    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+
+
+def eigvecs_from_bloch(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal +1/-1 eigenvectors of ``n . sigma`` for unit vectors ``n``;
+    with the package's sign convention these belong to ``e^{-iw}`` and
+    ``e^{+iw}`` of ``U_k``.
+
+    Vectorised over leading axes; two charts keep the construction stable on
+    the whole sphere.  Output shape is ``n.shape[:-1] + (2,)``.
+    """
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    north = nz >= 0.0
+
+    wn = np.sqrt((1.0 + np.where(north, nz, 0.0)) / 2.0)
+    ws = np.sqrt((1.0 - np.where(north, 0.0, nz)) / 2.0)
+    # avoid 0/0 in the unused chart
+    wn_safe = np.where(north, wn, 1.0)
+    ws_safe = np.where(north, 1.0, ws)
+
+    plus0 = np.where(north, wn, (nx - 1j * ny) / (2.0 * ws_safe))
+    plus1 = np.where(north, (nx + 1j * ny) / (2.0 * wn_safe), ws)
+    minus0 = np.where(north, -(nx - 1j * ny) / (2.0 * wn_safe), ws)
+    minus1 = np.where(north, wn, -(nx + 1j * ny) / (2.0 * ws_safe))
+
+    v_plus = np.stack([plus0, plus1], axis=-1)
+    v_minus = np.stack([minus0, minus1], axis=-1)
+    return v_plus, v_minus
+
+
 def eigenbasis_integrands(coin, init, grid_size: int):
     """Per-momentum long-time integrands from the eigenbasis expansion.
 
     On the uniform k-grid, returns ``sum_j |c_kj|^2 <v_kj| sigma_z |v_kj>`` and
     ``sum_j |c_kj|^2 <v_kj| sigma_z |v_kj>^2``, with ``c_kj`` the overlaps of
-    the initial coin state with the eigenvectors ``v_kj`` of ``U_k`` (the
-    ones ``eigensystem`` returns, built for the whole grid at once).  Their
+    the initial coin state with the eigenvectors ``v_kj`` of ``U_k`` (from
+    :func:`eigvecs_from_bloch`, built for the whole grid at once).  Their
     grid means are the drift rate and spread coefficient.  A band-touching
     momentum gets the average of the integrands a tenth of a grid spacing to
     either side.
@@ -146,8 +188,8 @@ def eigenbasis_integrands(coin, init, grid_size: int):
     def eval_at(kk):
         _, n, _, degenerate = _band_arrays(c, s, kk)
         if np.any(degenerate):
-            raise DegeneratePointError("band touching inside offset evaluation")
-        v_plus, v_minus = _eigvecs_from_bloch(n)
+            raise ValueError("band touching inside offset evaluation")
+        v_plus, v_minus = eigvecs_from_bloch(n)
         cp = np.abs(np.einsum("...i,i->...", v_plus.conj(), phi0)) ** 2
         cm = np.abs(np.einsum("...i,i->...", v_minus.conj(), phi0)) ** 2
         ap = (np.abs(v_plus[..., 0]) ** 2 - np.abs(v_plus[..., 1]) ** 2).real
@@ -347,7 +389,7 @@ def uk_entries_two_rotation(
 
     Same argument convention as :func:`cos_omega_two_rotation`.  Spelled out
     entry by entry (no matrix products) as an independent cross-check of
-    :func:`build_uk`.
+    :func:`uk_matrix`.
     """
     bx, by, bz = first_axis  # applied first
     ax, ay, az = second_axis  # applied second

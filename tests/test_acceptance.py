@@ -15,9 +15,17 @@ import scipy.linalg
 from coinwalk.asymptotics import moment_integrals, weak_limit_density
 from coinwalk.coins import preset_coin
 from coinwalk.gapscan import assert_no_boundary, canonical_points, closure_points, enumerate_closures
-from coinwalk.momentum import build_uk, effective_hamiltonian, quasi_energy
+from coinwalk.momentum import MIN_GRID_SIZE, dispersion_band
 from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
-from helpers import SIGMA_X_EXCLUSION, momentum_oracle, random_coin_state, random_multirot_coin, ring_oracle
+from helpers import (
+    SIGMA_X_EXCLUSION,
+    bloch_matrix,
+    momentum_oracle,
+    random_coin_state,
+    random_multirot_coin,
+    ring_oracle,
+    uk_matrix,
+)
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 BALANCED = InitialCondition(np.array([1.0, 1.0j]) / math.sqrt(2))
@@ -144,12 +152,14 @@ def test_criterion_04_effective_hamiltonian_round_trip():
     checked = 0
     worst = 0.0
     while checked < 1000:
+        # H_k = w n.sigma from a random point of a random coin's sampled band
         coin = random_multirot_coin(rng)
-        k = rng.uniform(-math.pi, math.pi)
-        if math.sin(quasi_energy(coin, k)) <= 1e-6:
+        band = dispersion_band(coin, MIN_GRID_SIZE)
+        i = int(rng.integers(MIN_GRID_SIZE))
+        if math.sin(band.omega_values[i]) <= 1e-6:
             continue
-        h = effective_hamiltonian(coin, k)
-        worst = max(worst, float(np.max(np.abs(scipy.linalg.expm(-1j * h) - build_uk(coin, k)))))
+        h = band.omega_values[i] * bloch_matrix(band.bloch[i])
+        worst = max(worst, float(np.max(np.abs(scipy.linalg.expm(-1j * h) - uk_matrix(coin, band.k_grid[i])))))
         checked += 1
     report(4, worst <= 1e-10, f"max |expm(-iH) - U_k| = {worst:.2e} at 1000 gap-open points")
 

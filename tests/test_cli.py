@@ -245,6 +245,17 @@ def test_coin_file(tmp_path):
     assert run("simulate", "--coin-file", str(coin_file), "--steps", "5", "--out", str(out)) == 1
 
 
+def test_coin_file_with_non_numbers_exits_1_and_writes_nothing(tmp_path, capsys):
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text('[{"axis": [true, 0, 0], "angle_rad": "0.5"}, {"axis": [0, 1, 0], "angle_deg": true}]')
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("asymptotics", "--coin-file", str(coin_file), "--output-dir", str(out), "--out", "a.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "rotation 0" in err
+    assert not any(out.iterdir())
+
+
 def test_dispersion_output(tmp_path):
     out = tmp_path / "band.csv"
     assert run("dispersion", "--coin", "identity", "--grid-size", "64", "--out", str(out)) == 0
@@ -365,10 +376,10 @@ def test_compare_identity_coin_has_zero_variance(tmp_path, capsys):
 
 
 def test_numerical_domain_errors_exit_2(tmp_path, monkeypatch, capsys):
-    from coinwalk.momentum import DegeneratePointError
+    from coinwalk.momentum import NumericalDomainError
 
     def boom(*args, **kwargs):
-        raise DegeneratePointError("band touching everywhere")
+        raise NumericalDomainError("|cos w| exceeds 1 by 1.000e-11 (> 1e-12)")
 
     monkeypatch.setattr(cli, "moment_integrals", boom)
     assert run("asymptotics", "--coin", "identity", "--out", str(tmp_path / "x.json")) == 2

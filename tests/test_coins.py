@@ -159,6 +159,16 @@ def test_serialisation_errors():
         CoinSpec.from_dicts([{"angle_rad": 1.0}])
 
 
+@pytest.mark.parametrize("bad", [True, "0.5"])
+@pytest.mark.parametrize("field", ["axis", "angle_rad", "angle_deg"])
+def test_serialisation_rejects_non_numbers(field, bad):
+    # json.load gives bool for true/false and str for quoted numbers; float()
+    # would take both, so each must be refused, naming the rotation
+    record = {"axis": [0, 1, 0], field: bad} if field != "axis" else {"axis": [bad, 0, 0], "angle_rad": 0.5}
+    with pytest.raises(ValueError, match=f"rotation 1: {field}.* must be a .*number"):
+        CoinSpec.from_dicts([{"axis": [1, 0, 0], "angle_rad": 0.25}, record])
+
+
 def test_sigma_x_distance_detects_family():
     assert sigma_x_distance(1j * PAULI_X) < 1e-15
     assert sigma_x_distance(-1j * PAULI_X) < 1e-15

@@ -1,0 +1,26 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import coinwalk
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ or in the package imports after its definition
+    # is removed would only fail at `from ... import *` or at first import
+    missing = []
+    for info in pkgutil.iter_modules(coinwalk.__path__):
+        module = importlib.import_module(f"coinwalk.{info.name}")
+        names = getattr(module, "__all__", ())
+        missing += [f"coinwalk.{info.name}.{name}" for name in names if not hasattr(module, name)]
+
+    tree = ast.parse(Path(coinwalk.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"coinwalk.{node.module}")
+        for alias in node.names:
+            if not (hasattr(module, alias.name) and hasattr(coinwalk, alias.asname or alias.name)):
+                missing.append(f"coinwalk.{node.module}.{alias.name}")
+    assert not missing, missing

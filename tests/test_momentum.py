@@ -4,26 +4,45 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coinwalk.coins import CoinRotation, CoinSpec, PAULI_X, PAULI_Y, PAULI_Z, preset_coin
+from coinwalk.coins import CoinRotation, CoinSpec, preset_coin
 from coinwalk.momentum import (
     DEFAULT_GRID_SIZE,
     MIN_GRID_SIZE,
-    DegeneratePointError,
     NumericalDomainError,
     _omega_from_cos,
-    bloch_vector,
-    build_uk,
     dispersion_band,
     dispersion_to_csv,
-    effective_hamiltonian,
-    eigensystem,
-    group_velocity,
-    momentum_point,
-    quasi_energy,
 )
-from helpers import band_axis_two_rotation, cos_omega_two_rotation, random_multirot_coin, uk_entries_two_rotation
+from helpers import (
+    band_at,
+    band_axis_two_rotation,
+    bloch_matrix,
+    cos_omega_two_rotation,
+    eigvecs_from_bloch,
+    random_multirot_coin,
+    uk_entries_two_rotation,
+    uk_matrix,
+)
 
 PXY4 = preset_coin("paper_xy", theta=math.pi / 4, phi=math.pi / 4)
+
+
+def rebuilt_uk(omega, n):
+    """``cos(w) I - i sin(w) (n . sigma)``: U_k from its band data."""
+    return math.cos(omega) * np.eye(2) - 1j * math.sin(omega) * bloch_matrix(n)
+
+
+def gap_open_points(rng, count, min_sin):
+    """``count`` random (coin, k, omega, n, v) band samples with sin(w) > min_sin,
+    each at a random point of a random coin's ``dispersion_band`` grid."""
+    points = []
+    while len(points) < count:
+        coin = random_multirot_coin(rng)
+        band = dispersion_band(coin, MIN_GRID_SIZE)
+        i = int(rng.integers(MIN_GRID_SIZE))
+        if math.sin(band.omega_values[i]) > min_sin:
+            points.append((coin, band.k_grid[i], band.omega_values[i], band.bloch[i], band.group_velocity[i]))
+    return points
 
 
 def random_two_rotation(rng):
@@ -39,13 +58,17 @@ def random_two_rotation(rng):
 def test_build_uk_identity_coin():
     k = 0.9
     expected = np.diag([np.exp(-1j * k), np.exp(1j * k)])
-    assert np.allclose(build_uk(preset_coin("identity"), k), expected, atol=1e-15)
+    assert np.allclose(uk_matrix(preset_coin("identity"), k), expected, atol=1e-15)
+    omega, n, _, _ = band_at(preset_coin("identity"), k)
+    assert np.allclose(rebuilt_uk(omega, n), expected, atol=1e-15)
 
 
 def test_build_uk_sigma_x_coin():
     k = -1.3
     expected = np.array([[0, 1j * np.exp(-1j * k)], [1j * np.exp(1j * k), 0]])
-    assert np.allclose(build_uk(preset_coin("sigma_x"), k), expected, atol=1e-15)
+    assert np.allclose(uk_matrix(preset_coin("sigma_x"), k), expected, atol=1e-15)
+    omega, n, _, _ = band_at(preset_coin("sigma_x"), k)
+    assert np.allclose(rebuilt_uk(omega, n), expected, atol=1e-15)
 
 
 def test_uk_closed_form_matches_product():
@@ -54,16 +77,16 @@ def test_uk_closed_form_matches_product():
     for _ in range(2000):
         spec, (a1, th, a2, ph) = random_two_rotation(rng)
         k = rng.uniform(-math.pi, math.pi)
-        diff = np.abs(build_uk(spec, k) - uk_entries_two_rotation(a1, th, a2, ph, k))
+        diff = np.abs(uk_matrix(spec, k) - uk_entries_two_rotation(a1, th, a2, ph, k))
         worst = max(worst, float(diff.max()))
     assert worst < 1e-13
 
 
 def test_quasi_energy_examples():
-    assert math.isclose(quasi_energy(preset_coin("identity"), 0.7), 0.7, abs_tol=1e-14)
-    assert math.isclose(quasi_energy(PXY4, 0.0), math.pi / 3, abs_tol=1e-14)
+    assert math.isclose(band_at(preset_coin("identity"), 0.7)[0], 0.7, abs_tol=1e-14)
+    assert math.isclose(band_at(PXY4, 0.0)[0], math.pi / 3, abs_tol=1e-14)
     flat = preset_coin("paper_xy", theta=0.0, phi=math.pi)
-    assert math.isclose(quasi_energy(flat, 0.0), math.pi, abs_tol=1e-12)
+    assert math.isclose(band_at(flat, 0.0)[0], math.pi, abs_tol=1e-12)
 
 
 def test_spectral_consistency_bulk():
@@ -97,12 +120,13 @@ def test_quasi_energy_matches_closed_form_and_eigenphases():
     rng = np.random.default_rng(22)
     for _ in range(1000):
         spec, (a1, th, a2, ph) = random_two_rotation(rng)
-        k = rng.uniform(-math.pi, math.pi)
-        w = quasi_energy(spec, k)
+        band = dispersion_band(spec, MIN_GRID_SIZE)
+        i = int(rng.integers(MIN_GRID_SIZE))
+        k, w = band.k_grid[i], band.omega_values[i]
         assert 0.0 <= w <= math.pi
         arg = float(cos_omega_two_rotation(a1, th, a2, ph, k))
         assert abs(w - math.acos(max(-1.0, min(1.0, arg)))) < 1e-12
-        phases = np.sort(np.angle(np.linalg.eigvals(build_uk(spec, k))))
+        phases = np.sort(np.angle(np.linalg.eigvals(uk_matrix(spec, k))))
         assert abs(phases[0] + w) < 1e-12 and abs(phases[1] - w) < 1e-12
 
 
@@ -113,14 +137,14 @@ def test_omega_clamping_window():
 
 
 def test_bloch_identity_coin_along_z():
-    n = bloch_vector(preset_coin("identity"), 0.3)
+    n = band_at(preset_coin("identity"), 0.3)[1]
     assert np.allclose(np.abs(n), [0, 0, 1], atol=1e-14)
 
 
 def test_bloch_pxy_quarter_matches_axis_closed_form():
     # closed form gives (1, 1, -1)/sqrt(3) here; the package's convention is
     # the global sign flip of that
-    n = bloch_vector(PXY4, 0.0)
+    n = band_at(PXY4, 0.0)[1]
     expected = np.array([1.0, 1.0, -1.0]) / math.sqrt(3)
     assert math.isclose(float(np.linalg.norm(n)), 1.0, abs_tol=1e-12)
     assert np.allclose(n, -expected, atol=1e-10)
@@ -131,11 +155,11 @@ def test_bloch_matches_axis_closed_form_up_to_global_sign():
     signs = set()
     for _ in range(500):
         spec, (a1, th, a2, ph) = random_two_rotation(rng)
-        k = rng.uniform(-math.pi, math.pi)
-        w = quasi_energy(spec, k)
+        band = dispersion_band(spec, MIN_GRID_SIZE)
+        i = int(rng.integers(MIN_GRID_SIZE))
+        k, w, n = band.k_grid[i], band.omega_values[i], band.bloch[i]
         if math.sin(w) < 1e-6:
             continue
-        n = bloch_vector(spec, k)
         oracle = band_axis_two_rotation(a1, th, a2, ph, k, math.sin(w))
         if np.allclose(n, -oracle, atol=1e-10):
             signs.add(-1)
@@ -147,135 +171,95 @@ def test_bloch_matches_axis_closed_form_up_to_global_sign():
     assert signs == {-1}
 
 
-def test_bloch_degenerate_raises():
-    with pytest.raises(DegeneratePointError):
-        bloch_vector(preset_coin("paper_xy", theta=0.0, phi=0.0), 0.0)
-
-
 def test_reconstruction_from_omega_and_axis():
     rng = np.random.default_rng(24)
-    for _ in range(300):
-        spec = random_multirot_coin(rng)
-        k = rng.uniform(-math.pi, math.pi)
-        w = quasi_energy(spec, k)
-        if math.sin(w) <= 1e-8:
-            continue
-        n = bloch_vector(spec, k)
-        recon = math.cos(w) * np.eye(2) - 1j * math.sin(w) * (
-            n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        )
-        assert np.max(np.abs(recon - build_uk(spec, k))) < 1e-10
+    for coin, k, w, n, _ in gap_open_points(rng, 300, 1e-8):
+        assert np.max(np.abs(rebuilt_uk(w, n) - uk_matrix(coin, k))) < 1e-10
 
 
 def test_effective_hamiltonian_identity_coin():
-    h = effective_hamiltonian(preset_coin("identity"), 0.5)
+    omega, n, _, _ = band_at(preset_coin("identity"), 0.5)
+    h = omega * bloch_matrix(n)
     assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-0.5, 0.5], atol=1e-13)
-    assert np.allclose(scipy.linalg.expm(-1j * h), build_uk(preset_coin("identity"), 0.5), atol=1e-12)
+    assert np.allclose(scipy.linalg.expm(-1j * h), uk_matrix(preset_coin("identity"), 0.5), atol=1e-12)
 
 
 def test_effective_hamiltonian_random_round_trip():
     rng = np.random.default_rng(25)
-    for _ in range(200):
-        spec = random_multirot_coin(rng)
-        k = rng.uniform(-math.pi, math.pi)
-        if math.sin(quasi_energy(spec, k)) <= 1e-6:
-            continue
-        h = effective_hamiltonian(spec, k)
+    for coin, k, w, n, _ in gap_open_points(rng, 200, 1e-6):
+        h = w * bloch_matrix(n)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
-        assert np.max(np.abs(scipy.linalg.expm(-1j * h) - build_uk(spec, k))) <= 1e-10
+        assert np.max(np.abs(scipy.linalg.expm(-1j * h) - uk_matrix(coin, k))) <= 1e-10
 
 
 def test_effective_hamiltonian_pxy_eigenvalues():
-    h = effective_hamiltonian(PXY4, 0.0)
+    omega, n, _, _ = band_at(PXY4, 0.0)
+    h = omega * bloch_matrix(n)
     assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-math.pi / 3, math.pi / 3], atol=1e-12)
 
 
 def test_group_velocity_examples():
-    assert math.isclose(group_velocity(preset_coin("identity"), 0.5), 1.0, abs_tol=1e-12)
+    assert math.isclose(band_at(preset_coin("identity"), 0.5)[2], 1.0, abs_tol=1e-12)
     expected = 0.5 / math.sin(math.pi / 3)
-    assert math.isclose(group_velocity(PXY4, 0.0), expected, abs_tol=1e-12)
-    for k in np.linspace(-3, 3, 7):
-        assert abs(group_velocity(preset_coin("sigma_x"), float(k))) < 1e-14
+    assert math.isclose(band_at(PXY4, 0.0)[2], expected, abs_tol=1e-12)
+    assert np.max(np.abs(band_at(preset_coin("sigma_x"), np.linspace(-3, 3, 7))[2])) < 1e-14
+    # the band's v is n_z, as the dispersion CSV states it
+    band = dispersion_band(PXY4, MIN_GRID_SIZE)
+    assert np.array_equal(band.group_velocity, band.bloch[:, 2])
 
 
 def test_group_velocity_matches_finite_difference():
+    # v at grid points against a central difference of w off the grid
     rng = np.random.default_rng(26)
     h = 1e-5
-    checked = 0
-    while checked < 1000:
-        spec = random_multirot_coin(rng)
-        k = rng.uniform(-3.0, 3.0)
-        if math.sin(quasi_energy(spec, k)) < 1e-3:
-            continue
-        fd = (quasi_energy(spec, k + h) - quasi_energy(spec, k - h)) / (2 * h)
-        assert abs(group_velocity(spec, k) - fd) < 1e-6
-        checked += 1
-
-
-def test_group_velocity_degenerate_raises():
-    with pytest.raises(DegeneratePointError):
-        group_velocity(preset_coin("identity"), 0.0)
+    for coin, k, w, _, v in gap_open_points(rng, 1000, 1e-3):
+        w_lo, w_hi = band_at(coin, np.array([k - h, k + h]))[0]
+        assert abs(v - (w_hi - w_lo) / (2 * h)) < 1e-6
 
 
 def test_eigensystem_identity_coin():
-    es = eigensystem(preset_coin("identity"), 0.4)
-    assert not es.degenerate
-    assert np.allclose(np.abs(es.eigvec_plus), [1, 0], atol=1e-14)
-    assert np.allclose(np.abs(es.eigvec_minus), [0, 1], atol=1e-14)
+    v_plus, v_minus = eigvecs_from_bloch(band_at(preset_coin("identity"), 0.4)[1])
+    assert np.allclose(np.abs(v_plus), [1, 0], atol=1e-14)
+    assert np.allclose(np.abs(v_minus), [0, 1], atol=1e-14)
 
 
 def test_eigensystem_sigma_x_matches_analytic_vectors():
     k = 0.83
-    es = eigensystem(preset_coin("sigma_x"), k)
-    v_plus = np.array([-np.exp(-1j * k), 1.0]) / math.sqrt(2)
-    v_minus = np.array([np.exp(-1j * k), 1.0]) / math.sqrt(2)
-    assert abs(abs(np.vdot(v_plus, es.eigvec_plus)) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(v_minus, es.eigvec_minus)) - 1.0) < 1e-12
+    v_plus, v_minus = eigvecs_from_bloch(band_at(preset_coin("sigma_x"), k)[1])
+    expected_plus = np.array([-np.exp(-1j * k), 1.0]) / math.sqrt(2)
+    expected_minus = np.array([np.exp(-1j * k), 1.0]) / math.sqrt(2)
+    assert abs(abs(np.vdot(expected_plus, v_plus)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(expected_minus, v_minus)) - 1.0) < 1e-12
 
 
 def test_eigensystem_random_against_generic_solver():
+    # eigenvectors built from the band's n are eigenvectors of U_k for e^{-+iw}
     rng = np.random.default_rng(27)
-    for _ in range(300):
-        spec = random_multirot_coin(rng)
-        k = rng.uniform(-math.pi, math.pi)
-        es = eigensystem(spec, k)
-        if es.degenerate:
-            continue
-        u = build_uk(spec, k)
-        assert abs(np.vdot(es.eigvec_plus, es.eigvec_minus)) < 1e-10
-        for vec, phase in ((es.eigvec_plus, -es.omega), (es.eigvec_minus, +es.omega)):
+    for coin, k, w, n, _ in gap_open_points(rng, 300, 1e-8):
+        u = uk_matrix(coin, k)
+        v_plus, v_minus = eigvecs_from_bloch(n)
+        assert abs(np.vdot(v_plus, v_minus)) < 1e-10
+        for vec, phase in ((v_plus, -w), (v_minus, +w)):
             assert math.isclose(float(np.linalg.norm(vec)), 1.0, abs_tol=1e-12)
             assert np.max(np.abs(u @ vec - np.exp(1j * phase) * vec)) < 1e-10
         # cross-check the eigenvalues against numpy's general solver
         lam = np.linalg.eigvals(u)
-        assert np.allclose(np.sort(np.angle(lam)), [-es.omega, es.omega], atol=1e-10)
+        assert np.allclose(np.sort(np.angle(lam)), [-w, w], atol=1e-10)
 
 
 def test_eigensystem_degenerate_flag():
-    es = eigensystem(preset_coin("identity"), 0.0)
-    assert es.degenerate
-    assert abs(np.vdot(es.eigvec_plus, es.eigvec_minus)) == 0.0
+    # at a band touching n and v are undefined: NaN in the band, empty in its CSV
+    omega, n, v, degenerate = band_at(preset_coin("identity"), 0.0)
+    assert degenerate and omega == 0.0
+    assert np.all(np.isnan(n)) and np.isnan(v)
 
 
 def test_eigensystem_branch_continuous_along_k():
     # the e^{-iw} branch must not hop between bands along a k sweep
-    prev = None
-    for k in np.linspace(-3.0, 3.0, 601):
-        es = eigensystem(PXY4, float(k))
-        assert not es.degenerate
-        if prev is not None:
-            assert abs(np.vdot(prev, es.eigvec_plus)) > 0.999
-        prev = es.eigvec_plus
-
-
-def test_momentum_point_bundle():
-    mp = momentum_point(PXY4, 0.25)
-    assert not mp.degenerate
-    assert mp.bloch is not None and math.isclose(float(np.linalg.norm(mp.bloch)), 1.0, abs_tol=1e-10)
-    assert math.isclose(mp.omega, quasi_energy(PXY4, 0.25), abs_tol=1e-14)
-    assert math.isclose(mp.group_velocity, group_velocity(PXY4, 0.25), abs_tol=1e-14)
-    mp0 = momentum_point(preset_coin("identity"), 0.0)
-    assert mp0.degenerate and mp0.bloch is None and mp0.group_velocity is None
+    _, n, _, degenerate = band_at(PXY4, np.linspace(-3.0, 3.0, 601))
+    assert not np.any(degenerate)
+    v_plus, _ = eigvecs_from_bloch(n)
+    assert np.min(np.abs(np.einsum("ki,ki->k", v_plus[:-1].conj(), v_plus[1:]))) > 0.999
 
 
 def test_dispersion_band_and_csv(tmp_path):
@@ -306,19 +290,3 @@ def test_bloch_vectors_are_unit_near_band_touching(eps):
     band = dispersion_band(preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2), 4096)
     assert not np.any(np.isnan(band.bloch))
     assert float(np.max(np.abs(np.linalg.norm(band.bloch, axis=1) - 1.0))) <= 1e-12
-
-
-@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
-def test_scalar_path_equals_band_near_touching(eps):
-    coin = preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2)
-    band = dispersion_band(coin, 4096)
-    assert not np.any(np.isnan(band.group_velocity))
-    for i in range(0, band.k_grid.size, 7):
-        k = band.k_grid[i]
-        point = momentum_point(coin, k)
-        assert abs(quasi_energy(coin, k) - band.omega_values[i]) <= 1e-15
-        assert abs(point.omega - band.omega_values[i]) <= 1e-15
-        assert abs(group_velocity(coin, k) - band.group_velocity[i]) <= 1e-15
-        assert abs(point.group_velocity - band.group_velocity[i]) <= 1e-15
-        assert float(np.max(np.abs(bloch_vector(coin, k) - band.bloch[i]))) <= 1e-15
-        assert float(np.max(np.abs(point.bloch - band.bloch[i]))) <= 1e-15
