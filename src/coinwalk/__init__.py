@@ -8,15 +8,12 @@ against each other by the test suite.
 from .coins import (
     CoinRotation,
     CoinSpec,
-    check_unitary,
     compose,
     preset_coin,
     random_coin_spec,
-    rotation_matrix,
 )
 from .momentum import (
     DispersionBand,
-    NumericalDomainError,
     dispersion_band,
 )
 from .walk import (

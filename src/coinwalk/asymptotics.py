@@ -45,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose
+from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, su2_parts
 from .export import write_csv
-from .momentum import _su2_parts
 from .walk import InitialCondition
 
 __all__ = [
@@ -114,7 +113,7 @@ class VelocityDensity:
 
 def _measure_parameters(coin: CoinSpec, init: InitialCondition) -> tuple[float, float, float]:
     """``(s_perp, R, alpha s_z - beta c)``, which fix the velocity measure."""
-    c, s = _su2_parts(compose(coin))
+    c, s = su2_parts(coin)
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
     s0 = [float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
     alpha = float(s @ s0)

@@ -29,10 +29,9 @@ __all__ = [
     "PAULI_Z",
     "CoinRotation",
     "CoinSpec",
-    "rotation_matrix",
+    "su2_parts",
     "compose",
     "unitarity_error",
-    "check_unitary",
     "preset_coin",
     "random_coin_spec",
     "PRESET_NAMES",
@@ -136,45 +135,42 @@ class CoinSpec:
         return cls(tuple(rotations))
 
 
-def rotation_matrix(rot: CoinRotation) -> NDArray[np.complex128]:
-    """Return ``exp(i*angle*(n.sigma)) = cos(angle)*I + i*sin(angle)*(n.sigma)``.
+def su2_parts(spec: CoinSpec) -> tuple[float, NDArray[np.float64]]:
+    """Parts ``(c, s)`` of the full coin ``C = c I + i (s . sigma)``, ``c^2 + |s|^2 = 1``.
 
-    Always an SU(2) matrix:
+    The rotations multiply as unit quaternions, later ones from the left:
 
-        [[cos a + i*nz*sin a,   (i*nx + ny)*sin a],
-         [(i*nx - ny)*sin a,    cos a - i*nz*sin a]]
+        (a + i p.sigma)(c + i s.sigma) = (ac - p.s) + i (as + cp - p x s).sigma
+
+    and the product is divided by its norm once, so the coin is unit to a
+    few ulp however many rotations it has.
     """
-    nx, ny, nz = rot.axis
-    c = math.cos(rot.angle)
-    s = math.sin(rot.angle)
-    return np.array(
-        [
-            [c + 1j * nz * s, (1j * nx + ny) * s],
-            [(1j * nx - ny) * s, c - 1j * nz * s],
-        ],
-        dtype=np.complex128,
-    )
+    c, sx, sy, sz = 1.0, 0.0, 0.0, 0.0
+    for rot in spec.rotations:
+        a = math.cos(rot.angle)
+        sin_a = math.sin(rot.angle)
+        px, py, pz = (sin_a * n for n in rot.axis)
+        c, sx, sy, sz = (
+            a * c - (px * sx + py * sy + pz * sz),
+            a * sx + c * px - (py * sz - pz * sy),
+            a * sy + c * py - (pz * sx - px * sz),
+            a * sz + c * pz - (px * sy - py * sx),
+        )
+    norm = math.hypot(c, sx, sy, sz)
+    return c / norm, np.array([sx / norm, sy / norm, sz / norm])
 
 
 def compose(spec: CoinSpec) -> NDArray[np.complex128]:
-    """Matrix of the full coin: later rotations multiply from the left."""
-    mat = rotation_matrix(spec.rotations[0])
-    for rot in spec.rotations[1:]:
-        mat = rotation_matrix(rot) @ mat
-    return mat
+    """Matrix of the full coin, ``[[c + i s_z, s_y + i s_x], [-s_y + i s_x, c - i s_z]]``
+    from :func:`su2_parts`."""
+    c, (sx, sy, sz) = su2_parts(spec)
+    return np.array([[complex(c, sz), complex(sy, sx)], [complex(-sy, sx), complex(c, -sz)]])
 
 
 def unitarity_error(mat: NDArray[np.complex128]) -> float:
     """``max|m^dag m - I|``: how far rounding has moved ``mat`` off unitarity."""
     mat = np.asarray(mat, dtype=np.complex128)
     return float(np.max(np.abs(mat.conj().T @ mat - np.eye(2))))
-
-
-def check_unitary(mat: NDArray[np.complex128], tol: float) -> bool:
-    """True iff :func:`unitarity_error` ``<= tol``."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    return unitarity_error(mat) <= tol
 
 
 def preset_coin(name: str, theta: float | None = None, phi: float | None = None) -> CoinSpec:

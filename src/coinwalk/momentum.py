@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import CoinSpec, compose
+from .coins import CoinSpec, su2_parts
 from .export import write_csv
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "MIN_GRID_SIZE",
     "DEGENERACY_THRESHOLD",
-    "NumericalDomainError",
     "DispersionBand",
     "dispersion_band",
     "dispersion_to_csv",
@@ -45,15 +44,9 @@ __all__ = [
 # precision, so such k count as band-touching points
 DEGENERACY_THRESHOLD = 1e-8
 
-_ACOS_CLAMP = 1e-12
-
 # default and lower bound of the momentum count of a sampled band
 DEFAULT_GRID_SIZE = 4096
 MIN_GRID_SIZE = 64
-
-
-class NumericalDomainError(ArithmeticError):
-    """An arccos argument fell outside [-1, 1] by more than the clamping window."""
 
 
 @dataclass(frozen=True)
@@ -70,25 +63,6 @@ class DispersionBand:
     group_velocity: NDArray[np.float64]
 
 
-def _su2_parts(mat: NDArray[np.complex128]) -> tuple[float, np.ndarray]:
-    """Split ``mat = c I + i (s . sigma)`` into ``(c, s)``."""
-    c = 0.5 * (mat[0, 0] + mat[1, 1]).real
-    sx = 0.5 * (mat[0, 1] + mat[1, 0]).imag
-    sy = 0.5 * (mat[0, 1] - mat[1, 0]).real
-    sz = 0.5 * (mat[0, 0] - mat[1, 1]).imag
-    return float(c), np.array([sx, sy, sz])
-
-
-def _omega_from_cos(arg):
-    """Principal-branch arccos with a 1e-12 clamping window at the band edges."""
-    arg = np.asarray(arg, dtype=np.float64)
-    over = np.abs(arg) - 1.0
-    if np.any(over > _ACOS_CLAMP):
-        worst = float(np.max(over))
-        raise NumericalDomainError(f"|cos w| exceeds 1 by {worst:.3e} (> {_ACOS_CLAMP})")
-    return np.arccos(np.clip(arg, -1.0, 1.0))
-
-
 def _band_arrays(c: float, s: np.ndarray, k):
     """Vectorised dispersion data for coin parts ``(c, s)`` on momenta ``k``.
 
@@ -97,7 +71,8 @@ def _band_arrays(c: float, s: np.ndarray, k):
     """
     k = np.asarray(k, dtype=np.float64)
     ck, sk = np.cos(k), np.sin(k)
-    omega = _omega_from_cos(c * ck + s[2] * sk)
+    # |c cos k + s_z sin k| <= hypot(c, s_z) <= 1 up to rounding, as the coin is unit
+    omega = np.arccos(np.clip(c * ck + s[2] * sk, -1.0, 1.0))
 
     # U_k = cos(w) I + i (m . sigma) with |m| = sin(w); n = -m / sin(w).  |m|
     # keeps its precision near band touchings, where sin(arccos(.)) cancels
@@ -119,7 +94,7 @@ def dispersion_band(coin: CoinSpec, n_k: int = DEFAULT_GRID_SIZE) -> DispersionB
     if n_k < MIN_GRID_SIZE:
         raise ValueError(f"n_k must be >= {MIN_GRID_SIZE}")
     k = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
-    c, s = _su2_parts(compose(coin))
+    c, s = su2_parts(coin)
     omega, n, v, _ = _band_arrays(c, s, k)
     return DispersionBand(k_grid=k, omega_values=omega, bloch=n, group_velocity=v)
 

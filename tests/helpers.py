@@ -5,17 +5,17 @@ The closed forms here (two-rotation ``cos w(k)`` and ``U_k`` entries, band
 axes) are written out term by term, independent of the package's matrix
 algebra, so they can serve as oracles for it.  The reference implementations
 compute the same quantities as the package's fast paths by a different route
-(full-width stepping, dense ring-lattice evolution, momentum-space powers of
-the step operator, eigenbasis expansion,
-velocity measure sampled on a momentum grid, full-mesh closure scan, sampled
-minimum gap).
+(coin composition as a product of rotation matrices, full-width stepping,
+dense ring-lattice evolution, momentum-space powers of the step operator,
+eigenbasis expansion, velocity measure sampled on a momentum grid, full-mesh
+closure scan, sampled minimum gap).
 """
 
 import math
 
 import numpy as np
 
-from coinwalk.coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, compose, random_coin_spec
+from coinwalk.coins import PAULI_X, PAULI_Y, PAULI_Z, CoinRotation, CoinSpec, compose, random_coin_spec, su2_parts
 from coinwalk.gapscan import (
     BAND_PI,
     BAND_ZERO,
@@ -25,7 +25,7 @@ from coinwalk.gapscan import (
     canonical_angle,
     min_gap,
 )
-from coinwalk.momentum import DEGENERACY_THRESHOLD, _band_arrays, _su2_parts
+from coinwalk.momentum import DEGENERACY_THRESHOLD, _band_arrays
 from coinwalk.walk import InitialCondition
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
@@ -87,6 +87,28 @@ def reference_evolve(coin_state, coin_mat: np.ndarray, steps: int) -> np.ndarray
     return amps.astype(np.complex128)
 
 
+def rotation_matrix(rot: CoinRotation) -> np.ndarray:
+    """``exp(i*angle*(n.sigma)) = cos(angle)*I + i*sin(angle)*(n.sigma)``, entry by entry."""
+    nx, ny, nz = rot.axis
+    c = math.cos(rot.angle)
+    s = math.sin(rot.angle)
+    return np.array(
+        [
+            [c + 1j * nz * s, (1j * nx + ny) * s],
+            [(1j * nx - ny) * s, c - 1j * nz * s],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def matrix_product_coin(spec: CoinSpec) -> np.ndarray:
+    """The coin as a product of 2x2 rotation matrices, later rotations from the left."""
+    mat = np.eye(2, dtype=np.complex128)
+    for rot in spec.rotations:
+        mat = rotation_matrix(rot) @ mat
+    return mat
+
+
 def xy_product_entries(theta: float, phi: float) -> np.ndarray:
     """Hand-expanded entries of ``R_x(phi) @ R_y(theta)``."""
     cth, sth = np.cos(theta), np.sin(theta)
@@ -135,7 +157,7 @@ def uk_matrix(coin: CoinSpec, k: float) -> np.ndarray:
 
 def band_at(coin: CoinSpec, k):
     """``(omega, n, v, degenerate)`` of the coin's band at arbitrary momenta ``k``."""
-    return _band_arrays(*_su2_parts(compose(coin)), k)
+    return _band_arrays(*su2_parts(coin), k)
 
 
 def bloch_matrix(n) -> np.ndarray:
@@ -182,7 +204,7 @@ def eigenbasis_integrands(coin, init, grid_size: int):
     either side.
     """
     k = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    c, s = _su2_parts(compose(coin))
+    c, s = su2_parts(coin)
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
 
     def eval_at(kk):
@@ -220,7 +242,7 @@ def sampled_velocity_measure(coin, init, grid_size: int):
     ones.  Its first two moments converge to the closed-form drift rate and
     spread coefficient, its histogram to the closed-form bin masses.
     """
-    c, s = _su2_parts(compose(coin))
+    c, s = su2_parts(coin)
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
     s0 = np.array([float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)])
     s_perp_sq = s[0] ** 2 + s[1] ** 2

@@ -1,7 +1,7 @@
 """The CLI option table: flags, defaults and bounds, and how every value ends.
 
 Each run must either exit 0 with outputs that hold only finite numbers or
-empty fields, or exit 1, 2 or 3 with exactly one stderr line, no traceback
+empty fields, or exit 1 or 3 with exactly one stderr line, no traceback
 and no file written.
 """
 
@@ -23,24 +23,22 @@ from hypothesis import strategies as st
 
 from coinwalk import cli
 
-# flags per subcommand and config keys of the hand-written parser this table replaced
+# flags per subcommand and config keys that the option table must produce
 FLAGS = {
-    "simulate": "coin coin-file config distribution-out initial-bloch initial-coin out output-dir phi position seed "
+    "simulate": "coin coin-file config distribution-out initial-bloch initial-coin out output-dir phi position "
     "steps theta",
-    "moments": "coin coin-file config initial-bloch initial-coin out output-dir phi position seed steps theta",
-    "dispersion": "coin coin-file config grid-size out output-dir phi seed theta",
-    "asymptotics": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position seed theta",
-    "weak-limit": "bins coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position seed "
-    "theta",
-    "gapscan": "config grid map-grid map-out out output-dir seed tol",
-    "compare": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position seed steps "
-    "theta",
+    "moments": "coin coin-file config initial-bloch initial-coin out output-dir phi position steps theta",
+    "dispersion": "coin coin-file config grid-size out output-dir phi theta",
+    "asymptotics": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position theta",
+    "weak-limit": "bins coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position theta",
+    "gapscan": "config grid map-grid map-out out output-dir tol",
+    "compare": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position steps theta",
 }
 CONFIG_KEYS = {
     "bins", "coin", "coin_file", "distribution_out", "grid", "grid_size", "initial_bloch", "initial_coin",
-    "map_grid", "map_out", "out", "output_dir", "phi", "position", "seed", "steps", "theta", "tol",
+    "map_grid", "map_out", "out", "output_dir", "phi", "position", "steps", "theta", "tol",
 }
-PREFIX = {1: "config error:", 2: "numerical-domain error:", 3: "i/o error:"}
+PREFIX = {1: "config error:", 3: "i/o error:"}
 
 # a quick valid run of each subcommand, as config key -> text
 COIN = {"coin": "paper_xy", "theta": "0.3", "phi": "0.7"}

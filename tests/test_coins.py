@@ -9,32 +9,36 @@ from coinwalk.coins import (
     PAULI_X,
     CoinRotation,
     CoinSpec,
-    check_unitary,
     compose,
     preset_coin,
     random_coin_spec,
-    rotation_matrix,
     unitarity_error,
 )
-from helpers import sigma_x_distance, xy_product_entries
+from helpers import matrix_product_coin, sigma_x_distance, xy_product_entries
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
+EPS = np.finfo(np.float64).eps
+
+
+def single(axis, angle) -> np.ndarray:
+    """Matrix of the one-rotation coin."""
+    return compose(CoinSpec((CoinRotation(axis, angle),)))
 
 
 def test_zero_angle_is_identity():
-    mat = rotation_matrix(CoinRotation((0.0, 0.0, 1.0), 0.0))
+    mat = single((0.0, 0.0, 1.0), 0.0)
     assert np.allclose(mat, np.eye(2), atol=0)
 
 
 def test_y_rotation_is_real_rotation_matrix():
     th = 0.37
-    mat = rotation_matrix(CoinRotation((0.0, 1.0, 0.0), th))
+    mat = single((0.0, 1.0, 0.0), th)
     expected = np.array([[math.cos(th), math.sin(th)], [-math.sin(th), math.cos(th)]])
     assert np.allclose(mat, expected, atol=1e-15)
 
 
 def test_x_half_pi_is_i_sigma_x():
-    mat = rotation_matrix(CoinRotation((1.0, 0.0, 0.0), math.pi / 2))
+    mat = single((1.0, 0.0, 0.0), math.pi / 2)
     assert np.allclose(mat, 1j * PAULI_X, atol=1e-15)
 
 
@@ -63,9 +67,7 @@ def test_non_finite_rotation_rejected():
 def test_angle_wrapped_into_principal_range():
     rot = CoinRotation((0.0, 1.0, 0.0), 2.5 * math.pi)
     assert -math.pi <= rot.angle <= math.pi
-    assert np.allclose(
-        rotation_matrix(rot), rotation_matrix(CoinRotation((0.0, 1.0, 0.0), 0.5 * math.pi)), atol=1e-15
-    )
+    assert np.allclose(compose(CoinSpec((rot,))), single((0.0, 1.0, 0.0), 0.5 * math.pi), atol=1e-15)
 
 
 def test_empty_coin_rejected():
@@ -90,21 +92,32 @@ def test_compose_xy_matches_hand_expansion(theta, phi):
     assert np.max(np.abs(compose(spec) - xy_product_entries(theta, phi))) < 1e-14
 
 
-def test_unitarity_error_grows_with_rotations():
-    assert unitarity_error(np.eye(2)) == 0.0
-    assert unitarity_error(np.array([[1.0, 1.0], [0.0, 1.0]])) == 1.0
-    long_coin = compose(random_coin_spec(np.random.default_rng(0), 1000))
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_compose_matches_matrix_product(n_rot, seed):
+    spec = random_coin_spec(np.random.default_rng(seed), n_rot)
+    assert np.max(np.abs(compose(spec) - matrix_product_coin(spec))) <= 2 * n_rot * EPS
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_compose_has_exact_su2_form(n_rot, seed):
+    mat = compose(random_coin_spec(np.random.default_rng(seed), n_rot))
+    # C11 = conj(C00) and C10 = -conj(C01), bit for bit
+    assert mat[1, 1] == np.conj(mat[0, 0]) and mat[1, 0] == -np.conj(mat[0, 1])
+
+
+def test_unitarity_error_stays_at_ulp_level():
+    long_coin = compose(random_coin_spec(np.random.default_rng(0), 10**4))
     err = unitarity_error(long_coin)
     assert err == unitarity_error(long_coin.copy())  # deterministic
-    assert 1e-14 < err < 1e-13  # about 4.6e-14 at 10^3 rotations
+    assert err <= 4 * EPS  # a product of 2x2 matrices drifts to about 4e-13 here
 
 
-def test_check_unitary_examples():
-    assert check_unitary(np.eye(2, dtype=complex), 1e-12)
-    assert not check_unitary(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-12)
-    assert check_unitary(rotation_matrix(CoinRotation((0.0, 1.0, 0.0), 1.2)), 1e-12)
-    with pytest.raises(ValueError):
-        check_unitary(np.eye(2), 0.0)
+def test_unitarity_error_examples():
+    assert unitarity_error(np.eye(2, dtype=complex)) == 0.0
+    assert unitarity_error(np.array([[1.0, 1.0], [0.0, 1.0]])) == 1.0
+    assert unitarity_error(single((0.0, 1.0, 0.0), 1.2)) <= 4 * EPS
 
 
 def test_bulk_rotations_unitary_su2():
@@ -113,7 +126,7 @@ def test_bulk_rotations_unitary_su2():
     for _ in range(10_000):
         vec = rng.normal(size=3)
         vec /= np.linalg.norm(vec)
-        mat = rotation_matrix(CoinRotation(tuple(vec), rng.uniform(-math.pi, math.pi)))
+        mat = single(tuple(vec), rng.uniform(-math.pi, math.pi))
         worst_unit = max(worst_unit, float(np.max(np.abs(mat.conj().T @ mat - np.eye(2)))))
         worst_det = max(worst_det, abs(np.linalg.det(mat) - 1.0))
     assert worst_unit <= 1e-12
@@ -133,8 +146,8 @@ def test_composition_stays_unitary(n_rot, seed):
 def test_same_axis_inverse(angle, seed):
     vec = np.random.default_rng(seed).normal(size=3)
     vec /= np.linalg.norm(vec)
-    forward = rotation_matrix(CoinRotation(tuple(vec), angle))
-    backward = rotation_matrix(CoinRotation(tuple(vec), -angle))
+    forward = single(tuple(vec), angle)
+    backward = single(tuple(vec), -angle)
     assert np.max(np.abs(forward @ backward - np.eye(2))) <= 1e-13
 
 

@@ -24,3 +24,20 @@ def test_every_exported_name_resolves():
             if not (hasattr(module, alias.name) and hasattr(coinwalk, alias.asname or alias.name)):
                 missing.append(f"coinwalk.{node.module}.{alias.name}")
     assert not missing, missing
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a private helper another module needs belongs in that module's public API
+    private = []
+    for path in sorted(Path(coinwalk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "coinwalk"
+            )
+            if sibling:
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")  # dunders are public
+                ]
+    assert not private, private

@@ -8,8 +8,6 @@ from coinwalk.coins import CoinRotation, CoinSpec, preset_coin
 from coinwalk.momentum import (
     DEFAULT_GRID_SIZE,
     MIN_GRID_SIZE,
-    NumericalDomainError,
-    _omega_from_cos,
     dispersion_band,
     dispersion_to_csv,
 )
@@ -128,12 +126,6 @@ def test_quasi_energy_matches_closed_form_and_eigenphases():
         assert abs(w - math.acos(max(-1.0, min(1.0, arg)))) < 1e-12
         phases = np.sort(np.angle(np.linalg.eigvals(uk_matrix(spec, k))))
         assert abs(phases[0] + w) < 1e-12 and abs(phases[1] - w) < 1e-12
-
-
-def test_omega_clamping_window():
-    assert _omega_from_cos(1.0 + 5e-13) == 0.0
-    with pytest.raises(NumericalDomainError):
-        _omega_from_cos(1.0 + 5e-12)
 
 
 def test_bloch_identity_coin_along_z():
