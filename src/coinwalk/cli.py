@@ -4,9 +4,10 @@ Subcommands: ``simulate``, ``moments``, ``dispersion``, ``asymptotics``,
 ``weak-limit``, ``gapscan``, ``compare``.  Every run resolves a single
 configuration (flat ``key = value`` config file, overridden by command-line
 flags), writes the requested data files, and pairs each output with a
-``<name>.manifest.json`` echoing the full configuration so the artifact can
-be reproduced byte for byte.  A run that fails while writing deletes the
-files it wrote, so it leaves no output and no manifest behind.
+``<name>.manifest.json`` echoing the options the subcommand takes and the
+resolved initial state, so the artifact can be reproduced byte for byte.  A
+run that fails while writing deletes the files it wrote, so it leaves no
+output and no manifest behind.
 
 Angles are radians by default; append ``deg`` for degrees (``--theta 45deg``).
 Exit codes: 0 success, 1 configuration error, 3 I/O error.
@@ -21,7 +22,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +59,7 @@ from .momentum import (
 )
 from .walk import InitialCondition, MomentSeries, distribution_to_csv, fit_window, loglog_slope, moment_series
 
-__all__ = ["main", "ConfigError", "RunConfig"]
+__all__ = ["main", "ConfigError"]
 
 _OUTPUT_DIR_ENV = "COINWALK_OUTPUT_DIR"
 
@@ -85,29 +85,6 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise ConfigError(message)
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved configuration of one CLI run, echoed into manifests."""
-
-    command: str
-    coin: str | None = None
-    coin_file: str | None = None
-    theta: float | None = None
-    phi: float | None = None
-    initial_coin: list[list[float]] = field(default_factory=lambda: [[1.0, 0.0], [0.0, 0.0]])
-    position: int = 0
-    steps: int = 100
-    grid_size: int = DEFAULT_GRID_SIZE
-    bins: int = DEFAULT_BINS
-    grid: int = DEFAULT_GRID
-    tol: float = DEFAULT_TOL
-    map_grid: int = DEFAULT_MAP_GRID
-    output_dir: str = "."
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def parse_angle(text: str, name: str = "angle") -> float:
@@ -138,39 +115,45 @@ _ALL = (*_COINS, "gapscan")
 
 
 class _Option(NamedTuple):
-    """Config key ``name``, flag ``--name`` (``-`` for ``_``).  ``parse`` sets the
-    ``RunConfig`` field of that name, which holds the default, to a value in
-    ``bounds``; without it the raw text goes to the subcommand."""
+    """Config key ``name``, flag ``--name`` (``-`` for ``_``).  ``parse`` turns
+    the text into a value in ``bounds``, which the manifest records; without
+    it the raw text goes to the subcommand.  ``default`` holds when no text
+    is given."""
 
     name: str
     commands: tuple[str, ...]
     parse: Callable | None = None
     bounds: tuple | None = None
     help: str | None = None
+    default: object = None
 
 
 _OPTIONS = (
-    _Option("output_dir", _ALL, str, help=f"output directory, or ${_OUTPUT_DIR_ENV} when not given"),
+    _Option("output_dir", _ALL, str, help=f"output directory, or ${_OUTPUT_DIR_ENV} when not given", default="."),
     _Option("coin", _COINS, str, help="preset name: identity, sigma_x, hadamard_analog, paper_xy"),
     _Option("coin_file", _COINS, str, help="JSON file with a list of {axis, angle_rad|angle_deg} records"),
     _Option("theta", _COINS, parse_angle, help="paper_xy first rotation angle (radians, or e.g. 45deg)"),
     _Option("phi", _COINS, parse_angle, help="paper_xy second rotation angle (radians, or e.g. 45deg)"),
     _Option("initial_coin", _WALKS, help="two complex components, e.g. '1,0' or '0.6,0.8j'"),
     _Option("initial_bloch", _WALKS, help="alpha,beta Bloch angles for the initial coin state"),
-    _Option("position", _WALKS, int, (-_MAX_SITE, _MAX_SITE), "initial site"),
-    _Option("steps", ("simulate", "moments", "compare"), int, (0, _MAX_STEPS), "walk steps"),
+    _Option("position", _WALKS, int, (-_MAX_SITE, _MAX_SITE), "initial site", 0),
+    _Option("steps", ("simulate", "moments", "compare"), int, (0, _MAX_STEPS), "walk steps", 100),
     _Option(
         "grid_size", ("dispersion", "asymptotics", "weak-limit", "compare"), int,
         (MIN_GRID_SIZE, _MAX_GRID_SIZE), "momentum samples of the dispersion band; the others record it",
+        DEFAULT_GRID_SIZE,
     ),
-    _Option("bins", ("weak-limit",), int, (MIN_BINS, _MAX_BINS), "velocity bins over [-1, 1]"),
-    _Option("grid", ("gapscan",), int, (MIN_GRID, _MAX_GRID), "scan resolution per axis (inclusive of both edges)"),
+    _Option("bins", ("weak-limit",), int, (MIN_BINS, _MAX_BINS), "velocity bins over [-1, 1]", DEFAULT_BINS),
+    _Option(
+        "grid", ("gapscan",), int, (MIN_GRID, _MAX_GRID), "scan resolution per axis (inclusive of both edges)",
+        DEFAULT_GRID,
+    ),
     # tol > 0: math.ulp(0.0) is the smallest positive float
-    _Option("tol", ("gapscan",), float, (math.ulp(0.0), MAX_TOL), "gap threshold for a closure"),
+    _Option("tol", ("gapscan",), float, (math.ulp(0.0), MAX_TOL), "gap threshold for a closure", DEFAULT_TOL),
     _Option("out", _ALL),
     _Option("distribution_out", ("simulate",), help="also write the final-step distribution CSV (t,x,p)"),
     _Option("map_out", ("gapscan",), help="also write a gap-map CSV theta,phi,gap_zero,gap_pi"),
-    _Option("map_grid", ("gapscan",), int, (2, _MAX_MAP_GRID), "gap-map resolution per axis"),
+    _Option("map_grid", ("gapscan",), int, (2, _MAX_MAP_GRID), "gap-map resolution per axis", DEFAULT_MAP_GRID),
 )
 
 
@@ -216,10 +199,7 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def _help(opt: _Option) -> str:
-    notes = []
-    default = getattr(RunConfig, opt.name, None)
-    if default is not None:
-        notes.append(f"default {default!r}")
+    notes = [] if opt.default is None else [f"default {opt.default!r}"]
     if opt.bounds:
         notes.append("%s to %s" % opt.bounds)
     return f"{opt.help} ({'; '.join(notes)})" if notes else opt.help
@@ -244,26 +224,27 @@ def _parser() -> _Parser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
-    """Apply config-file values underneath the parsed flags; return the
-    resolved RunConfig plus raw string leftovers (out paths, initial state)."""
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = RunConfig(command=args.command, output_dir=os.environ.get(_OUTPUT_DIR_ENV, RunConfig.output_dir))
-    raw = {}
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option's value: the flag, else the config file, else
+    ``$COINWALK_OUTPUT_DIR`` (``output_dir`` only), else the default.  Text is
+    parsed where the option has a parser, so every config-file value is
+    checked, also for options the subcommand does not take."""
+    fallback = read_config_file(args.config) if args.config else {}
+    fallback.setdefault("output_dir", os.environ.get(_OUTPUT_DIR_ENV))  # below the file, above the default
+    cfg = argparse.Namespace(command=args.command)
     for opt in _OPTIONS:
         text = getattr(args, opt.name, None)
         if isinstance(text, list):  # argparse reads "--name=--" as no value at all
             raise ConfigError(f"argument --{opt.name.replace('_', '-')}: expected one argument")
         if text is None:
-            text = file_values.get(opt.name)
-        if opt.parse is None:
-            raw[opt.name] = text
-        elif text is not None:
-            setattr(cfg, opt.name, _value(opt, text))
-    return cfg, raw
+            text = fallback.get(opt.name)
+        if text is not None and opt.parse is not None:
+            text = _value(opt, text)
+        setattr(cfg, opt.name, opt.default if text is None else text)
+    return cfg
 
 
-def _resolve_coin(cfg: RunConfig) -> CoinSpec:
+def _resolve_coin(cfg: argparse.Namespace) -> CoinSpec:
     if cfg.coin and cfg.coin_file:
         raise ConfigError("give either --coin or --coin-file, not both")
     if cfg.coin_file:
@@ -285,9 +266,8 @@ def _resolve_coin(cfg: RunConfig) -> CoinSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_initial(cfg: RunConfig, raw: dict) -> InitialCondition:
-    coin_text = raw.get("initial_coin")
-    bloch_text = raw.get("initial_bloch")
+def _resolve_initial(cfg: argparse.Namespace) -> InitialCondition:
+    coin_text, bloch_text = cfg.initial_coin, cfg.initial_bloch
     if coin_text and bloch_text:
         raise ConfigError("give either initial_coin or initial_bloch, not both")
     try:
@@ -303,25 +283,31 @@ def _resolve_initial(cfg: RunConfig, raw: dict) -> InitialCondition:
         elif coin_text:
             init = InitialCondition(_parse_complex_pair(coin_text), cfg.position)
         else:
-            init = InitialCondition(np.array([1.0, 0.0]), cfg.position)
+            init = InitialCondition(np.array([1.0, 0.0]), cfg.position)  # |0>
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.initial_coin = [[float(c.real), float(c.imag)] for c in init.coin_state]
     return init
 
 
-def _write_outputs(cfg: RunConfig, raw: dict, coin: CoinSpec | None, writers: dict, results: dict | None) -> None:
+def _write_outputs(
+    cfg: argparse.Namespace, coin: CoinSpec | None, init: InitialCondition | None, writers: dict, results: dict | None
+) -> None:
     """Write each output that the subcommand takes and was given, under
-    ``cfg.output_dir``, then its ``<name>.manifest.json``.  If any write fails,
-    delete every file this run wrote and re-raise."""
+    ``cfg.output_dir``, then its ``<name>.manifest.json``, whose ``config``
+    holds the parsed options the subcommand takes and a walk's initial coin
+    state.  If any write fails, delete every file this run wrote and re-raise."""
+    taken = [opt for opt in _OPTIONS if cfg.command in opt.commands]
     outputs = [
-        (Path(cfg.output_dir) / raw[opt.name], writers[opt.name])
-        for opt in _OPTIONS
-        if opt.name in writers and cfg.command in opt.commands and raw[opt.name]
+        (Path(cfg.output_dir) / getattr(cfg, opt.name), writers[opt.name])
+        for opt in taken
+        if opt.name in writers and getattr(cfg, opt.name)
     ]
+    config = {"command": cfg.command, **{opt.name: getattr(cfg, opt.name) for opt in taken if opt.parse}}
+    if init is not None:
+        config["initial_coin"] = [[float(c.real), float(c.imag)] for c in init.coin_state]
     manifest = {
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": config,
         "coin_rotations": coin.to_dicts() if coin is not None else None,
         "outputs": [path.name for path, _ in outputs],
         "sign_calibration": sign_calibration(),
@@ -349,7 +335,7 @@ def _write_outputs(cfg: RunConfig, raw: dict, coin: CoinSpec | None, writers: di
         written.append(path)
 
 
-def _cmd_simulate(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
+def _cmd_simulate(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
     ms = moment_series(init, coin, cfg.steps)
     # skip the trivial t=0 row: a run of N steps yields N data rows
     table = MomentSeries(times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:], norm=ms.norm[1:])
@@ -357,11 +343,11 @@ def _cmd_simulate(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     return writers, {"max_norm_drift": ms.max_norm_drift}
 
 
-def _cmd_dispersion(cfg: RunConfig, coin: CoinSpec, init: None):
+def _cmd_dispersion(cfg: argparse.Namespace, coin: CoinSpec, init: None):
     return {"out": functools.partial(dispersion_to_csv, dispersion_band(coin, cfg.grid_size))}, None
 
 
-def _cmd_asymptotics(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
+def _cmd_asymptotics(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
     am = moment_integrals(coin, init)
     record = asymptotic_moments_to_dict(am)
     record["classification"] = am.classification
@@ -374,7 +360,7 @@ def _cmd_asymptotics(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     return {"out": functools.partial(write_json, obj=record)}, results
 
 
-def _cmd_weak_limit(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
+def _cmd_weak_limit(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
     vd = weak_limit_density(coin, init, cfg.bins)
     if vd.degenerate:
         print("note: coin is in the sigma_x family; the density collapses onto v = 0")
@@ -384,7 +370,7 @@ def _cmd_weak_limit(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
     return {"out": functools.partial(velocity_density_to_csv, vd)}, results
 
 
-def _cmd_gapscan(cfg: RunConfig, coin: None, init: None):
+def _cmd_gapscan(cfg: argparse.Namespace, coin: None, init: None):
     closures = enumerate_closures(cfg.grid, cfg.tol)
     record = closures_to_dict(closures, grid=cfg.grid, tol=cfg.tol)
     record["no_boundary"] = assert_no_boundary(closures, tol=cfg.tol)
@@ -397,7 +383,7 @@ def _cmd_gapscan(cfg: RunConfig, coin: None, init: None):
     return writers, {"count_points": record["count_points"]}
 
 
-def _cmd_compare(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
+def _cmd_compare(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
     am = moment_integrals(coin, init)
     ms = moment_series(init, coin, cfg.steps)
     var = ms.variance
@@ -425,7 +411,7 @@ def _cmd_compare(cfg: RunConfig, coin: CoinSpec, init: InitialCondition):
 class _Command(NamedTuple):
     # computes and prints; returns one writer per output option, path -> None,
     # and the manifest ``results``
-    run: Callable[[RunConfig, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
+    run: Callable[[argparse.Namespace, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
     help: str
     out_help: str | None = None
     out_required: bool = True
@@ -455,11 +441,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        cfg, raw = _merge(args)
+        cfg = _merge(args)
         coin = _resolve_coin(cfg) if cfg.command in _COINS else None
-        init = _resolve_initial(cfg, raw) if cfg.command in _WALKS else None
+        init = _resolve_initial(cfg) if cfg.command in _WALKS else None
         writers, results = _COMMANDS[cfg.command].run(cfg, coin, init)
-        _write_outputs(cfg, raw, coin, writers, results)
+        _write_outputs(cfg, coin, init, writers, results)
         return 0
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ Named presets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -93,9 +93,12 @@ class CoinRotation:
 
 @dataclass(frozen=True)
 class CoinSpec:
-    """Ordered list of coin rotations; ``rotations[0]`` is applied first."""
+    """Ordered list of coin rotations; ``rotations[0]`` is applied first.
+    They are composed once, here, into the ``(c, s_x, s_y, s_z)`` that
+    :func:`su2_parts` and :func:`compose` read."""
 
     rotations: tuple[CoinRotation, ...]
+    parts: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rots = tuple(self.rotations)
@@ -104,6 +107,7 @@ class CoinSpec:
         if not all(isinstance(r, CoinRotation) for r in rots):
             raise TypeError("rotations must be CoinRotation instances")
         object.__setattr__(self, "rotations", rots)
+        object.__setattr__(self, "parts", _unit_quaternion(rots))
 
     def to_dicts(self) -> list[dict]:
         return [r.to_dict() for r in self.rotations]
@@ -135,18 +139,16 @@ class CoinSpec:
         return cls(tuple(rotations))
 
 
-def su2_parts(spec: CoinSpec) -> tuple[float, NDArray[np.float64]]:
-    """Parts ``(c, s)`` of the full coin ``C = c I + i (s . sigma)``, ``c^2 + |s|^2 = 1``.
-
-    The rotations multiply as unit quaternions, later ones from the left:
+def _unit_quaternion(rotations: tuple[CoinRotation, ...]) -> tuple[float, float, float, float]:
+    """The rotations multiplied as unit quaternions, later ones from the left:
 
         (a + i p.sigma)(c + i s.sigma) = (ac - p.s) + i (as + cp - p x s).sigma
 
-    and the product is divided by its norm once, so the coin is unit to a
-    few ulp however many rotations it has.
+    and the product divided by its norm once, so the coin is unit to a few
+    ulp however many rotations it has.
     """
     c, sx, sy, sz = 1.0, 0.0, 0.0, 0.0
-    for rot in spec.rotations:
+    for rot in rotations:
         a = math.cos(rot.angle)
         sin_a = math.sin(rot.angle)
         px, py, pz = (sin_a * n for n in rot.axis)
@@ -157,13 +159,17 @@ def su2_parts(spec: CoinSpec) -> tuple[float, NDArray[np.float64]]:
             a * sz + c * pz - (px * sy - py * sx),
         )
     norm = math.hypot(c, sx, sy, sz)
-    return c / norm, np.array([sx / norm, sy / norm, sz / norm])
+    return c / norm, sx / norm, sy / norm, sz / norm
+
+
+def su2_parts(spec: CoinSpec) -> tuple[float, NDArray[np.float64]]:
+    """Parts ``(c, s)`` of the full coin ``C = c I + i (s . sigma)``, ``c^2 + |s|^2 = 1``."""
+    return spec.parts[0], np.array(spec.parts[1:])
 
 
 def compose(spec: CoinSpec) -> NDArray[np.complex128]:
-    """Matrix of the full coin, ``[[c + i s_z, s_y + i s_x], [-s_y + i s_x, c - i s_z]]``
-    from :func:`su2_parts`."""
-    c, (sx, sy, sz) = su2_parts(spec)
+    """Matrix of the full coin, ``[[c + i s_z, s_y + i s_x], [-s_y + i s_x, c - i s_z]]``."""
+    c, sx, sy, sz = spec.parts
     return np.array([[complex(c, sz), complex(sy, sx)], [complex(-sy, sx), complex(c, -sz)]])
 
 

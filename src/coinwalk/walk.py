@@ -17,6 +17,7 @@ runs in numpy.  The two agree to the last few digits; each is deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -133,8 +134,9 @@ class MomentSeries:
 
 def _load_kernel(cache_dir: Path):
     """The compiled step loop, built into ``cache_dir`` unless a build of this
-    source with these flags and this compiler is there already; ``None`` when
-    ``sysconfig`` names no compiler, or the build or the load fails."""
+    source with these flags and this compiler is there already; a new build
+    deletes the older ones.  ``None`` when ``sysconfig`` names no compiler, or
+    the build or the load fails."""
     try:
         cc = shlex.split(sysconfig.get_config_var("CC") or "")
         if not cc:
@@ -157,6 +159,10 @@ def _load_kernel(cache_dir: Path):
                 os.replace(tmp, lib)
             finally:
                 tmp.unlink(missing_ok=True)
+            for stale in cache_dir.glob("_walk-*.so"):  # another source, flags or compiler
+                if stale != lib:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
         kernel = ctypes.CDLL(str(lib)).coinwalk_advance
     except (OSError, ValueError, AttributeError):
         return None

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coinwalk import asymptotics, cli, walk
+from coinwalk import asymptotics, cli, coins, walk
 from coinwalk.coins import CoinSpec, compose, preset_coin, random_coin_spec, unitarity_error
 from coinwalk.cli import ConfigError, main, parse_angle, read_config_file
 
@@ -121,6 +121,21 @@ def test_manifests_record_coin_unitarity_error(tmp_path):
         assert json.loads(manifests[0])["results"]["coin_unitarity_error"] == expected, command
     assert run("gapscan", "--out", "g.json", "--output-dir", str(tmp_path)) == 0
     assert "coin_unitarity_error" not in json.loads((tmp_path / "g.json.manifest.json").read_text()).get("results", {})
+
+
+def test_compare_composes_the_coin_once(tmp_path, monkeypatch):
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text(json.dumps(random_coin_spec(np.random.default_rng(1), 50).to_dicts()))
+    compositions = []
+    multiply = coins._unit_quaternion
+
+    def counted(rotations):
+        compositions.append(len(rotations))
+        return multiply(rotations)
+
+    monkeypatch.setattr(coins, "_unit_quaternion", counted)
+    assert run("compare", "--coin-file", str(coin_file), "--steps", "8", "--out", str(tmp_path / "c.csv")) == 0
+    assert compositions == [50]  # the walk, the asymptotic integrals and the manifest share it
 
 
 def test_spectral_manifests_are_byte_identical_across_runs(tmp_path):

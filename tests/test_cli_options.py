@@ -274,6 +274,32 @@ def test_unwritable_output_leaves_no_file_of_the_run(tmp_path, capsys, command, 
     assert (tmp_path / "keep.txt").read_text() == "unrelated\n"
 
 
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_manifest_config_holds_the_options_its_subcommand_takes(tmp_path, command):
+    # every option the subcommand takes that parses to a value, plus the
+    # resolved initial state of a walk; nothing else
+    assert cli.main([command, f"--output-dir={tmp_path}", *_flags(BASE[command])]) == 0
+    taken = {opt.name for opt in cli._OPTIONS if command in opt.commands and opt.parse}
+    walks = {"simulate", "moments", "asymptotics", "weak-limit", "compare"}
+    expected = {"command", *taken, *(["initial_coin"] if command in walks else [])}
+    for manifest in tmp_path.glob("*.manifest.json"):
+        config = json.loads(manifest.read_text())["config"]
+        assert set(config) == expected, (command, sorted(config))
+        assert config["command"] == command and config["output_dir"] == str(tmp_path)
+        for key, text in BASE[command].items():
+            if key in taken and key not in ("theta", "phi"):
+                assert config[key] == type(config[key])(text), key
+
+
+def test_config_file_value_is_checked_for_an_option_the_subcommand_does_not_take(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("bins = 5\n")
+    options = {**BASE["simulate"], "output_dir": str(tmp_path / "out")}
+    assert cli.main(["simulate", f"--config={config}", *_flags(options)]) == 1
+    assert capsys.readouterr().err == f"config error: bins must be >= {cli.MIN_BINS}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_table_gives_the_same_flags_and_config_keys():
     assert {opt.name for opt in cli._OPTIONS} == CONFIG_KEYS
     for command in cli._COMMANDS:
@@ -287,7 +313,7 @@ def test_defaults_and_sizes_in_use_lie_within_bounds():
     for opt in cli._OPTIONS:
         if opt.bounds:
             lo, hi = opt.bounds
-            assert lo <= getattr(cli.RunConfig, opt.name) <= hi, opt.name
+            assert lo <= opt.default <= hi, opt.name
             assert lo <= in_use.get(opt.name, lo) <= hi, opt.name
 
 
@@ -328,6 +354,6 @@ def test_readme_states_the_size_ranges():
     readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
     for opt in cli._OPTIONS:
         if opt.name in CHEAP:
-            default = getattr(cli.RunConfig, opt.name)
+            default = opt.default
             assert f"`--{opt.name.replace('_', '-')}`" in readme
             assert f"default {default}, {opt.bounds[0]} to {opt.bounds[1]}" in readme, opt.name
