@@ -6,8 +6,10 @@
  * coin 0 sits in a block whose base moves down one slot per step, so its right
  * shift is free too.  Each step maps every occupied (coin 0, coin 1) pair
  * through the 2x2 coin in place and, when ``sums`` is given, reduces
- * sum p, sum x p and sum x^2 p over the new block into column k of the
- * (3, steps + 1) row-major array ``sums``.
+ * sum p, sum d p and sum d^2 p over the new block into column k of the
+ * (3, steps + 1) row-major array ``sums``, where d is a site's displacement
+ * from the start site: an exact integer, so the sums do not depend on where
+ * the walk starts.
  *
  * Subnormals.  The amplitudes near the light-cone edges decay through the
  * subnormal range, and on many x86 cores every multiplication that reads or
@@ -23,26 +25,14 @@
  * added in at the end of the step.  A pair of four zeros is left as it is.
  *
  * Plain C99 with no Python API: the caller owns and sizes every buffer, and
- * nothing is allocated here.  Build without -ffast-math and with
- * -ffp-contract=off, so the arithmetic is the IEEE operations written below,
- * in the order written, and reruns are bit for bit the same.
+ * nothing is allocated here.  Every operation is a double one, on every
+ * platform.  Build without -ffast-math and with -ffp-contract=off, so the
+ * arithmetic is the IEEE operations written below, in the order written, and
+ * reruns are bit for bit the same.
  */
-#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-
-/* The map's products and sums run in x87 extended precision where long
- * double is that format (64-bit significand, as on x86-64), so each output is
- * rounded to double once, not at each of its seven operations.  Over 64 steps
- * the median amplitude error is then 1.2e-16, against 2.0e-16 for numpy's
- * fused multiply-adds and 2.1e-16 in plain doubles.  Elsewhere, where long
- * double is double itself or a slow software format, they run in double. */
-#if LDBL_MANT_DIG == 64
-typedef long double wide;
-#else
-typedef double wide;
-#endif
 
 #define UP 0x1p600
 #define DOWN 0x1p-600
@@ -85,21 +75,19 @@ static double scale_down(double a)
 }
 
 /* (a, b) <- (c00 a + c01 b, c10 a + c11 b) for v = (a.re, a.im, b.re, b.im);
- * c holds c00, c01, c10, c11 as (re, im) pairs.  Each output sums its four
- * products in ``wide`` and is rounded to double once. */
+ * c holds c00, c01, c10, c11 as (re, im) pairs. */
 static void coin_map(double *v, const double *c)
 {
-    const wide ar = v[0], ai = v[1], br = v[2], bi = v[3];
-    v[0] = (double)((ar * c[0] - ai * c[1]) + (br * c[2] - bi * c[3]));
-    v[1] = (double)((ar * c[1] + ai * c[0]) + (br * c[3] + bi * c[2]));
-    v[2] = (double)((ar * c[4] - ai * c[5]) + (br * c[6] - bi * c[7]));
-    v[3] = (double)((ar * c[5] + ai * c[4]) + (br * c[7] + bi * c[6]));
+    const double ar = v[0], ai = v[1], br = v[2], bi = v[3];
+    v[0] = (ar * c[0] - ai * c[1]) + (br * c[2] - bi * c[3]);
+    v[1] = (ar * c[1] + ai * c[0]) + (br * c[3] + bi * c[2]);
+    v[2] = (ar * c[4] - ai * c[5]) + (br * c[6] - bi * c[7]);
+    v[3] = (ar * c[5] + ai * c[4]) + (br * c[7] + bi * c[6]);
 }
 
-/* Walk ``steps`` steps.  ``base`` is the position of flat index 0, x0 - steps
- * rounded to a double: block site i after step k is at base + (steps - k + 2i),
- * formed as in the numpy loop.  ``sums`` may be NULL; column 0 is the caller's. */
-void coinwalk_advance(double *flat, int64_t steps, const double *coin, double base, double *sums)
+/* Walk ``steps`` steps.  Block site i after step k is displaced 2i - k from
+ * the start site.  ``sums`` may be NULL; column 0 is the caller's. */
+void coinwalk_advance(double *flat, int64_t steps, const double *coin, double *sums)
 {
     const int64_t width = steps + 1;
     double *b1 = flat + 2 * width;
@@ -139,16 +127,16 @@ void coinwalk_advance(double *flat, int64_t steps, const double *coin, double ba
             if (sums == NULL)
                 continue;
             const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
-            const double xa = base + (double)(lo + 2 * j + 2), xb = base + (double)(lo + 2 * j);
-            const double p = qa + qb, xp = xa * qa + xb * qb, xxp = (xa * xa) * qa + (xb * xb) * qb;
+            const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
+            const double p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
             if (scaled) {
                 u0 += p;
-                u1 += xp;
-                u2 += xxp;
+                u1 += dp;
+                u2 += ddp;
             } else {
                 s0 += p;
-                s1 += xp;
-                s2 += xxp;
+                s1 += dp;
+                s2 += ddp;
             }
         }
         if (sums != NULL) {

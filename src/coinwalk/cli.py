@@ -57,7 +57,15 @@ from .momentum import (
     dispersion_band,
     dispersion_to_csv,
 )
-from .walk import InitialCondition, MomentSeries, distribution_to_csv, fit_window, loglog_slope, moment_series
+from .walk import (
+    InitialCondition,
+    MomentSeries,
+    distribution_to_csv,
+    fit_window,
+    kernel_name,
+    loglog_slope,
+    moment_series,
+)
 
 __all__ = ["main", "ConfigError"]
 
@@ -74,7 +82,9 @@ _MAX_GRID_SIZE = _MEMORY_BUDGET // 768  # dispersion, 634 bytes per momentum
 _MAX_BINS = _MEMORY_BUDGET // 256  # weak-limit, 190 bytes per bin
 _MAX_GRID = _MEMORY_BUDGET // 64  # gapscan closure scan, 48 bytes per grid line
 _MAX_MAP_GRID = math.isqrt(_MEMORY_BUDGET // 400)  # gap map, 351 bytes per cell
-# sites are reduced as float64, which holds every integer up to 2^53
+# the walk reduces displacements from the start site, so the variance is the
+# same at every start; the mean and the second moment add the start as a
+# float64, which holds every integer up to 2^53
 _MAX_SITE = 2**53
 
 
@@ -308,7 +318,9 @@ def _write_outputs(
     manifest = {
         "version": __version__,
         "config": config,
-        "coin_rotations": coin.to_dicts() if coin is not None else None,
+        # the composed coin (c, sx, sy, sz) that every output is computed from;
+        # ``config`` names the preset or the coin file
+        "coin_parts": list(coin.parts) if coin is not None else None,
         "outputs": [path.name for path, _ in outputs],
         "sign_calibration": sign_calibration(),
     }
@@ -338,9 +350,11 @@ def _write_outputs(
 def _cmd_simulate(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
     ms = moment_series(init, coin, cfg.steps)
     # skip the trivial t=0 row: a run of N steps yields N data rows
-    table = MomentSeries(times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:], norm=ms.norm[1:])
+    table = MomentSeries(
+        times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:], variance=ms.variance[1:], norm=ms.norm[1:]
+    )
     writers = {"out": table.to_csv, "distribution_out": functools.partial(distribution_to_csv, ms.final)}
-    return writers, {"max_norm_drift": ms.max_norm_drift}
+    return writers, {"max_norm_drift": ms.max_norm_drift, "walk_kernel": kernel_name()}
 
 
 def _cmd_dispersion(cfg: argparse.Namespace, coin: CoinSpec, init: None):
@@ -404,7 +418,7 @@ def _cmd_compare(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition
         print("log-log slope unavailable: variance vanishes inside the fit window")
     else:
         print(f"log-log variance slope over t in [{window[0]}, {cfg.steps}]: {slope:.6f}")
-    results = {"loglog_slope": slope, "max_norm_drift": ms.max_norm_drift}
+    results = {"loglog_slope": slope, "max_norm_drift": ms.max_norm_drift, "walk_kernel": kernel_name()}
     return {"out": functools.partial(write_csv, header=header, columns=columns)}, results
 
 

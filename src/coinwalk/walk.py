@@ -12,7 +12,11 @@ exact zeros on the empty sublattice.
 The step loop runs as compiled C (``_walk.c``), built on first use into this
 package's ``__pycache__`` with the C compiler that ``sysconfig`` names, and
 loaded through ``ctypes``.  Where the build or the load fails, the same loop
-runs in numpy.  The two agree to the last few digits; each is deterministic.
+runs in numpy; :func:`kernel_name` says which one runs.  Both map in plain
+IEEE doubles and agree to the last few digits; each is deterministic.  The
+loop reduces the moments over displacements from the start site, which are
+exact integers, and ``moment_series`` adds the start site once, so the
+variance does not depend on where the walk starts.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "distribution",
     "moments",
     "moment_series",
+    "kernel_name",
     "fit_window",
     "loglog_slope",
     "distribution_to_csv",
@@ -110,17 +115,15 @@ class WalkerState:
 class MomentSeries:
     """Position mean / second moment / variance and total probability ``norm``
     after each step, plus the state after the last step when the series comes
-    from a walk run."""
+    from a walk run.  ``variance`` is reduced from the displacements, so it
+    holds no cancellation against the start site."""
 
     times: NDArray[np.int64]
     mean: NDArray[np.float64]
     second: NDArray[np.float64]
+    variance: NDArray[np.float64]
     norm: NDArray[np.float64]
     final: WalkerState | None = None
-
-    @property
-    def variance(self) -> NDArray[np.float64]:
-        return self.second - self.mean**2
 
     @property
     def max_norm_drift(self) -> float:
@@ -166,8 +169,8 @@ def _load_kernel(cache_dir: Path):
         kernel = ctypes.CDLL(str(lib)).coinwalk_advance
     except (OSError, ValueError, AttributeError):
         return None
-    # flat amplitudes, steps, coin entries, position of flat index 0, sums or NULL
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
+    # flat amplitudes, steps, coin entries, sums or NULL
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     kernel.restype = None
     return kernel
 
@@ -177,10 +180,15 @@ def _kernel():
     return _load_kernel(_SOURCE.with_name("__pycache__"))
 
 
+def kernel_name() -> str:
+    """``"compiled"`` or ``"numpy"``: the step loop this process runs."""
+    return "numpy" if _kernel() is None else "compiled"
+
+
 def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = False):
     """Walk ``steps`` steps from ``init``; returns the light-cone state and,
-    with ``reduce``, a (3, steps + 1) array of ``sum p``, ``sum x p`` and
-    ``sum x^2 p`` after each step, reduced with absolute site positions.
+    with ``reduce``, a (3, steps + 1) array of ``sum p``, ``sum d p`` and
+    ``sum d^2 p`` after each step, over the displacements d from the start site.
 
     Only the sublattice at sites ``x0 - t + 2i`` is stored: after step k it
     holds k + 1 sites.  Both coin components sit in one flat buffer: coin 1
@@ -196,26 +204,22 @@ def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = 
     flat = np.zeros(2 * width, dtype=np.complex128)
     flat[steps], flat[width] = init.coin_state
     coin_mat = np.ascontiguousarray(compose(coin), dtype=np.complex128)
-    base = float(init.position - steps)  # position of flat index 0
     sums = None
     if reduce:
-        sums = norm, mean, second = np.empty((3, width))
-        norm[0] = np.sum(np.abs(init.coin_state) ** 2)  # within 1e-12 of 1, not 1 itself
-        x0 = float(init.position)
-        mean[0] = x0 * norm[0]
-        second[0] = x0 * x0 * norm[0]
+        sums = np.zeros((3, width))  # at t = 0 every displacement is 0
+        sums[0, 0] = np.sum(np.abs(init.coin_state) ** 2)  # within 1e-12 of 1, not 1 itself
     kernel = _kernel()
     if kernel is not None:
-        kernel(flat.ctypes.data, steps, coin_mat.ctypes.data, base, None if sums is None else sums.ctypes.data)
+        kernel(flat.ctypes.data, steps, coin_mat.ctypes.data, None if sums is None else sums.ctypes.data)
     else:
-        _numpy_steps(flat, coin_mat, steps, base, sums)
+        _numpy_steps(flat, coin_mat, steps, sums)
     # the empty parity class holds exact zeros
     amps = np.zeros((2 * width - 1, 2), dtype=np.complex128)
     amps[0::2] = flat.reshape(2, width).T
     return WalkerState(t=steps, offset=init.position - steps, amplitudes=amps), sums
 
 
-def _numpy_steps(flat, coin_mat, steps, base, sums) -> None:
+def _numpy_steps(flat, coin_mat, steps, sums) -> None:
     """The step loop of ``_walk.c`` in numpy, with the same arguments."""
     width = steps + 1
     c00, c01, c10, c11 = coin_mat.ravel()
@@ -223,7 +227,7 @@ def _numpy_steps(flat, coin_mat, steps, base, sums) -> None:
     if sums is not None:
         floats = flat.view(np.float64)
         work = np.empty(6 * width)
-        x = base + np.arange(2 * width - 1, dtype=np.float64)  # every site ever reached
+        x = np.arange(-steps, steps + 1, dtype=np.float64)  # every displacement ever reached
         # x and x^2 per parity class, each repeated for the real and imaginary part
         weights = [np.repeat(np.stack((x[p::2], x[p::2] ** 2)), 2, axis=1) for p in (0, 1)]
     for k in range(1, width):
@@ -240,7 +244,7 @@ def _numpy_steps(flat, coin_mat, steps, base, sums) -> None:
         np.multiply(a1, c11, out=s0)
         np.add(s2, s0, out=a1)
         if sums is not None:
-            # block site i is x[lo + 2i], entry lo // 2 + i of its parity class
+            # block site i is displaced x[lo + 2i], entry lo // 2 + i of its parity class
             w = weights[lo % 2][:, 2 * (lo // 2) : 2 * (lo // 2 + n)]
             block = floats[2 * lo : 2 * (lo + 2 * n)]
             # rows p, x p and x^2 p, split into real and imaginary parts; the
@@ -275,12 +279,19 @@ def moments(state: WalkerState) -> tuple[float, float]:
 
 
 def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentSeries:
-    """Total probability, mean and second moment after every step from 0
-    through ``steps``, reduced inside one kernel run; the series carries the
-    final state."""
-    final, (norm, mean, second) = _advance(init, coin, steps, reduce=True)
+    """Total probability, mean, second moment and variance after every step
+    from 0 through ``steps``, reduced inside one kernel run; the series carries
+    the final state.  The start site x0 enters the mean and the second moment
+    only, added once to the displacement sums."""
+    final, (norm, dp, ddp) = _advance(init, coin, steps, reduce=True)
+    x0 = float(init.position)
     return MomentSeries(
-        times=np.arange(steps + 1, dtype=np.int64), mean=mean, second=second, norm=norm, final=final
+        times=np.arange(steps + 1, dtype=np.int64),
+        mean=x0 * norm + dp,
+        second=(x0 * x0) * norm + (2 * x0) * dp + ddp,
+        variance=ddp - dp**2,
+        norm=norm,
+        final=final,
     )
 
 

@@ -41,7 +41,7 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert manifest["config"]["command"] == "simulate"
     assert manifest["sign_calibration"]["drift_sign"] == 1
     assert manifest["outputs"] == ["moments.csv"]
-    assert len(manifest["coin_rotations"]) == 2
+    assert manifest["coin_parts"] == list(preset_coin("paper_xy", theta=0.7854, phi=0.7854).parts)
 
 
 def test_simulate_distribution_output(tmp_path):
@@ -121,6 +121,29 @@ def test_manifests_record_coin_unitarity_error(tmp_path):
         assert json.loads(manifests[0])["results"]["coin_unitarity_error"] == expected, command
     assert run("gapscan", "--out", "g.json", "--output-dir", str(tmp_path)) == 0
     assert "coin_unitarity_error" not in json.loads((tmp_path / "g.json.manifest.json").read_text()).get("results", {})
+
+
+def test_long_coin_manifest_stays_small(tmp_path):
+    # the manifest records the composed coin, four floats, not its rotations
+    records = random_coin_spec(np.random.default_rng(2), 1000).to_dicts()
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text(json.dumps(records))
+    assert run("moments", "--coin-file", str(coin_file), "--steps", "5", "--out", str(tmp_path / "m.csv")) == 0
+    manifest = tmp_path / "m.csv.manifest.json"
+    assert manifest.stat().st_size < 4096
+    assert json.loads(manifest.read_text())["coin_parts"] == list(CoinSpec.from_dicts(records).parts)
+
+
+def test_walk_manifests_record_the_walk_kernel(tmp_path, monkeypatch):
+    native, kernels = walk.kernel_name(), []
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.setattr(walk, "_kernel", lambda: None)
+        for command in ("simulate", "moments", "compare"):
+            argv = (command, "--coin", "hadamard_analog", "--steps", "5", "--out", "w.csv")
+            assert run(*argv, "--output-dir", str(tmp_path)) == 0
+            kernels.append(json.loads((tmp_path / "w.csv.manifest.json").read_text())["results"]["walk_kernel"])
+    assert kernels == [native] * 3 + ["numpy"] * 3
 
 
 def test_compare_composes_the_coin_once(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk import walk
+from coinwalk import cli, walk
 from coinwalk.coins import compose, preset_coin, random_coin_spec
 from coinwalk.walk import InitialCondition, distribution, evolve, moment_series, moments
 from helpers import random_coin_state, reference_evolve, ring_oracle
@@ -294,6 +294,32 @@ def test_variance_survives_near_deterministic_drift(eps):
         assert abs(got - central) <= 1e-9 * central, (got, central)
 
 
+@pytest.mark.parametrize("x0", [10**8, 2**53 - 64])
+def test_variance_is_the_same_at_every_start_site(x0):
+    # the walk reduces displacements from the start site; the start shifts
+    # the mean and the second moment only
+    rng = np.random.default_rng(46)
+    coin, state = random_coin_spec(rng, 3), random_coin_state(rng)
+    home = moment_series(InitialCondition(state), coin, 64)
+    away = moment_series(InitialCondition(state, position=x0), coin, 64)
+    assert away.variance.tobytes() == home.variance.tobytes()
+    assert away.norm.tobytes() == home.norm.tobytes()
+    # x0 times a norm within a few ulp of 1, plus the mean from the origin, rounded twice
+    eps = np.finfo(np.float64).eps
+    bound = x0 * np.abs(home.norm - 1.0) + 2 * eps * (x0 + home.times)
+    assert np.all(np.abs(away.mean - (x0 + home.mean)) <= bound)
+
+
+def test_cli_variance_column_is_the_same_at_every_start_site(tmp_path):
+    columns = []
+    for position in ("100000000", "0"):
+        argv = ["moments", "--coin", "hadamard_analog", "--steps", "4", "--position", position]
+        assert cli.main([*argv, "--out", f"m{position}.csv", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / f"m{position}.csv").read_text().splitlines()
+        columns.append([line.rsplit(",", 1)[1] for line in lines])
+    assert columns[0] == columns[1]
+
+
 def test_initial_row_scales_with_the_initial_norm():
     # the coin state's own norm^2 is 1 + 9e-13; every row, t = 0 included,
     # weighs the position by it
@@ -345,19 +371,58 @@ def test_compiled_kernel_matches_numpy_loop_through_subnormals():
     _assert_kernels_agree(init, preset_coin("paper_xy", theta=0.7, phi=1.3), 2400)
 
 
-# the kernel's map arithmetic: x87 extended where long double is that, else double
-_WIDE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.float64
-
-
-def _wide_map(v, c):
-    ar, ai, br, bi = map(_WIDE, v)
-    c = [(_WIDE(z.real), _WIDE(z.imag)) for z in c]
+def _map(v, c):
+    """``coin_map`` of ``_walk.c`` in Python floats, which are IEEE doubles;
+    ``c`` holds c00, c01, c10, c11 as (re, im) pairs."""
+    ar, ai, br, bi = v
     return [
-        float((ar * c[0][0] - ai * c[0][1]) + (br * c[1][0] - bi * c[1][1])),
-        float((ar * c[0][1] + ai * c[0][0]) + (br * c[1][1] + bi * c[1][0])),
-        float((ar * c[2][0] - ai * c[2][1]) + (br * c[3][0] - bi * c[3][1])),
-        float((ar * c[2][1] + ai * c[2][0]) + (br * c[3][1] + bi * c[3][0])),
+        (ar * c[0] - ai * c[1]) + (br * c[2] - bi * c[3]),
+        (ar * c[1] + ai * c[0]) + (br * c[3] + bi * c[2]),
+        (ar * c[4] - ai * c[5]) + (br * c[6] - bi * c[7]),
+        (ar * c[5] + ai * c[4]) + (br * c[7] + bi * c[6]),
     ]
+
+
+def _mirror_advance(amps, steps, c):
+    """``coinwalk_advance`` in Python floats, in ``_walk.c``'s order: the flat
+    buffer as interleaved (re, im) floats after ``steps`` steps, and the sums
+    of p, d p and d^2 p after each step (column 0 left at 0)."""
+    width = steps + 1
+    sums = [[0.0] * width for _ in range(3)]
+    for k in range(1, width):
+        lo = steps - k
+        plain, scaled = [0.0] * 3, [0.0] * 3
+        for j in range(k):
+            ia, ib = 2 * (lo + 1 + j), 2 * (width + j)
+            v = amps[ia : ia + 2] + amps[ib : ib + 2]
+            if not any(v):  # four +-0 stay as they are
+                continue
+            up = 2.0**600 if all(abs(z) < 2.0**-511 for z in v) else 1.0
+            m = _map([z * up for z in v], c)
+            amps[ia : ia + 2], amps[ib : ib + 2] = [z / up for z in m[:2]], [z / up for z in m[2:]]
+            qa, qb = m[0] * m[0] + m[1] * m[1], m[2] * m[2] + m[3] * m[3]
+            da, db = float(2 * j + 2 - k), float(2 * j - k)
+            acc = plain if up == 1.0 else scaled
+            for row, term in enumerate((qa + qb, da * qa + db * qb, (da * da) * qa + (db * db) * qb)):
+                acc[row] += term
+        for row in range(3):
+            sums[row][k] = plain[row] + scaled[row] * 2.0**-600 * 2.0**-600
+    return amps, sums
+
+
+def test_compiled_kernel_is_its_python_float_mirror_bit_for_bit():
+    kernel = _compiled()
+    rng = np.random.default_rng(42)
+    steps, width = 12, 13
+    for _ in range(20):
+        coin = compose(random_coin_spec(rng, int(rng.integers(1, 5))))
+        flat = np.zeros(2 * width, dtype=np.complex128)
+        flat[steps], flat[width] = random_coin_state(rng)
+        amps, sums = _mirror_advance(flat.view(np.float64).tolist(), steps, coin.view(np.float64).ravel().tolist())
+        got = np.zeros((3, width))
+        kernel(flat.ctypes.data, steps, coin.ctypes.data, got.ctypes.data)
+        assert flat.view(np.float64).tobytes() == np.array(amps).tobytes()
+        assert got.tobytes() == np.array(sums).tobytes()
 
 
 @pytest.mark.parametrize("magnitude", [0.5, 2.0**-520, 2.0**-700, 2.0**-1000, 2.0**-1060, 0.0])
@@ -373,17 +438,17 @@ def test_compiled_kernel_maps_tiny_pairs_scaled_and_rounded_once(magnitude):
     flat = np.zeros(4, dtype=np.complex128)
     flat[1], flat[2] = complex(v[0], v[1]), complex(v[2], v[3])
     sums = np.zeros((3, 2))
-    kernel(flat.ctypes.data, 1, coin.ctypes.data, -3.0, sums.ctypes.data)
-    c = coin.ravel().tolist()
+    kernel(flat.ctypes.data, 1, coin.ctypes.data, sums.ctypes.data)
+    c = coin.view(np.float64).ravel().tolist()
     up = 2.0**600 if magnitude < 2.0**-511 else 1.0
-    mapped = _wide_map([z * up for z in v], c)
+    mapped = _map([z * up for z in v], c)
     expected = [z / up for z in mapped]
     assert [flat[1].real, flat[1].imag, flat[2].real, flat[2].imag] == expected
     if 2.0**-1000 <= magnitude:
-        assert expected == _wide_map(v, c)
-    # coin 0 moved to site -1, coin 1 to site -3; scaled pairs sum scaled by 2^1200
+        assert expected == _map(v, c)
+    # coin 0 moved one site right, coin 1 one site left; scaled pairs sum scaled by 2^1200
     qa, qb = mapped[0] ** 2 + mapped[1] ** 2, mapped[2] ** 2 + mapped[3] ** 2
-    raw = [qa + qb, -1.0 * qa + -3.0 * qb, (-1.0 * -1.0) * qa + (-3.0 * -3.0) * qb]
+    raw = [qa + qb, 1.0 * qa + -1.0 * qb, (1.0 * 1.0) * qa + (-1.0 * -1.0) * qb]
     assert sums[:, 1].tolist() == [z / up / up for z in raw]
 
 
