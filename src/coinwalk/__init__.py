@@ -20,10 +20,8 @@ from .walk import (
     InitialCondition,
     MomentSeries,
     WalkerState,
-    distribution,
     evolve,
     moment_series,
-    moments,
 )
 from .asymptotics import (
     AsymptoticMoments,

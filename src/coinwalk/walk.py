@@ -9,10 +9,9 @@ t + 1 sites, with no truncation or pruning anywhere: the evolution is exact
 up to float rounding.  Returned states still cover the whole light cone, with
 exact zeros on the empty sublattice.
 
-The step loop runs as compiled C (``_walk.c``), built on first use into this
-package's ``__pycache__`` with the C compiler that ``sysconfig`` names, and
-loaded through ``ctypes``.  Where the build or the load fails, the same loop
-runs in numpy; :func:`kernel_name` says which one runs.  Both map in plain
+The step loop runs as compiled C (``_walk.c``), from the package's compiled
+library (``_native``).  Where that library did not build or load, the same
+loop runs in numpy; :func:`kernel_name` says which one runs.  Both map in plain
 IEEE doubles and agree to the last few digits; each is deterministic.  The
 loop reduces the moments over displacements from the start site, which are
 exact integers, and ``moment_series`` adds the start site once, so the
@@ -21,21 +20,13 @@ variance does not depend on where the walk starts.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
-import shlex
-import sysconfig
-import tempfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ._native import library
 from .coins import CoinSpec, compose
 from .export import write_csv
 
@@ -44,8 +35,6 @@ __all__ = [
     "WalkerState",
     "MomentSeries",
     "evolve",
-    "distribution",
-    "moments",
     "moment_series",
     "kernel_name",
     "fit_window",
@@ -54,9 +43,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-_SOURCE = Path(__file__).with_name("_walk.c")
-# portable and exact: no -march, no -ffast-math, no fused multiply-adds
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -135,49 +121,10 @@ class MomentSeries:
         write_csv(path, ["t", "mean", "second", "variance"], columns)
 
 
-def _load_kernel(cache_dir: Path):
-    """The compiled step loop, built into ``cache_dir`` unless a build of this
-    source with these flags and this compiler is there already; a new build
-    deletes the older ones.  ``None`` when ``sysconfig`` names no compiler, or
-    the build or the load fails."""
-    try:
-        cc = shlex.split(sysconfig.get_config_var("CC") or "")
-        if not cc:
-            return None
-        # crc32 rather than hashlib, whose import alone costs more than the load
-        key = zlib.crc32(b"\0".join([_SOURCE.read_bytes(), *(s.encode() for s in (*_CFLAGS, *cc))]))
-        lib = cache_dir / f"_walk-{key:08x}.so"
-        if not lib.exists():
-            import subprocess  # only a build needs it, and its import is as slow
-
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            # concurrent builds each write their own file; the rename is atomic
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=lib.name, dir=cache_dir)
-            os.close(fd)
-            tmp = Path(tmp)
-            try:
-                build = subprocess.run([*cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)], capture_output=True)
-                if build.returncode != 0:
-                    return None
-                os.replace(tmp, lib)
-            finally:
-                tmp.unlink(missing_ok=True)
-            for stale in cache_dir.glob("_walk-*.so"):  # another source, flags or compiler
-                if stale != lib:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-        kernel = ctypes.CDLL(str(lib)).coinwalk_advance
-    except (OSError, ValueError, AttributeError):
-        return None
-    # flat amplitudes, steps, coin entries, sums or NULL
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    kernel.restype = None
-    return kernel
-
-
-@functools.cache
 def _kernel():
-    return _load_kernel(_SOURCE.with_name("__pycache__"))
+    """The compiled step loop, or ``None`` where the library did not load."""
+    lib = library()
+    return None if lib is None else lib.coinwalk_advance
 
 
 def kernel_name() -> str:
@@ -262,22 +209,6 @@ def evolve(init: InitialCondition, coin: CoinSpec, steps: int) -> WalkerState:
     return _advance(init, coin, steps)[0]
 
 
-def _site_probabilities(state: WalkerState) -> NDArray[np.float64]:
-    return np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-
-
-def distribution(state: WalkerState) -> dict[int, float]:
-    """Map each support site to its probability (coin traced out)."""
-    return {int(x): float(p) for x, p in zip(state.positions, _site_probabilities(state))}
-
-
-def moments(state: WalkerState) -> tuple[float, float]:
-    """Exact ``(<x>, <x^2>)`` summed over the support."""
-    probs = _site_probabilities(state)
-    x = state.positions.astype(np.float64)
-    return float(np.sum(x * probs)), float(np.sum(x * x * probs))
-
-
 def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentSeries:
     """Total probability, mean, second moment and variance after every step
     from 0 through ``steps``, reduced inside one kernel run; the series carries
@@ -314,4 +245,5 @@ def loglog_slope(variance: NDArray[np.float64]) -> float | None:
 def distribution_to_csv(state: WalkerState, path) -> None:
     """Long-format ``t,x,p`` rows over the support of ``state``."""
     x = state.positions
-    write_csv(path, ["t", "x", "p"], [np.full(x.shape, state.t), x, _site_probabilities(state)])
+    p = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+    write_csv(path, ["t", "x", "p"], [np.full(x.shape, state.t), x, p])

@@ -6,6 +6,7 @@ axes) are written out term by term, independent of the package's matrix
 algebra, so they can serve as oracles for it.  The reference implementations
 compute the same quantities as the package's fast paths by a different route
 (coin composition as a product of rotation matrices, full-width stepping,
+a walker state's site distribution and moments summed over its support,
 dense ring-lattice evolution, momentum-space powers of the step operator,
 eigenbasis expansion, velocity measure sampled on a momentum grid, full-mesh
 closure scan, sampled minimum gap).
@@ -26,7 +27,7 @@ from coinwalk.gapscan import (
     min_gap,
 )
 from coinwalk.momentum import DEGENERACY_THRESHOLD, _band_arrays
-from coinwalk.walk import InitialCondition
+from coinwalk.walk import InitialCondition, WalkerState
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
 
@@ -275,6 +276,24 @@ def sampled_velocity_masses(coin, init, grid_size: int, bins: int) -> np.ndarray
         weights=np.concatenate([weight * (1.0 + n_s0), weight * (1.0 - n_s0)]) / (2 * grid_size),
         minlength=bins,
     )
+
+
+def _site_probabilities(state: WalkerState) -> np.ndarray:
+    """Probability of each light-cone site of ``state``, coin traced out."""
+    return np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+
+
+def distribution(state: WalkerState) -> dict[int, float]:
+    """Map each support site to its probability (coin traced out)."""
+    return {int(x): float(p) for x, p in zip(state.positions, _site_probabilities(state))}
+
+
+def moments(state: WalkerState) -> tuple[float, float]:
+    """Exact ``(<x>, <x^2>)`` summed over the support: the oracle for the sums
+    that ``moment_series`` reduces inside the walk kernel."""
+    probs = _site_probabilities(state)
+    x = state.positions.astype(np.float64)
+    return float(np.sum(x * probs)), float(np.sum(x * x * probs))
 
 
 def reference_write_csv(path, header, rows) -> None:

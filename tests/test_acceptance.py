@@ -16,10 +16,11 @@ from coinwalk.asymptotics import moment_integrals, weak_limit_density
 from coinwalk.coins import preset_coin
 from coinwalk.gapscan import assert_no_boundary, canonical_points, closure_points, enumerate_closures
 from coinwalk.momentum import MIN_GRID_SIZE, dispersion_band
-from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
+from coinwalk.walk import InitialCondition, evolve, moment_series
 from helpers import (
     SIGMA_X_EXCLUSION,
     bloch_matrix,
+    distribution,
     momentum_oracle,
     random_coin_state,
     random_multirot_coin,

@@ -12,9 +12,10 @@ from coinwalk.asymptotics import (
     asymptotic_moments_to_dict,
 )
 from coinwalk.coins import preset_coin
-from coinwalk.walk import InitialCondition, distribution, evolve, moment_series
+from coinwalk.walk import InitialCondition, evolve, moment_series
 from helpers import (
     band_at,
+    distribution,
     eigenbasis_integrands,
     eigvecs_from_bloch,
     random_coin_state,

@@ -62,7 +62,8 @@ def test_weak_limit_demo_histogram_matches_per_site_binning(tmp_path):
     import numpy as np
 
     from coinwalk.coins import preset_coin
-    from coinwalk.walk import InitialCondition, distribution, evolve
+    from coinwalk.walk import InitialCondition, evolve
+    from helpers import distribution
 
     steps, bins = 37, 32
     argv = [sys.executable, str(ROOT / "scripts" / "run_weak_limit_demo.py"),

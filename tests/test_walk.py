@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import cli, walk
+from coinwalk._native import load
 from coinwalk.coins import compose, preset_coin, random_coin_spec
-from coinwalk.walk import InitialCondition, distribution, evolve, moment_series, moments
-from helpers import random_coin_state, reference_evolve, ring_oracle
+from coinwalk.walk import InitialCondition, evolve, moment_series
+from helpers import distribution, moments, random_coin_state, reference_evolve, ring_oracle
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 COIN1 = InitialCondition(np.array([0.0, 1.0]))
@@ -458,9 +459,9 @@ def test_failed_build_falls_back_to_numpy_loop(tmp_path, monkeypatch):
         sysconfig, "get_config_var", lambda name: str(tmp_path / "no-cc") if name == "CC" else config_var(name)
     )
     cache = tmp_path / "cache"
-    assert walk._load_kernel(cache) is None
+    assert load(cache) is None
     assert not any(cache.iterdir())  # no partial library left behind
-    monkeypatch.setattr(walk, "_kernel", functools.cache(lambda: walk._load_kernel(cache)))
+    monkeypatch.setattr(walk, "library", functools.cache(lambda: load(cache)))
     _, coin, init = _random_walk_case(43)
     state = evolve(init, coin, 40)
     assert walk._kernel() is None
@@ -486,7 +487,7 @@ def test_compiled_kernel_is_active_when_the_compiler_is_on_path():
 
 def test_second_load_reuses_the_built_library(tmp_path, monkeypatch):
     _compiler_on_path()
-    assert walk._load_kernel(tmp_path) is not None
+    assert load(tmp_path) is not None
     built = sorted(tmp_path.iterdir())
     assert [p.suffix for p in built] == [".so"]
 
@@ -494,32 +495,34 @@ def test_second_load_reuses_the_built_library(tmp_path, monkeypatch):
         raise AssertionError(f"the compiler ran again: {args}")
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    assert walk._load_kernel(tmp_path) is not None
+    assert load(tmp_path) is not None
     assert sorted(tmp_path.iterdir()) == built
 
 
 def test_a_build_deletes_older_builds(tmp_path):
     _compiler_on_path()
-    stale = tmp_path / "_walk-00000000.so"
-    stale.write_bytes(b"an older build")
+    # an older build of the library, and one of the walk kernel alone it replaced
+    stale = [tmp_path / "_native-00000000.so", tmp_path / "_walk-00000000.so"]
+    for path in stale:
+        path.write_bytes(b"an older build")
     unrelated = tmp_path / "other.so"
-    unrelated.write_bytes(b"not a walk kernel")
-    assert walk._load_kernel(tmp_path) is not None
-    assert not stale.exists() and unrelated.exists()
-    assert len(list(tmp_path.glob("_walk-*.so"))) == 1
+    unrelated.write_bytes(b"not a coinwalk library")
+    assert load(tmp_path) is not None
+    assert not any(path.exists() for path in stale) and unrelated.exists()
+    assert len(list(tmp_path.glob("_native-*.so"))) == 1
 
 
 def test_a_library_deleted_before_its_load_falls_back_to_numpy_loop(tmp_path, monkeypatch):
     # a concurrent build of another source may delete this build before it loads
     _compiler_on_path()
-    load = ctypes.CDLL
+    cdll = ctypes.CDLL
 
     def deleted_first(path, *args, **kwargs):
         Path(path).unlink()
-        return load(path, *args, **kwargs)
+        return cdll(path, *args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", deleted_first)
-    monkeypatch.setattr(walk, "_kernel", functools.cache(lambda: walk._load_kernel(tmp_path)))
+    monkeypatch.setattr(walk, "library", functools.cache(lambda: load(tmp_path)))
     _, coin, init = _random_walk_case(44)
     state = evolve(init, coin, 40)
     assert walk._kernel() is None
@@ -532,8 +535,8 @@ def test_two_processes_building_at_once_both_succeed(tmp_path):
     _compiler_on_path()
     src = str(Path(walk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys; from pathlib import Path; from coinwalk import walk; " \
-        "sys.exit(walk._load_kernel(Path(sys.argv[1])) is None)"
+    code = "import sys; from pathlib import Path; from coinwalk._native import load; " \
+        "sys.exit(load(Path(sys.argv[1])) is None)"
     procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env) for _ in range(2)]
     try:
         codes = [p.wait(timeout=120) for p in procs]
