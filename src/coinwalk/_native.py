@@ -26,8 +26,9 @@ __all__ = ["load", "library"]
 
 _HERE = Path(__file__).parent
 _SOURCES = (_HERE / "_walk.c", _HERE / "_csv.c")
-# portable and exact: no -march, no -ffast-math, no fused multiply-adds
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# portable and exact: no -march, no -ffast-math, no fused multiply-adds;
+# POSIX threads for the walk kernel's second stage
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 # this library's builds, and those of the walk kernel alone that it replaced
 _BUILDS = ("_native-*.so", "_walk-*.so")
 # every exported function: (restype, argtypes)

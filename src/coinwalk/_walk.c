@@ -24,18 +24,51 @@
  * squares are normal too, so those pairs' sums are kept scaled by 2^1200 and
  * added in at the end of the step.  A pair of four zeros is left as it is.
  *
- * Plain C99 with no Python API: the caller owns and sizes every buffer, and
- * nothing is allocated here.  Every operation is a double one, on every
- * platform.  Build without -ffast-math and with -ffp-contract=off, so the
- * arithmetic is the IEEE operations written below, in the order written, and
- * reruns are bit for bit the same.
+ * Two stages.  Pair j of step k reads only pairs j - 1 and j of step k - 1, so
+ * a walk of at least TWO_STAGE_STEPS steps, where the calling thread may run
+ * on two CPUs or more, is split in two: the caller maps pairs [0, m) of each
+ * step and a second thread maps pairs [m, k).  While m holds, the first stage
+ * never reads what the second writes, so it runs ahead; the second starts step
+ * k once the first has published it, and takes over the first stage's running
+ * sums of that step from a ring, so every sum is added in the order of j, as
+ * the one-stage loop adds it.  m moves to half the pairs only at the start of
+ * each WINDOW steps, where the first stage waits for the second to finish the
+ * step before; so at most WINDOW steps' sums are in flight.  Both stages and
+ * the one-stage loop run one routine, map_pairs, and every operation is the
+ * same in the same order: the bytes written do not depend on the number of
+ * stages, nor on the number of CPUs.  Waits spin, then yield the CPU.  The
+ * second thread is started for each call, on a small stack, and joined before
+ * the call returns; where it cannot be started the caller maps every pair.
+ *
+ * Plain C11 with POSIX threads and no Python API: the caller owns and sizes
+ * every buffer, and nothing is allocated here but the second thread.  Every
+ * operation is a double one, on every platform.  Build without -ffast-math
+ * and with -ffp-contract=off, so the arithmetic is the IEEE operations written
+ * below, in the order written, and reruns are bit for bit the same.
  */
+#define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <string.h>
 
 #define UP 0x1p600
 #define DOWN 0x1p-600
+
+/* the fewest steps split in two stages: below it the start and the waits cost
+ * more than the second CPU saves */
+#define TWO_STAGE_STEPS 512
+/* steps between moves of the split, and the ring of handed-over sums */
+#define WINDOW 32
+/* polls of a counter before each wait yields the CPU */
+#define SPINS 4096
+#define STACK_BYTES (256 * 1024)
+
+/* read by the tests, which cover the edges of both */
+const int64_t coinwalk_two_stage_steps = TWO_STAGE_STEPS;
+const int64_t coinwalk_window = WINDOW;
 
 static uint64_t bits_of(double a)
 {
@@ -85,64 +118,164 @@ static void coin_map(double *v, const double *c)
     v[3] = (ar * c[5] + ai * c[4]) + (br * c[7] + bi * c[6]);
 }
 
-/* Walk ``steps`` steps.  Block site i after step k is displaced 2i - k from
- * the start site.  ``sums`` may be NULL; column 0 is the caller's. */
-void coinwalk_advance(double *flat, int64_t steps, const double *coin, double *sums)
+/* Map pairs [from, to) of step k.  Block site i after step k is displaced
+ * 2i - k from the start site.  ``acc`` holds the step's running sums over the
+ * plain pairs and, scaled by 2^1200, over the scaled ones (s0 s1 s2 u0 u1 u2);
+ * these pairs' terms are added to it in the order of j.  NULL: no sums. */
+static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k, int64_t from, int64_t to,
+                      double *acc)
+{
+    /* the k occupied pairs: coin 0 from the last step's block, coin 1 in
+     * place; after the map, pair j's coin 0 is at block site j + 1 and its
+     * coin 1 at block site j */
+    double *b0 = flat + 2 * (steps - k + 1), *b1 = flat + 2 * (steps + 1);
+    double c[8]; /* a local copy, which no store to flat can alias */
+    memcpy(c, coin, sizeof c);
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, u0 = 0.0, u1 = 0.0, u2 = 0.0;
+    if (acc != NULL) {
+        s0 = acc[0], s1 = acc[1], s2 = acc[2];
+        u0 = acc[3], u1 = acc[4], u2 = acc[5];
+    }
+    for (int64_t j = from; j < to; j++) {
+        double *a = b0 + 2 * j, *b = b1 + 2 * j;
+        double v[4] = {a[0], a[1], b[0], b[1]};
+        const uint64_t any = bits_of(v[0]) | bits_of(v[1]) | bits_of(v[2]) | bits_of(v[3]);
+        if ((any << 1) == 0)  /* four +-0: the map gives zeros and the sums gain nothing */
+            continue;
+        /* all four below 2^-511: no exponent field has bit 9 or 10 set */
+        const int scaled = (any & 0x6000000000000000ULL) == 0;
+        if (scaled)
+            for (int i = 0; i < 4; i++)
+                v[i] = scale_up(v[i]);
+        coin_map(v, c);
+        if (scaled) {
+            a[0] = scale_down(v[0]);
+            a[1] = scale_down(v[1]);
+            b[0] = scale_down(v[2]);
+            b[1] = scale_down(v[3]);
+        } else {
+            a[0] = v[0];
+            a[1] = v[1];
+            b[0] = v[2];
+            b[1] = v[3];
+        }
+        if (acc == NULL)
+            continue;
+        const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
+        const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
+        const double p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
+        if (scaled) {
+            u0 += p;
+            u1 += dp;
+            u2 += ddp;
+        } else {
+            s0 += p;
+            s1 += dp;
+            s2 += ddp;
+        }
+    }
+    if (acc != NULL) {
+        acc[0] = s0, acc[1] = s1, acc[2] = s2;
+        acc[3] = u0, acc[4] = u1, acc[5] = u2;
+    }
+}
+
+/* column k of ``sums`` from the step's running sums */
+static void store_sums(double *sums, int64_t steps, int64_t k, const double *acc)
 {
     const int64_t width = steps + 1;
-    double *b1 = flat + 2 * width;
-    double c[8];  /* a local copy, which no store to flat can alias */
-    memcpy(c, coin, sizeof c);
-    for (int64_t k = 1; k < width; k++) {
-        const int64_t lo = steps - k;
-        /* the k occupied pairs: coin 0 from the last step's block, coin 1 in
-         * place; after the map, pair j's coin 0 is at block site j + 1 and its
-         * coin 1 at block site j */
-        double *b0 = flat + 2 * (lo + 1);
-        /* sums over the plain pairs, and over the scaled ones scaled by 2^1200 */
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, u0 = 0.0, u1 = 0.0, u2 = 0.0;
-        for (int64_t j = 0; j < k; j++) {
-            double *a = b0 + 2 * j, *b = b1 + 2 * j;
-            double v[4] = {a[0], a[1], b[0], b[1]};
-            const uint64_t any = bits_of(v[0]) | bits_of(v[1]) | bits_of(v[2]) | bits_of(v[3]);
-            if ((any << 1) == 0)  /* four +-0: the map gives zeros and the sums gain nothing */
-                continue;
-            /* all four below 2^-511: no exponent field has bit 9 or 10 set */
-            const int scaled = (any & 0x6000000000000000ULL) == 0;
-            if (scaled)
-                for (int i = 0; i < 4; i++)
-                    v[i] = scale_up(v[i]);
-            coin_map(v, c);
-            if (scaled) {
-                a[0] = scale_down(v[0]);
-                a[1] = scale_down(v[1]);
-                b[0] = scale_down(v[2]);
-                b[1] = scale_down(v[3]);
-            } else {
-                a[0] = v[0];
-                a[1] = v[1];
-                b[0] = v[2];
-                b[1] = v[3];
-            }
-            if (sums == NULL)
-                continue;
-            const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
-            const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
-            const double p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
-            if (scaled) {
-                u0 += p;
-                u1 += dp;
-                u2 += ddp;
-            } else {
-                s0 += p;
-                s1 += dp;
-                s2 += ddp;
-            }
-        }
+    sums[k] = acc[0] + acc[3] * DOWN * DOWN;
+    sums[width + k] = acc[1] + acc[4] * DOWN * DOWN;
+    sums[2 * width + k] = acc[2] + acc[5] * DOWN * DOWN;
+}
+
+/* the first stage's pairs of step k: half the pairs at the start of its window */
+static int64_t split(int64_t k)
+{
+    return (k - (k - 1) % WINDOW) / 2;
+}
+
+struct stages {
+    double *flat;
+    int64_t steps;
+    const double *coin;
+    double *sums;
+    double ring[WINDOW][6]; /* step k's first-stage sums, in row k % WINDOW */
+    _Alignas(64) _Atomic int64_t published; /* the last step the first stage mapped */
+    _Alignas(64) _Atomic int64_t done;      /* the last step the second stage mapped */
+};
+
+static void await_step(_Atomic int64_t *counter, int64_t k)
+{
+    for (int spins = 0; atomic_load_explicit(counter, memory_order_acquire) < k; spins++)
+        if (spins >= SPINS)
+            sched_yield();
+}
+
+static void *second_stage(void *arg)
+{
+    struct stages *st = arg;
+    for (int64_t k = 1; k <= st->steps; k++) {
+        await_step(&st->published, k);
+        double *acc = st->sums == NULL ? NULL : st->ring[k % WINDOW];
+        map_pairs(st->flat, st->steps, st->coin, k, split(k), k, acc);
+        if (acc != NULL)
+            store_sums(st->sums, st->steps, k, acc);
+        atomic_store_explicit(&st->done, k, memory_order_release);
+    }
+    return NULL;
+}
+
+/* the CPUs the calling thread may run on; 1 where that is unknown */
+static int usable_cpus(void)
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    return 1;
+}
+
+/* both stages; 0 where the second thread did not start and nothing was mapped */
+static int two_stages(double *flat, int64_t steps, const double *coin, double *sums)
+{
+    struct stages st = {.flat = flat, .steps = steps, .coin = coin, .sums = sums};
+    atomic_init(&st.published, 0);
+    atomic_init(&st.done, 0);
+    pthread_attr_t attr;
+    pthread_t second;
+    if (pthread_attr_init(&attr) != 0)
+        return 0;
+    const int started = pthread_attr_setstacksize(&attr, STACK_BYTES) == 0
+                        && pthread_create(&second, &attr, second_stage, &st) == 0;
+    pthread_attr_destroy(&attr);
+    if (!started)
+        return 0;
+    for (int64_t k = 1; k <= steps; k++) {
+        if ((k - 1) % WINDOW == 0)  /* the split moves: the second stage's pairs of step k - 1 are read */
+            await_step(&st.done, k - 1);
+        double *acc = NULL;
         if (sums != NULL) {
-            sums[k] = s0 + u0 * DOWN * DOWN;
-            sums[width + k] = s1 + u1 * DOWN * DOWN;
-            sums[2 * width + k] = s2 + u2 * DOWN * DOWN;
+            acc = st.ring[k % WINDOW];
+            memset(acc, 0, sizeof st.ring[0]);
         }
+        map_pairs(flat, steps, coin, k, 0, split(k), acc);
+        atomic_store_explicit(&st.published, k, memory_order_release);
+    }
+    pthread_join(second, NULL);
+    return 1;
+}
+
+/* Walk ``steps`` steps.  ``sums`` may be NULL; column 0 is the caller's. */
+void coinwalk_advance(double *flat, int64_t steps, const double *coin, double *sums)
+{
+    if (steps >= TWO_STAGE_STEPS && usable_cpus() >= 2 && two_stages(flat, steps, coin, sums))
+        return;
+    for (int64_t k = 1; k <= steps; k++) {
+        double acc[6] = {0.0};
+        map_pairs(flat, steps, coin, k, 0, k, sums == NULL ? NULL : acc);
+        if (sums != NULL)
+            store_sums(sums, steps, k, acc);
     }
 }

@@ -16,6 +16,13 @@ IEEE doubles and agree to the last few digits; each is deterministic.  The
 loop reduces the moments over displacements from the start site, which are
 exact integers, and ``moment_series`` adds the start site once, so the
 variance does not depend on where the walk starts.
+
+A compiled walk of at least 512 steps, in a process that may run on two CPUs
+or more, runs in two stages on two threads: one maps the lower half of each
+step's sites and the other the upper half, carrying on the first one's sums.
+Every operation and every sum's order is the one-thread loop's, so the bytes
+do not depend on the number of stages or of CPUs, and no manifest records
+them.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ eigenbasis expansion, velocity measure sampled on a momentum grid, full-mesh
 closure scan, sampled minimum gap).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from coinwalk.gapscan import (
     min_gap,
 )
 from coinwalk.momentum import DEGENERACY_THRESHOLD, _band_arrays
-from coinwalk.walk import InitialCondition, WalkerState
+from coinwalk.walk import InitialCondition, WalkerState, _advance
 
 SIGMA_X_EXCLUSION = 1e-3  # max-norm distance below which a coin counts as sigma_x-like
 
@@ -61,6 +62,23 @@ def random_multirot_coin(rng, min_rot=2, max_rot=4, exclude_sigma_x=None) -> Coi
 def random_coin_state(rng) -> np.ndarray:
     vec = rng.normal(size=2) + 1j * rng.normal(size=2)
     return vec / np.linalg.norm(vec)
+
+
+def random_walk_case(seed):
+    """``(rng, coin, init)``: a coin of 1 to 4 random rotations and a random
+    initial state near the origin, drawn from ``seed``; ``rng`` draws on."""
+    rng = np.random.default_rng(seed)
+    coin = random_coin_spec(rng, int(rng.integers(1, 5)))
+    init = InitialCondition(random_coin_state(rng), position=int(rng.integers(-50, 51)))
+    return rng, coin, init
+
+
+def walk_digest(seed: int, steps: int, reduce: bool) -> str:
+    """SHA-256 over the bytes of the final amplitudes and, with ``reduce``, of
+    the moment sums of a walk of :func:`random_walk_case` ``(seed)``."""
+    _, coin, init = random_walk_case(seed)
+    state, sums = _advance(init, coin, steps, reduce)
+    return hashlib.sha256(state.amplitudes.tobytes() + (b"" if sums is None else sums.tobytes())).hexdigest()
 
 
 def reference_step(amps: np.ndarray, coin_mat: np.ndarray) -> np.ndarray:

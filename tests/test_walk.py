@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +21,15 @@ from coinwalk import cli, walk
 from coinwalk._native import load
 from coinwalk.coins import compose, preset_coin, random_coin_spec
 from coinwalk.walk import InitialCondition, evolve, moment_series
-from helpers import distribution, moments, random_coin_state, reference_evolve, ring_oracle
+from helpers import (
+    distribution,
+    moments,
+    random_coin_state,
+    random_walk_case,
+    reference_evolve,
+    ring_oracle,
+    walk_digest,
+)
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 COIN1 = InitialCondition(np.array([0.0, 1.0]))
@@ -222,17 +232,10 @@ def test_moment_series_csv(tmp_path):
 # --- sublattice kernel against the full-width reference stepper ---
 
 
-def _random_walk_case(seed):
-    rng = np.random.default_rng(seed)
-    coin = random_coin_spec(rng, int(rng.integers(1, 5)))
-    init = InitialCondition(random_coin_state(rng), position=int(rng.integers(-50, 51)))
-    return rng, coin, init
-
-
 @given(st.integers(0, 2**32 - 1), st.integers(0, 64))
 @settings(max_examples=60, deadline=None)
 def test_evolve_matches_reference_stepper(seed, steps):
-    _, coin, init = _random_walk_case(seed)
+    _, coin, init = random_walk_case(seed)
     state = evolve(init, coin, steps)
     ref = reference_evolve(init.coin_state, compose(coin), steps)
     assert state.t == steps and state.offset == init.position - steps
@@ -246,7 +249,7 @@ def test_evolve_matches_reference_stepper(seed, steps):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 64))
 @settings(max_examples=40, deadline=None)
 def test_moment_series_equals_moments_of_evolve(seed, steps):
-    _, coin, init = _random_walk_case(seed)
+    _, coin, init = random_walk_case(seed)
     ms = moment_series(init, coin, steps)
     eps = np.finfo(np.float64).eps
     for t in range(steps + 1):
@@ -361,7 +364,7 @@ def _assert_kernels_agree(init, coin, steps):
 @settings(max_examples=60, deadline=None)
 def test_compiled_kernel_matches_numpy_loop(seed, steps):
     _compiled()
-    _, coin, init = _random_walk_case(seed)
+    _, coin, init = random_walk_case(seed)
     _assert_kernels_agree(init, coin, steps)
 
 
@@ -453,6 +456,97 @@ def test_compiled_kernel_maps_tiny_pairs_scaled_and_rounded_once(magnitude):
     assert sums[:, 1].tolist() == [z / up / up for z in raw]
 
 
+# --- two stages against one ---
+
+
+def _stage_edges():
+    """The compiled kernel's fewest two-stage steps and its window."""
+    lib = walk.library()
+    if lib is None:
+        pytest.skip("no compiled walk kernel")
+    return tuple(ctypes.c_int64.in_dll(lib, name).value for name in ("coinwalk_two_stage_steps", "coinwalk_window"))
+
+
+def _two_cpus():
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may run on fewer than 2 CPUs")
+
+
+# answers "seed steps reduce" lines with walk_digest, pinned to one CPU, so
+# its kernel runs every walk in one stage
+_PINNED_WORKER = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from helpers import walk_digest
+print(len(os.sched_getaffinity(0)), flush=True)
+for line in sys.stdin:
+    seed, steps, reduce = map(int, line.split())
+    print(walk_digest(seed, steps, bool(reduce)), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_digest():
+    _stage_edges()
+    _two_cpus()
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PINNED_WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env
+    )
+
+    def digest(seed, steps, reduce):
+        proc.stdin.write(f"{seed} {steps} {int(reduce)}\n")
+        proc.stdin.flush()
+        return proc.stdout.readline().strip()
+
+    try:
+        assert proc.stdout.readline().strip() == "1", "the worker is not pinned to one CPU"
+        yield digest
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+def _stage_step_counts():
+    """Step counts at the two-stage threshold and at window starts, each +-1,
+    and the walk lengths up to 2400 around them."""
+    threshold, window = _stage_edges()
+    first = threshold + (1 - threshold) % window  # the first window start at or past the threshold
+    edges = [threshold, first, first + 7 * window, 2400]
+    return st.one_of(st.sampled_from([n + d for n in edges for d in (-1, 0, 1)]), st.integers(0, 2400))
+
+
+@given(seed=st.integers(0, 2**32 - 1), steps=st.data(), reduce=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_two_stages_write_the_bytes_of_one(pinned_digest, seed, steps, reduce):
+    """A walk run where the kernel may take two CPUs writes the amplitudes and
+    sums of the same walk run pinned to one CPU, byte for byte."""
+    steps = steps.draw(_stage_step_counts())
+    assert walk_digest(seed, steps, reduce) == pinned_digest(seed, steps, reduce)
+
+
+def test_a_two_stage_walk_leaves_no_thread_behind():
+    threshold, _ = _stage_edges()
+    _two_cpus()
+    tasks = Path("/proc/self/task")
+    if not tasks.is_dir():
+        pytest.skip("no /proc/self/task")
+    _, coin, init = random_walk_case(46)
+    walker = threading.Thread(target=evolve, args=(init, coin, 8 * threshold))
+    before = during = len(list(tasks.iterdir()))
+    walker.start()
+    deadline = time.monotonic() + 60
+    while walker.is_alive() and time.monotonic() < deadline:  # the kernel call lets go of the GIL
+        during = max(during, len(list(tasks.iterdir())))
+        time.sleep(0.001)
+    walker.join(timeout=1)
+    assert not walker.is_alive()
+    assert during == before + 2  # the walking thread, and the second stage beside it
+    assert len(list(tasks.iterdir())) == before
+
+
 def test_failed_build_falls_back_to_numpy_loop(tmp_path, monkeypatch):
     config_var = sysconfig.get_config_var
     monkeypatch.setattr(
@@ -462,7 +556,7 @@ def test_failed_build_falls_back_to_numpy_loop(tmp_path, monkeypatch):
     assert load(cache) is None
     assert not any(cache.iterdir())  # no partial library left behind
     monkeypatch.setattr(walk, "library", functools.cache(lambda: load(cache)))
-    _, coin, init = _random_walk_case(43)
+    _, coin, init = random_walk_case(43)
     state = evolve(init, coin, 40)
     assert walk._kernel() is None
     assert np.max(np.abs(state.amplitudes - reference_evolve(init.coin_state, compose(coin), 40))) <= 1e-15
@@ -523,7 +617,7 @@ def test_a_library_deleted_before_its_load_falls_back_to_numpy_loop(tmp_path, mo
 
     monkeypatch.setattr(ctypes, "CDLL", deleted_first)
     monkeypatch.setattr(walk, "library", functools.cache(lambda: load(tmp_path)))
-    _, coin, init = _random_walk_case(44)
+    _, coin, init = random_walk_case(44)
     state = evolve(init, coin, 40)
     assert walk._kernel() is None
     with mock.patch.object(walk, "_numpy_steps", wraps=walk._numpy_steps) as numpy_steps:
