@@ -331,12 +331,13 @@ def _write_outputs(
         manifest["results"] = results
     write_manifest = functools.partial(write_json, obj=manifest)
     jobs = [*outputs, *((path.with_name(path.name + ".manifest.json"), write_manifest) for path, _ in outputs)]
+    for directory in dict.fromkeys(path.parent for path, _ in outputs):  # each manifest sits beside its output
+        directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for path, write in jobs:
         fresh = False
         try:
             fresh = not path.exists()
-            path.parent.mkdir(parents=True, exist_ok=True)
             write(path)
         except BaseException:  # an interrupted run must not leave a partial output either
             if fresh and path.is_file():  # this run created it before the write failed

@@ -13,13 +13,26 @@ a fixed number of rows at a time into one reused buffer.  Where that library
 did not load, or the locale's decimal point is not ".", the whole table is
 filled by one Python ``%`` operation instead.  The bytes are those of
 ``%d`` and ``%.17g`` on every path.
+
+Both writers rewrite their file in place: it is opened without ``O_TRUNC``,
+written from offset 0 and then cut at the end of the new bytes.  Truncating
+an existing file to zero frees its blocks only for the write to allocate
+them again, and on ext4 (``auto_da_alloc``) makes the close start writeback;
+a rerun into the same directory paid that for every file.  The cut happens
+also when a write fails, so the file never keeps a tail of its old content.
+It is made only where a tail is left, on a regular file that held more than
+was written (ext4 does the work of a truncate even at the same size), and
+never on a device such as ``/dev/null``, which cannot be truncated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import locale
+import os
+import stat
 from itertools import chain
 
 import numpy as np
@@ -46,7 +59,7 @@ def write_csv(path, header: list[str], columns) -> None:
             raise TypeError(f"column {name!r} has dtype {c.dtype}; expected integers or floats")
     # snprintf, which _csv.c calls for some doubles, prints LC_NUMERIC's decimal point
     lib = library() if locale.localeconv()["decimal_point"] == "." else None
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         if lib is None:
             fh.write(_percent_body(cols, n).encode("ascii"))
@@ -77,6 +90,29 @@ def _write_formatted(fh, lib, cols, n: int) -> None:
 
 def write_json(path, obj) -> None:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with _rewrite(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+@contextlib.contextmanager
+def _rewrite(path):
+    """A binary file over ``path``, created if missing and written from
+    offset 0, that holds exactly the bytes written once the block exits."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # the mode open(path, "wb") creates with
+    try:
+        fh = os.fdopen(fd, "wb")
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        old = os.fstat(fd)
+        try:
+            yield fh
+            fh.flush()
+        finally:
+            # the end of what reached the file: after a failed write the
+            # buffer can hold bytes that never did
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if stat.S_ISREG(old.st_mode) and old.st_size > end:
+                os.ftruncate(fd, end)

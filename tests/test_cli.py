@@ -368,6 +368,18 @@ def test_failed_write_removes_the_partial_file(tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_rerun_with_fewer_steps_writes_the_bytes_of_a_fresh_run(tmp_path):
+    # the second run rewrites both files over longer old content
+    names, argv = ("m.csv", "m.csv.manifest.json"), ("moments", "--coin", "hadamard_analog", "--out", "m.csv")
+    assert run(*argv, "--steps", "50", "--output-dir", str(tmp_path)) == 0
+    assert run(*argv, "--steps", "5", "--output-dir", str(tmp_path)) == 0
+    rerun = [(tmp_path / name).read_bytes() for name in names]
+    for name in names:
+        (tmp_path / name).unlink()
+    assert run(*argv, "--steps", "5", "--output-dir", str(tmp_path)) == 0
+    assert rerun == [(tmp_path / name).read_bytes() for name in names]
+
+
 def test_moments_ignores_a_distribution_out_config_key(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("coin = hadamard_analog\nsteps = 5\ndistribution_out = d.csv\n")

@@ -2,10 +2,13 @@
 byte: on generated columns, and on the file of every public table writer.
 The compiled formatter against the Python ``%`` path, byte for byte: on raw
 float64 bit patterns, on named edge values and on a table of several chunks;
-and the cases that take the ``%`` path."""
+and the cases that take the ``%`` path.  Rewriting a file that exists:
+longer or shorter old content, a write that fails part-way, and a device."""
 
+import json
 import locale
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from coinwalk import cli, export
 from coinwalk.asymptotics import moment_integrals, velocity_density_to_csv, weak_limit_density
 from coinwalk.coins import preset_coin
-from coinwalk.export import write_csv
+from coinwalk.export import write_csv, write_json
 from coinwalk.gapscan import gap_map_to_csv, scan_gap_map
 from coinwalk.momentum import dispersion_band, dispersion_to_csv
 from coinwalk.walk import InitialCondition, distribution_to_csv, moment_series
@@ -271,3 +274,99 @@ def test_gap_map_bytes(tmp_path):
     ]
     reference_write_csv(tmp_path / "ref.csv", ["theta", "phi", "gap_zero", "gap_pi"], rows)
     _assert_same_files(tmp_path)
+
+
+# --- rewriting a file that exists ---
+
+_TABLE = (["i", "x"], [np.arange(100), np.linspace(-1.0, 1.0, 100)])
+_RECORD = {"b": [1.5, None, "text"], "a": {"nested": 2**70, "nan": math.nan}}
+
+
+def _csv_path(native, monkeypatch):
+    if native:
+        _formatter()
+    else:
+        monkeypatch.setattr(export, "library", lambda: None)
+
+
+_WRITERS = {
+    "csv-compiled": (True, lambda path: write_csv(path, *_TABLE)),
+    "csv-percent": (False, lambda path: write_csv(path, *_TABLE)),
+    "json": (None, lambda path: write_json(path, _RECORD)),
+}
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+@pytest.mark.parametrize("old_size", [1, 10**6], ids=["shorter", "longer"])
+def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, monkeypatch, writer, old_size):
+    native, write = _WRITERS[writer]
+    if native is not None:
+        _csv_path(native, monkeypatch)
+    write(tmp_path / "fresh")
+    (tmp_path / "old").write_bytes(b"~" * old_size)
+    write(tmp_path / "old")
+    assert (tmp_path / "old").read_bytes() == (tmp_path / "fresh").read_bytes()
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["compiled", "percent"])
+def test_failed_rewrite_keeps_no_old_bytes(tmp_path, monkeypatch, native):
+    # the first chunk of rows reaches the file, then the disk fills
+    _csv_path(native, monkeypatch)
+    header, n = ["i", "x"], 2 * export._CHUNK_ROWS + 3
+    columns = [np.arange(n), np.linspace(-1.0, 1.0, n)]
+    write_csv(tmp_path / "fresh.csv", header, columns)
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+
+    def one_chunk_then_full(fh, lib, cols, n):
+        real_write_formatted(fh, lib, cols, min(n, export._CHUNK_ROWS))
+        raise OSError(28, "No space left on device")
+
+    def full(cols, n):
+        raise OSError(28, "No space left on device")
+
+    real_write_formatted = export._write_formatted
+    monkeypatch.setattr(export, "_write_formatted", one_chunk_then_full)
+    monkeypatch.setattr(export, "_percent_body", full)
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"~" * (2 * len(fresh)))
+    with pytest.raises(OSError, match="No space left"):
+        write_csv(path, header, columns)
+    left = path.read_bytes()
+    assert b"~" not in left and fresh.startswith(left)
+    assert left.count(b"\n") == 1 + (export._CHUNK_ROWS if native else 0)
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["compiled", "percent"])
+def test_writers_write_to_a_device(monkeypatch, native):
+    # a character device cannot be truncated; it is written as before
+    _csv_path(native, monkeypatch)
+    write_csv(os.devnull, *_TABLE)
+    write_json(os.devnull, _RECORD)
+
+
+def test_rewrite_closes_the_descriptor_when_wrapping_it_fails(tmp_path, monkeypatch):
+    opened = []
+
+    def record_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    real_open = os.open
+    monkeypatch.setattr(os, "open", record_open)
+    monkeypatch.setattr(os, "fdopen", no_memory)
+    with pytest.raises(MemoryError):
+        write_json(tmp_path / "x.json", _RECORD)
+    monkeypatch.undo()
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
+def test_write_json_bytes(tmp_path):
+    write_json(tmp_path / "x.json", _RECORD)
+    with open(tmp_path / "ref.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_RECORD, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert (tmp_path / "x.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
