@@ -226,8 +226,9 @@ static void *second_stage(void *arg)
     return NULL;
 }
 
-/* the CPUs the calling thread may run on; 1 where that is unknown */
-static int usable_cpus(void)
+/* the CPUs the calling thread may run on; 1 where that is unknown.  The CSV
+ * formatter's two stages ask it too. */
+int coinwalk_usable_cpus(void)
 {
 #ifdef __linux__
     cpu_set_t set;
@@ -270,7 +271,7 @@ static int two_stages(double *flat, int64_t steps, const double *coin, double *s
 /* Walk ``steps`` steps.  ``sums`` may be NULL; column 0 is the caller's. */
 void coinwalk_advance(double *flat, int64_t steps, const double *coin, double *sums)
 {
-    if (steps >= TWO_STAGE_STEPS && usable_cpus() >= 2 && two_stages(flat, steps, coin, sums))
+    if (steps >= TWO_STAGE_STEPS && coinwalk_usable_cpus() >= 2 && two_stages(flat, steps, coin, sums))
         return;
     for (int64_t k = 1; k <= steps; k++) {
         double acc[6] = {0.0};

@@ -305,7 +305,9 @@ def _write_outputs(
     """Write each output that the subcommand takes and was given, under
     ``cfg.output_dir``, then its ``<name>.manifest.json``, whose ``config``
     holds the parsed options the subcommand takes and a walk's initial coin
-    state.  If any write fails, delete every file this run wrote and re-raise."""
+    state.  If any write fails, delete every file this run wrote, the one
+    whose write failed and the manifest beside each output deleted, then
+    re-raise."""
     taken = [opt for opt in _OPTIONS if cfg.command in opt.commands]
     outputs = [
         (Path(cfg.output_dir) / getattr(cfg, opt.name), writers[opt.name])
@@ -330,22 +332,36 @@ def _write_outputs(
     if results:
         manifest["results"] = results
     write_manifest = functools.partial(write_json, obj=manifest)
-    jobs = [*outputs, *((path.with_name(path.name + ".manifest.json"), write_manifest) for path, _ in outputs)]
+    manifests = {path: path.with_name(path.name + ".manifest.json") for path, _ in outputs}
+    jobs = [*outputs, *((manifests[path], write_manifest) for path, _ in outputs)]
     for directory in dict.fromkeys(path.parent for path, _ in outputs):  # each manifest sits beside its output
         directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for path, write in jobs:
-        fresh = False
         try:
-            fresh = not path.exists()
             write(path)
         except BaseException:  # an interrupted run must not leave a partial output either
-            if fresh and path.is_file():  # this run created it before the write failed
-                written.append(path)
-            for done in written:
-                done.unlink(missing_ok=True)
+            # the failed file is partial, or cut where the write stopped if it
+            # existed; an output's manifest, of this run or an earlier one,
+            # describes content that is gone
+            for done in [*written, path]:
+                if _delete_file(done) and done in manifests:
+                    _delete_file(manifests[done])
             raise
         written.append(path)
+
+
+def _delete_file(path: Path) -> bool:
+    """Delete ``path`` if it is a regular file this process may write, and say
+    whether it did: never a device such as ``/dev/null``, nor a file that a
+    run could not open for writing and so left as it was."""
+    if not (path.is_file() and os.access(path, os.W_OK)):
+        return False
+    try:
+        path.unlink()
+    except OSError:  # the failed write's error is the one to report
+        return False
+    return True
 
 
 def _cmd_simulate(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):

@@ -9,10 +9,14 @@ and group velocity at a band touching, a relative error against a zero
 prediction).
 
 The rows are formatted in C (``_csv.c``, in the package's compiled library),
-a fixed number of rows at a time into one reused buffer.  Where that library
-did not load, or the locale's decimal point is not ".", the whole table is
-filled by one Python ``%`` operation instead.  The bytes are those of
-``%d`` and ``%.17g`` on every path.
+a fixed number of rows at a time into one reused buffer.  A call of at least
+3072 fields, where the process may use two CPUs, is split between the calling
+thread and a second one, each formatting half the rows into its own part of
+that buffer.  Every row is formatted by the same routine from its own values
+alone, so the bytes depend on neither the number of threads nor the number of
+CPUs.  Where that library did not load, or the locale's decimal point is not
+".", the whole table is filled by one Python ``%`` operation instead.  The
+bytes are those of ``%d`` and ``%.17g`` on every path.
 
 Both writers rewrite their file in place: it is opened without ``O_TRUNC``,
 written from offset 0 and then cut at the end of the new bytes.  Truncating

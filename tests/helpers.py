@@ -14,8 +14,10 @@ closure scan, sampled minimum gap).
 
 import hashlib
 import math
+import os
 
 import numpy as np
+import pytest
 
 from coinwalk.coins import PAULI_X, PAULI_Y, PAULI_Z, CoinRotation, CoinSpec, compose, random_coin_spec, su2_parts
 from coinwalk.gapscan import (
@@ -79,6 +81,13 @@ def walk_digest(seed: int, steps: int, reduce: bool) -> str:
     _, coin, init = random_walk_case(seed)
     state, sums = _advance(init, coin, steps, reduce)
     return hashlib.sha256(state.amplitudes.tobytes() + (b"" if sums is None else sums.tobytes())).hexdigest()
+
+
+def two_cpus() -> None:
+    """Skip the calling test unless this process may run on two CPUs, where
+    the compiled library's two-stage paths run."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may run on fewer than 2 CPUs")
 
 
 def reference_step(amps: np.ndarray, coin_mat: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shlex
 import warnings
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coinwalk import asymptotics, cli, coins, walk
+from coinwalk import asymptotics, cli, coins, export, walk
 from coinwalk.coins import CoinSpec, compose, preset_coin, random_coin_spec, unitarity_error
 from coinwalk.cli import ConfigError, main, parse_angle, read_config_file
 
@@ -366,6 +367,42 @@ def test_failed_write_removes_the_partial_file(tmp_path, monkeypatch, capsys):
     assert run(*argv, "--output-dir", str(tmp_path)) == 3
     assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_failed_write_deletes_no_device(tmp_path, monkeypatch, capsys):
+    # /dev/null is written, then the distribution fails on a directory; the
+    # cleanup must not unlink the device (it never reaches the real one here)
+    unlinked = []
+    monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: unlinked.append(self))
+    argv = ("simulate", "--coin", "identity", "--steps", "3", "--out", os.devnull, "--distribution-out", str(tmp_path))
+    assert run(*argv) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert unlinked == []
+
+
+def test_failed_rerun_leaves_neither_output_nor_stale_manifest(tmp_path, monkeypatch):
+    # the rerun cuts m.csv, which sits beside the manifest of the 50-step run
+    argv = ("moments", "--coin", "hadamard_analog", "--out", "m.csv", "--output-dir", str(tmp_path))
+    assert run(*argv, "--steps", "50") == 0
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(export, "_write_formatted", disk_full)
+    monkeypatch.setattr(export, "_percent_body", disk_full)
+    assert run(*argv, "--steps", "60") == 3
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.csv.manifest.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write a read-only file")
+def test_failed_rerun_keeps_a_file_it_could_not_open(tmp_path):
+    argv = ("moments", "--coin", "hadamard_analog", "--out", "m.csv", "--output-dir", str(tmp_path))
+    assert run(*argv, "--steps", "5") == 0
+    names = ("m.csv", "m.csv.manifest.json")
+    before = [(tmp_path / name).read_bytes() for name in names]
+    (tmp_path / "m.csv").chmod(0o444)
+    assert run(*argv, "--steps", "6") == 3
+    assert [(tmp_path / name).read_bytes() for name in names] == before
 
 
 def test_rerun_with_fewer_steps_writes_the_bytes_of_a_fresh_run(tmp_path):

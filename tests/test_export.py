@@ -1,14 +1,21 @@
 """The columnar CSV writer against the row-by-row reference writer, byte for
 byte: on generated columns, and on the file of every public table writer.
 The compiled formatter against the Python ``%`` path, byte for byte: on raw
-float64 bit patterns, on named edge values and on a table of several chunks;
-and the cases that take the ``%`` path.  Rewriting a file that exists:
+float64 bit patterns, on named edge values, next to every power of ten and on
+a table of several chunks; its two stages at the row counts round each split,
+against a run pinned to one CPU, and with no thread left behind; and the
+cases that take the ``%`` path.  Rewriting a file that exists:
 longer or shorter old content, a write that fails part-way, and a device."""
 
+import ctypes
+import io
 import json
 import locale
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +30,7 @@ from coinwalk.export import write_csv, write_json
 from coinwalk.gapscan import gap_map_to_csv, scan_gap_map
 from coinwalk.momentum import dispersion_band, dispersion_to_csv
 from coinwalk.walk import InitialCondition, distribution_to_csv, moment_series
-from helpers import distribution, reference_write_csv
+from helpers import distribution, reference_write_csv, two_cpus
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
 
@@ -169,6 +176,122 @@ def test_formatter_table_of_several_chunks(tmp_path):
     fast, percent = _both_paths(tmp_path, [f"c{i}" for i in range(len(columns))], columns)
     assert fast == percent
     assert fast.count(b"\n") == n + 1
+
+
+_POWERS_OF_TEN = [float(f"1e{j}") for j in range(-16, 18)]  # the doubles nearest them
+
+
+def test_formatter_next_to_every_power_of_ten(tmp_path):
+    # the doubles nearest 10^-6, 10^-7, 10^-11, 10^-12 and 10^-14 lie below the
+    # powers, so the decimal exponent their binary one suggests is one too high
+    powers = np.array(_POWERS_OF_TEN)
+    values = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    fast, percent = _both_paths(tmp_path, ["x"], [np.concatenate([values, -values])])
+    assert fast == percent
+
+
+# --- the formatter's two stages ---
+
+
+def _two_stage_fields() -> int:
+    """The fewest fields of one formatter call that are split in two stages."""
+    _formatter()
+    return ctypes.c_int64.in_dll(export.library(), "coinwalk_two_stage_fields").value
+
+
+def _formatted(columns) -> bytes:
+    """The body the compiled formatter writes for ``columns``."""
+    fh = io.BytesIO()
+    export._write_formatted(fh, export.library(), columns, columns[0].shape[0])
+    return fh.getvalue()
+
+
+_UINT64S = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_POOLS = {  # values a column of each kind draws from, beside random ones
+    "f": st.lists(st.one_of(_BITS.map(lambda b: np.uint64(b).view(np.float64)),
+                            st.sampled_from(_EDGE_FLOATS + _POWERS_OF_TEN)), min_size=1, max_size=16),
+    "i": st.lists(_INT64S, min_size=1, max_size=16),
+    "u": st.lists(_UINT64S, min_size=1, max_size=16),
+}
+
+
+def _random_column(kind, pool, n, rng):
+    """``n`` values: a third from ``pool``, a third random bit patterns, and a
+    third drawn across the magnitudes of the exact fast path."""
+    dtype = export._C_DTYPES[kind]
+    bits = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True).view(dtype)
+    if kind == "f":
+        near = rng.normal(size=n) * 10.0 ** rng.integers(-18, 19, size=n)
+    else:
+        near = rng.integers(-(10**6), 10**6, size=n).astype(dtype)
+    column = np.where(rng.random(n) < 0.5, bits, near)
+    picks = rng.random(n) < 1 / 3
+    column[picks] = rng.choice(np.array(pool, dtype=dtype), size=int(picks.sum()))
+    return column
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_formatter_matches_percent_body_round_the_splits(data):
+    """Row counts at the two-stage threshold, at the chunk size and past two
+    chunks, each +-1, over int, uint and float columns."""
+    threshold = _two_stage_fields()
+    kinds = data.draw(st.lists(st.sampled_from("fiu"), min_size=1, max_size=6), label="kinds")
+    at_threshold = -(-threshold // len(kinds))  # the fewest rows split in two
+    chunk = export._CHUNK_ROWS
+    n = data.draw(st.sampled_from([r + d for r in (at_threshold, chunk, 2 * chunk + 2) for d in (-1, 0, 1)]),
+                  label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = [_random_column(kind, data.draw(_POOLS[kind], label=f"pool {kind}"), n, rng) for kind in kinds]
+    assert _formatted(columns) == export._percent_body(columns, n).encode("ascii")
+
+
+def _split_table(seed):
+    """Three chunks and a short one of int, uint and float columns, every
+    chunk split in two stages where two CPUs are free."""
+    rng, n = np.random.default_rng(seed), 3 * export._CHUNK_ROWS + 5
+    return [_random_column(kind, [0], n, rng) for kind in "fiuff"]
+
+
+# writes the table saved at argv[1] to argv[2] pinned to one CPU, so every
+# formatter call runs one stage, and prints the CPUs it may use
+_PINNED_WRITER = """
+import os, sys
+import numpy as np
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from coinwalk.export import write_csv
+columns = list(np.load(sys.argv[1]).values())
+write_csv(sys.argv[2], [f"c{i}" for i in range(len(columns))], columns)
+print(len(os.sched_getaffinity(0)))
+"""
+
+
+def test_formatter_pinned_to_one_cpu_writes_the_same_bytes(tmp_path):
+    _two_stage_fields()
+    two_cpus()
+    columns = _split_table(11)
+    np.savez(tmp_path / "table.npz", *columns)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", _PINNED_WRITER, str(tmp_path / "table.npz"), str(tmp_path / "one.csv")]
+    pinned = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert pinned.returncode == 0, pinned.stderr
+    assert pinned.stdout.strip() == "1", "the worker is not pinned to one CPU"
+    write_csv(tmp_path / "two.csv", [f"c{i}" for i in range(len(columns))], columns)
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_two_stage_formatting_leaves_no_thread_behind(tmp_path):
+    _two_stage_fields()
+    two_cpus()
+    tasks = Path("/proc/self/task")
+    if not tasks.is_dir():
+        pytest.skip("no /proc/self/task")
+    columns = _split_table(12)
+    before = len(list(tasks.iterdir()))
+    fast, percent = _both_paths(tmp_path, [f"c{i}" for i in range(len(columns))], columns)
+    assert len(list(tasks.iterdir())) == before
+    assert fast == percent
 
 
 # --- the cases that take the % path ---

@@ -28,6 +28,7 @@ from helpers import (
     random_walk_case,
     reference_evolve,
     ring_oracle,
+    two_cpus,
     walk_digest,
 )
 
@@ -467,11 +468,6 @@ def _stage_edges():
     return tuple(ctypes.c_int64.in_dll(lib, name).value for name in ("coinwalk_two_stage_steps", "coinwalk_window"))
 
 
-def _two_cpus():
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("this process may run on fewer than 2 CPUs")
-
-
 # answers "seed steps reduce" lines with walk_digest, pinned to one CPU, so
 # its kernel runs every walk in one stage
 _PINNED_WORKER = """
@@ -488,7 +484,7 @@ for line in sys.stdin:
 @pytest.fixture(scope="module")
 def pinned_digest():
     _stage_edges()
-    _two_cpus()
+    two_cpus()
     here = Path(__file__).resolve().parent
     paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -529,7 +525,7 @@ def test_two_stages_write_the_bytes_of_one(pinned_digest, seed, steps, reduce):
 
 def test_a_two_stage_walk_leaves_no_thread_behind():
     threshold, _ = _stage_edges()
-    _two_cpus()
+    two_cpus()
     tasks = Path("/proc/self/task")
     if not tasks.is_dir():
         pytest.skip("no /proc/self/task")
