@@ -11,26 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from coinwalk.asymptotics import weak_limit_density
-from coinwalk.cli import _OPTIONS
 from coinwalk.coins import preset_coin
 from coinwalk.export import write_csv
 from coinwalk.walk import InitialCondition, evolve
-
-
-# the CLI's bounds of the options these scripts share with it
-_BOUNDS = {opt.name: opt.bounds for opt in _OPTIONS}
-
-
-def _int_in(lo, hi=math.inf):
-    """argparse ``type`` for an integer in ``[lo, hi]``."""
-
-    def integer(text):
-        value = int(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi}]")
-        return value
-
-    return integer
+from run_spreading_survey import _BOUNDS, _int_in  # this script's directory leads sys.path
 
 
 def main() -> int:

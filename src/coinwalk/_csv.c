@@ -28,13 +28,13 @@
  * two.  Each row is formatted by the same routine whichever thread runs it,
  * and depends on nothing but its own values: the bytes written do not depend
  * on the number of stages, nor on the number of CPUs.  The second thread is
- * started for each call, on a small stack, and joined before the call
- * returns; where it cannot be started the caller formats every row.
+ * started for each call, on a small stack, by the walk kernel's starter
+ * (_walk.c), and joined before the call returns; where it does not start the
+ * caller formats every row.
  *
  * Plain C11 with POSIX threads and no Python API: the caller owns and sizes
  * every buffer, and nothing is allocated here but the second thread.
  */
-#define _POSIX_C_SOURCE 200809L /* pthread_attr_setstacksize */
 #include <pthread.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -53,8 +53,9 @@
 /* read by the tests, which cover the edges of the split */
 const int64_t coinwalk_two_stage_fields = TWO_STAGE_FIELDS;
 
-/* the CPUs the calling thread may run on; shared with the walk kernel */
-int coinwalk_usable_cpus(void);
+/* starts fn(arg) where the calling thread may run on two CPUs or more;
+ * returns 0 where the caller must do all the work; in _walk.c */
+int coinwalk_start_second(pthread_t *thread, void *(*fn)(void *), void *arg, size_t stack);
 
 /* "00" "01" ... "99" */
 static const char PAIRS[] =
@@ -289,20 +290,13 @@ static void *second_stage(void *arg)
 int64_t coinwalk_format_rows(const void *const *cols, const char *kinds, int64_t ncols, int64_t first, int64_t rows,
                              char *out)
 {
-    if (rows * ncols < TWO_STAGE_FIELDS || coinwalk_usable_cpus() < 2)
+    if (rows * ncols < TWO_STAGE_FIELDS)
         return format_rows(cols, kinds, ncols, first, rows, out);
     const int64_t half = rows / 2;
     struct stage st = {.cols = cols, .kinds = kinds, .ncols = ncols, .first = first + half, .rows = rows - half,
                        .out = out + half * ncols * FIELD_BYTES};
-    pthread_attr_t attr;
     pthread_t second;
-    int started = pthread_attr_init(&attr) == 0;
-    if (started) {
-        started = pthread_attr_setstacksize(&attr, STACK_BYTES) == 0
-                  && pthread_create(&second, &attr, second_stage, &st) == 0;
-        pthread_attr_destroy(&attr);
-    }
-    if (!started)
+    if (!coinwalk_start_second(&second, second_stage, &st, STACK_BYTES))
         return format_rows(cols, kinds, ncols, first, rows, out);
     const int64_t written = format_rows(cols, kinds, ncols, first, half, out);
     pthread_join(second, NULL);

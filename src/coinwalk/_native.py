@@ -33,7 +33,7 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
 _BUILDS = ("_native-*.so", "_walk-*.so")
 # every exported function: (restype, argtypes)
 _PROTOTYPES = {
-    # flat amplitudes, steps, coin entries, sums or NULL
+    # flat amplitudes, steps, coin entries, moment sums
     "coinwalk_advance": (None, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]),
     # column pointers, column kinds, column count, first row, row count, output; bytes written
     "coinwalk_format_rows": (

@@ -5,11 +5,10 @@
  * base, index ``steps + 1``, so its left shift keeps the sublattice index;
  * coin 0 sits in a block whose base moves down one slot per step, so its right
  * shift is free too.  Each step maps every occupied (coin 0, coin 1) pair
- * through the 2x2 coin in place and, when ``sums`` is given, reduces
- * sum p, sum d p and sum d^2 p over the new block into column k of the
- * (3, steps + 1) row-major array ``sums``, where d is a site's displacement
- * from the start site: an exact integer, so the sums do not depend on where
- * the walk starts.
+ * through the 2x2 coin in place and reduces sum p, sum d p and sum d^2 p over
+ * the new block into column k of the (3, steps + 1) row-major array ``sums``,
+ * where d is a site's displacement from the start site: an exact integer, so
+ * the sums do not depend on where the walk starts.
  *
  * Subnormals.  The amplitudes near the light-cone edges decay through the
  * subnormal range, and on many x86 cores every multiplication that reads or
@@ -37,8 +36,10 @@
  * the one-stage loop run one routine, map_pairs, and every operation is the
  * same in the same order: the bytes written do not depend on the number of
  * stages, nor on the number of CPUs.  Waits spin, then yield the CPU.  The
- * second thread is started for each call, on a small stack, and joined before
- * the call returns; where it cannot be started the caller maps every pair.
+ * second thread is started for each call, on a small stack, by
+ * coinwalk_start_second, which starts the CSV formatter's (_csv.c) too, and
+ * joined before the call returns; where it does not start the caller maps
+ * every pair.
  *
  * Plain C11 with POSIX threads and no Python API: the caller owns and sizes
  * every buffer, and nothing is allocated here but the second thread.  Every
@@ -121,7 +122,7 @@ static void coin_map(double *v, const double *c)
 /* Map pairs [from, to) of step k.  Block site i after step k is displaced
  * 2i - k from the start site.  ``acc`` holds the step's running sums over the
  * plain pairs and, scaled by 2^1200, over the scaled ones (s0 s1 s2 u0 u1 u2);
- * these pairs' terms are added to it in the order of j.  NULL: no sums. */
+ * these pairs' terms are added to it in the order of j. */
 static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k, int64_t from, int64_t to,
                       double *acc)
 {
@@ -131,11 +132,7 @@ static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k
     double *b0 = flat + 2 * (steps - k + 1), *b1 = flat + 2 * (steps + 1);
     double c[8]; /* a local copy, which no store to flat can alias */
     memcpy(c, coin, sizeof c);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, u0 = 0.0, u1 = 0.0, u2 = 0.0;
-    if (acc != NULL) {
-        s0 = acc[0], s1 = acc[1], s2 = acc[2];
-        u0 = acc[3], u1 = acc[4], u2 = acc[5];
-    }
+    double s0 = acc[0], s1 = acc[1], s2 = acc[2], u0 = acc[3], u1 = acc[4], u2 = acc[5];
     for (int64_t j = from; j < to; j++) {
         double *a = b0 + 2 * j, *b = b1 + 2 * j;
         double v[4] = {a[0], a[1], b[0], b[1]};
@@ -159,8 +156,6 @@ static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k
             b[0] = v[2];
             b[1] = v[3];
         }
-        if (acc == NULL)
-            continue;
         const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
         const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
         const double p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
@@ -174,10 +169,8 @@ static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k
             s2 += ddp;
         }
     }
-    if (acc != NULL) {
-        acc[0] = s0, acc[1] = s1, acc[2] = s2;
-        acc[3] = u0, acc[4] = u1, acc[5] = u2;
-    }
+    acc[0] = s0, acc[1] = s1, acc[2] = s2;
+    acc[3] = u0, acc[4] = u1, acc[5] = u2;
 }
 
 /* column k of ``sums`` from the step's running sums */
@@ -217,18 +210,16 @@ static void *second_stage(void *arg)
     struct stages *st = arg;
     for (int64_t k = 1; k <= st->steps; k++) {
         await_step(&st->published, k);
-        double *acc = st->sums == NULL ? NULL : st->ring[k % WINDOW];
+        double *acc = st->ring[k % WINDOW];
         map_pairs(st->flat, st->steps, st->coin, k, split(k), k, acc);
-        if (acc != NULL)
-            store_sums(st->sums, st->steps, k, acc);
+        store_sums(st->sums, st->steps, k, acc);
         atomic_store_explicit(&st->done, k, memory_order_release);
     }
     return NULL;
 }
 
-/* the CPUs the calling thread may run on; 1 where that is unknown.  The CSV
- * formatter's two stages ask it too. */
-int coinwalk_usable_cpus(void)
+/* the CPUs the calling thread may run on; 1 where that is unknown */
+static int usable_cpus(void)
 {
 #ifdef __linux__
     cpu_set_t set;
@@ -238,29 +229,33 @@ int coinwalk_usable_cpus(void)
     return 1;
 }
 
+/* Start fn(arg) on a second thread with a stack of ``stack`` bytes, where the
+ * calling thread may run on two CPUs or more; returns 1 where it started, and
+ * 0 where the caller must do all the work. */
+int coinwalk_start_second(pthread_t *thread, void *(*fn)(void *), void *arg, size_t stack)
+{
+    pthread_attr_t attr;
+    if (usable_cpus() < 2 || pthread_attr_init(&attr) != 0)
+        return 0;
+    const int started = pthread_attr_setstacksize(&attr, stack) == 0 && pthread_create(thread, &attr, fn, arg) == 0;
+    pthread_attr_destroy(&attr);
+    return started;
+}
+
 /* both stages; 0 where the second thread did not start and nothing was mapped */
 static int two_stages(double *flat, int64_t steps, const double *coin, double *sums)
 {
     struct stages st = {.flat = flat, .steps = steps, .coin = coin, .sums = sums};
     atomic_init(&st.published, 0);
     atomic_init(&st.done, 0);
-    pthread_attr_t attr;
     pthread_t second;
-    if (pthread_attr_init(&attr) != 0)
-        return 0;
-    const int started = pthread_attr_setstacksize(&attr, STACK_BYTES) == 0
-                        && pthread_create(&second, &attr, second_stage, &st) == 0;
-    pthread_attr_destroy(&attr);
-    if (!started)
+    if (!coinwalk_start_second(&second, second_stage, &st, STACK_BYTES))
         return 0;
     for (int64_t k = 1; k <= steps; k++) {
         if ((k - 1) % WINDOW == 0)  /* the split moves: the second stage's pairs of step k - 1 are read */
             await_step(&st.done, k - 1);
-        double *acc = NULL;
-        if (sums != NULL) {
-            acc = st.ring[k % WINDOW];
-            memset(acc, 0, sizeof st.ring[0]);
-        }
+        double *acc = st.ring[k % WINDOW];
+        memset(acc, 0, sizeof st.ring[0]);
         map_pairs(flat, steps, coin, k, 0, split(k), acc);
         atomic_store_explicit(&st.published, k, memory_order_release);
     }
@@ -268,15 +263,14 @@ static int two_stages(double *flat, int64_t steps, const double *coin, double *s
     return 1;
 }
 
-/* Walk ``steps`` steps.  ``sums`` may be NULL; column 0 is the caller's. */
+/* Walk ``steps`` steps; column 0 of ``sums`` is the caller's. */
 void coinwalk_advance(double *flat, int64_t steps, const double *coin, double *sums)
 {
-    if (steps >= TWO_STAGE_STEPS && coinwalk_usable_cpus() >= 2 && two_stages(flat, steps, coin, sums))
+    if (steps >= TWO_STAGE_STEPS && two_stages(flat, steps, coin, sums))
         return;
     for (int64_t k = 1; k <= steps; k++) {
         double acc[6] = {0.0};
-        map_pairs(flat, steps, coin, k, 0, k, sums == NULL ? NULL : acc);
-        if (sums != NULL)
-            store_sums(sums, steps, k, acc);
+        map_pairs(flat, steps, coin, k, 0, k, acc);
+        store_sums(sums, steps, k, acc);
     }
 }

@@ -165,6 +165,8 @@ _OPTIONS = (
     _Option("map_out", ("gapscan",), help="also write a gap-map CSV theta,phi,gap_zero,gap_pi"),
     _Option("map_grid", ("gapscan",), int, (2, _MAX_MAP_GRID), "gap-map resolution per axis", DEFAULT_MAP_GRID),
 )
+# the options that name an output file
+_OUTPUTS = ("out", "distribution_out", "map_out")
 
 
 def _value(opt: _Option, text: str):
@@ -246,6 +248,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         text = getattr(args, opt.name, None)
         if isinstance(text, list):  # argparse reads "--name=--" as no value at all
             raise ConfigError(f"argument --{opt.name.replace('_', '-')}: expected one argument")
+        if text == "" and opt.name in _OUTPUTS:  # it names no file, so nothing would be written
+            raise ConfigError(f"argument --{opt.name.replace('_', '-')}: empty path")
         if text is None:
             text = fallback.get(opt.name)
         if text is not None and opt.parse is not None:

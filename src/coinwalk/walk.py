@@ -12,9 +12,9 @@ exact zeros on the empty sublattice.
 The step loop runs as compiled C (``_walk.c``), from the package's compiled
 library (``_native``).  Where that library did not build or load, the same
 loop runs in numpy; :func:`kernel_name` says which one runs.  Both map in plain
-IEEE doubles and agree to the last few digits; each is deterministic.  The
-loop reduces the moments over displacements from the start site, which are
-exact integers, and ``moment_series`` adds the start site once, so the
+IEEE doubles and agree to the last few digits; each is deterministic.  Every
+step also reduces the moments over displacements from the start site, which
+are exact integers, and ``moment_series`` adds the start site once, so the
 variance does not depend on where the walk starts.
 
 A compiled walk of at least 512 steps, in a process that may run on two CPUs
@@ -139,10 +139,10 @@ def kernel_name() -> str:
     return "numpy" if _kernel() is None else "compiled"
 
 
-def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = False):
-    """Walk ``steps`` steps from ``init``; returns the light-cone state and,
-    with ``reduce``, a (3, steps + 1) array of ``sum p``, ``sum d p`` and
-    ``sum d^2 p`` after each step, over the displacements d from the start site.
+def _advance(init: InitialCondition, coin: CoinSpec, steps: int):
+    """Walk ``steps`` steps from ``init``; returns the light-cone state and a
+    (3, steps + 1) array of ``sum p``, ``sum d p`` and ``sum d^2 p`` after
+    each step, over the displacements d from the start site.
 
     Only the sublattice at sites ``x0 - t + 2i`` is stored: after step k it
     holds k + 1 sites.  Both coin components sit in one flat buffer: coin 1
@@ -158,13 +158,11 @@ def _advance(init: InitialCondition, coin: CoinSpec, steps: int, reduce: bool = 
     flat = np.zeros(2 * width, dtype=np.complex128)
     flat[steps], flat[width] = init.coin_state
     coin_mat = np.ascontiguousarray(compose(coin), dtype=np.complex128)
-    sums = None
-    if reduce:
-        sums = np.zeros((3, width))  # at t = 0 every displacement is 0
-        sums[0, 0] = np.sum(np.abs(init.coin_state) ** 2)  # within 1e-12 of 1, not 1 itself
+    sums = np.zeros((3, width))  # at t = 0 every displacement is 0
+    sums[0, 0] = np.sum(np.abs(init.coin_state) ** 2)  # within 1e-12 of 1, not 1 itself
     kernel = _kernel()
     if kernel is not None:
-        kernel(flat.ctypes.data, steps, coin_mat.ctypes.data, None if sums is None else sums.ctypes.data)
+        kernel(flat.ctypes.data, steps, coin_mat.ctypes.data, sums.ctypes.data)
     else:
         _numpy_steps(flat, coin_mat, steps, sums)
     # the empty parity class holds exact zeros
@@ -178,12 +176,11 @@ def _numpy_steps(flat, coin_mat, steps, sums) -> None:
     width = steps + 1
     c00, c01, c10, c11 = coin_mat.ravel()
     scratch = np.empty((3, width), dtype=np.complex128)
-    if sums is not None:
-        floats = flat.view(np.float64)
-        work = np.empty(6 * width)
-        x = np.arange(-steps, steps + 1, dtype=np.float64)  # every displacement ever reached
-        # x and x^2 per parity class, each repeated for the real and imaginary part
-        weights = [np.repeat(np.stack((x[p::2], x[p::2] ** 2)), 2, axis=1) for p in (0, 1)]
+    floats = flat.view(np.float64)
+    work = np.empty(6 * width)
+    x = np.arange(-steps, steps + 1, dtype=np.float64)  # every displacement ever reached
+    # x and x^2 per parity class, each repeated for the real and imaginary part
+    weights = [np.repeat(np.stack((x[p::2], x[p::2] ** 2)), 2, axis=1) for p in (0, 1)]
     for k in range(1, width):
         # after this step: coin 0 at flat[lo:width], coin 1 at flat[width:width + n]
         lo, n = steps - k, k + 1
@@ -197,22 +194,22 @@ def _numpy_steps(flat, coin_mat, steps, sums) -> None:
         np.add(s0, s1, out=a0)
         np.multiply(a1, c11, out=s0)
         np.add(s2, s0, out=a1)
-        if sums is not None:
-            # block site i is displaced x[lo + 2i], entry lo // 2 + i of its parity class
-            w = weights[lo % 2][:, 2 * (lo // 2) : 2 * (lo // 2 + n)]
-            block = floats[2 * lo : 2 * (lo + 2 * n)]
-            # rows p, x p and x^2 p, split into real and imaginary parts; the
-            # squares of the block fill the last two rows first
-            terms = work[: 6 * n].reshape(3, 2 * n)
-            np.multiply(block, block, out=work[2 * n : 6 * n])
-            np.add(terms[1], terms[2], out=terms[0])
-            np.multiply(w, terms[0], out=terms[1:])
-            # one reduction call sums each row on its own, as a 1-D sum would
-            np.add.reduce(terms, axis=1, out=sums[:, k])
+        # block site i is displaced x[lo + 2i], entry lo // 2 + i of its parity class
+        w = weights[lo % 2][:, 2 * (lo // 2) : 2 * (lo // 2 + n)]
+        block = floats[2 * lo : 2 * (lo + 2 * n)]
+        # rows p, x p and x^2 p, split into real and imaginary parts; the
+        # squares of the block fill the last two rows first
+        terms = work[: 6 * n].reshape(3, 2 * n)
+        np.multiply(block, block, out=work[2 * n : 6 * n])
+        np.add(terms[1], terms[2], out=terms[0])
+        np.multiply(w, terms[0], out=terms[1:])
+        # one reduction call sums each row on its own, as a 1-D sum would
+        np.add.reduce(terms, axis=1, out=sums[:, k])
 
 
 def evolve(init: InitialCondition, coin: CoinSpec, steps: int) -> WalkerState:
-    """Apply ``steps`` walk steps to a point-localised initial state."""
+    """Apply ``steps`` walk steps to a point-localised initial state, and drop
+    the moment sums that :func:`moment_series` returns beside it."""
     return _advance(init, coin, steps)[0]
 
 
@@ -221,7 +218,7 @@ def moment_series(init: InitialCondition, coin: CoinSpec, steps: int) -> MomentS
     from 0 through ``steps``, reduced inside one kernel run; the series carries
     the final state.  The start site x0 enters the mean and the second moment
     only, added once to the displacement sums."""
-    final, (norm, dp, ddp) = _advance(init, coin, steps, reduce=True)
+    final, (norm, dp, ddp) = _advance(init, coin, steps)
     x0 = float(init.position)
     return MomentSeries(
         times=np.arange(steps + 1, dtype=np.int64),

@@ -75,12 +75,12 @@ def random_walk_case(seed):
     return rng, coin, init
 
 
-def walk_digest(seed: int, steps: int, reduce: bool) -> str:
-    """SHA-256 over the bytes of the final amplitudes and, with ``reduce``, of
-    the moment sums of a walk of :func:`random_walk_case` ``(seed)``."""
+def walk_digest(seed: int, steps: int) -> str:
+    """SHA-256 over the bytes of the final amplitudes and of the moment sums
+    of a walk of :func:`random_walk_case` ``(seed)``."""
     _, coin, init = random_walk_case(seed)
-    state, sums = _advance(init, coin, steps, reduce)
-    return hashlib.sha256(state.amplitudes.tobytes() + (b"" if sums is None else sums.tobytes())).hexdigest()
+    state, sums = _advance(init, coin, steps)
+    return hashlib.sha256(state.amplitudes.tobytes() + sums.tobytes()).hexdigest()
 
 
 def two_cpus() -> None:

@@ -257,6 +257,18 @@ OUTPUT_ROWS = [
 
 
 @pytest.mark.parametrize("command, name", OUTPUT_ROWS)
+@pytest.mark.parametrize("equals", [True, False], ids=["--name=", "--name ''"])
+def test_empty_output_path_is_a_config_error(tmp_path, capsys, command, name, equals):
+    # an empty path names no file: the run must not end 0 with nothing written
+    flag = "--" + name.replace("_", "-")
+    options = {key: text for key, text in BASE[command].items() if key != name}
+    empty = [f"{flag}="] if equals else [flag, ""]
+    assert cli.main([command, f"--output-dir={tmp_path}", *_flags(options), *empty]) == 1
+    assert capsys.readouterr().err == f"config error: argument {flag}: empty path\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, name", OUTPUT_ROWS)
 @pytest.mark.parametrize("target", ["dir", "file/under.csv"])
 def test_unwritable_output_leaves_no_file_of_the_run(tmp_path, capsys, command, name, target):
     # the other outputs of the run are written before or after this one fails;

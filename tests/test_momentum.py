@@ -200,6 +200,17 @@ def test_group_velocity_examples():
     assert np.array_equal(band.group_velocity, band.bloch[:, 2])
 
 
+@pytest.mark.parametrize("coin", ["hadamard_analog", "sigma_x"])
+def test_v_group_and_nz_differ_in_the_sign_of_zero(tmp_path, coin):
+    # v = (c sin k - s_z cos k) / |m| and n_z = -(s_z cos k - c sin k) / |m|
+    # are equal as numbers, but where c sin k - s_z cos k is exactly 0 (k = 0
+    # for these coins) n_z is -0 and v is +0, which array_equal cannot see
+    path = tmp_path / "d.csv"
+    dispersion_to_csv(dispersion_band(preset_coin(coin)), path)
+    (row,) = [line for line in path.read_text().splitlines() if line.startswith("0,")]
+    assert row.split(",")[4:] == ["-0", "0"]
+
+
 def test_group_velocity_matches_finite_difference():
     # v at grid points against a central difference of w off the grid
     rng = np.random.default_rng(26)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinwalk import cli, walk
+from coinwalk import cli, export, walk
 from coinwalk._native import load
 from coinwalk.coins import compose, preset_coin, random_coin_spec
 from coinwalk.walk import InitialCondition, evolve, moment_series
@@ -468,32 +468,37 @@ def _stage_edges():
     return tuple(ctypes.c_int64.in_dll(lib, name).value for name in ("coinwalk_two_stage_steps", "coinwalk_window"))
 
 
-# answers "seed steps reduce" lines with walk_digest, pinned to one CPU, so
-# its kernel runs every walk in one stage
+# answers "seed steps" lines with walk_digest, pinned to one CPU, so its
+# kernel runs every walk in one stage
 _PINNED_WORKER = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from helpers import walk_digest
 print(len(os.sched_getaffinity(0)), flush=True)
 for line in sys.stdin:
-    seed, steps, reduce = map(int, line.split())
-    print(walk_digest(seed, steps, bool(reduce)), flush=True)
+    seed, steps = map(int, line.split())
+    print(walk_digest(seed, steps), flush=True)
 """
+
+
+def _worker_env() -> dict:
+    """The environment of a worker process that imports ``coinwalk`` and ``helpers``."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 @pytest.fixture(scope="module")
 def pinned_digest():
     _stage_edges()
     two_cpus()
-    here = Path(__file__).resolve().parent
-    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.Popen(
-        [sys.executable, "-c", _PINNED_WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env
+        [sys.executable, "-c", _PINNED_WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env=_worker_env(),
     )
 
-    def digest(seed, steps, reduce):
-        proc.stdin.write(f"{seed} {steps} {int(reduce)}\n")
+    def digest(seed, steps):
+        proc.stdin.write(f"{seed} {steps}\n")
         proc.stdin.flush()
         return proc.stdout.readline().strip()
 
@@ -514,13 +519,13 @@ def _stage_step_counts():
     return st.one_of(st.sampled_from([n + d for n in edges for d in (-1, 0, 1)]), st.integers(0, 2400))
 
 
-@given(seed=st.integers(0, 2**32 - 1), steps=st.data(), reduce=st.booleans())
+@given(seed=st.integers(0, 2**32 - 1), steps=st.data())
 @settings(max_examples=40, deadline=None)
-def test_two_stages_write_the_bytes_of_one(pinned_digest, seed, steps, reduce):
+def test_two_stages_write_the_bytes_of_one(pinned_digest, seed, steps):
     """A walk run where the kernel may take two CPUs writes the amplitudes and
     sums of the same walk run pinned to one CPU, byte for byte."""
     steps = steps.draw(_stage_step_counts())
-    assert walk_digest(seed, steps, reduce) == pinned_digest(seed, steps, reduce)
+    assert walk_digest(seed, steps) == pinned_digest(seed, steps)
 
 
 def test_a_two_stage_walk_leaves_no_thread_behind():
@@ -541,6 +546,51 @@ def test_a_two_stage_walk_leaves_no_thread_behind():
     assert not walker.is_alive()
     assert during == before + 2  # the walking thread, and the second stage beside it
     assert len(list(tasks.iterdir())) == before
+
+
+# pinned to one CPU, walks argv[1] steps and writes argv[2] rows of four
+# double columns to argv[3] on a thread of its own while the main thread
+# polls /proc/self/task; prints the CPUs it may use, the kernel that walked,
+# and the most threads seen beside the main one
+_PINNED_THREADS = """
+import os, sys, threading, time
+from pathlib import Path
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from coinwalk import export, walk
+from helpers import random_walk_case
+steps, rows = int(sys.argv[1]), int(sys.argv[2])
+_, coin, init = random_walk_case(47)
+columns = list(np.random.default_rng(47).normal(size=(4, rows)))
+
+def work():
+    walk.evolve(init, coin, steps)
+    export.write_csv(sys.argv[3], ["a", "b", "c", "d"], columns)
+
+tasks = Path("/proc/self/task")
+before = len(list(tasks.iterdir()))
+worker = threading.Thread(target=work)
+most = before
+worker.start()
+while worker.is_alive():
+    most = max(most, len(list(tasks.iterdir())))
+    time.sleep(0.0005)
+worker.join()
+print(len(os.sched_getaffinity(0)), walk.kernel_name(), most - before)
+"""
+
+
+def test_pinned_to_one_cpu_neither_compiled_routine_starts_a_thread(tmp_path):
+    threshold, _ = _stage_edges()
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task")
+    rows = 10 * export._CHUNK_ROWS  # ten formatter calls, each of four columns
+    assert 4 * export._CHUNK_ROWS >= ctypes.c_int64.in_dll(walk.library(), "coinwalk_two_stage_fields").value
+    argv = [sys.executable, "-c", _PINNED_THREADS, str(8 * threshold), str(rows), str(tmp_path / "t.csv")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_worker_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "compiled", "1"]  # the worker thread alone
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == rows + 1
 
 
 def test_failed_build_falls_back_to_numpy_loop(tmp_path, monkeypatch):
