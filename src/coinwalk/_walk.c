@@ -23,6 +23,21 @@
  * squares are normal too, so those pairs' sums are kept scaled by 2^1200 and
  * added in at the end of the step.  A pair of four zeros is left as it is.
  *
+ * Blocks.  Most pairs are plain: neither four zeros nor all four below
+ * 2^-511.  map_pairs takes its range in blocks of BLOCK pairs, and maps a
+ * block of plain pairs two pairs at a time, in two-lane vectors of the GNU
+ * vector extensions (SSE2 and NEON registers, with no -march and no CPU
+ * dispatch), the real parts in one vector and the imaginary parts in
+ * another.  Each lane runs the one-pair map's IEEE operations on its operands
+ * in its order, and the lanes' terms are added to the sums one at a time in
+ * the order of j, so the block writes the bytes that the one-pair loop writes;
+ * a block that holds a scaled pair or four zeros, and the last pairs short of
+ * a block, go through the one-pair loop.  On a 2-vCPU x86-64 VM (gcc 12, the
+ * flags below) a plain pair costs 6.0 ns on one thread against 9.4 ns one
+ * pair at a time (a 2400-step walk with |c00| = 0.99, median of 15 runs).
+ * Mapping the scaled pairs in blocks as well, with the scaling done on the
+ * bits in lanes, measured no faster, so they stay one at a time.
+ *
  * Two stages.  Pair j of step k reads only pairs j - 1 and j of step k - 1, so
  * a walk of at least TWO_STAGE_STEPS steps, where the calling thread may run
  * on two CPUs or more, is split in two: the caller maps pairs [0, m) of each
@@ -33,19 +48,21 @@
  * the one-stage loop adds it.  m moves to half the pairs only at the start of
  * each WINDOW steps, where the first stage waits for the second to finish the
  * step before; so at most WINDOW steps' sums are in flight.  Both stages and
- * the one-stage loop run one routine, map_pairs, and every operation is the
- * same in the same order: the bytes written do not depend on the number of
+ * the one-stage loop run one routine, map_pairs, whose blocks start at the
+ * range's first pair, and every operation is the same in the same order,
+ * whether in a block or not: the bytes written do not depend on the number of
  * stages, nor on the number of CPUs.  Waits spin, then yield the CPU.  The
  * second thread is started for each call, on a small stack, by
  * coinwalk_start_second, which starts the CSV formatter's (_csv.c) too, and
  * joined before the call returns; where it does not start the caller maps
  * every pair.
  *
- * Plain C11 with POSIX threads and no Python API: the caller owns and sizes
- * every buffer, and nothing is allocated here but the second thread.  Every
- * operation is a double one, on every platform.  Build without -ffast-math
- * and with -ffp-contract=off, so the arithmetic is the IEEE operations written
- * below, in the order written, and reruns are bit for bit the same.
+ * C11 with POSIX threads, the GNU vector extensions (gcc and clang) and no
+ * Python API: the caller owns and sizes every buffer, and nothing is
+ * allocated here but the second thread.  Every operation is a double one, on
+ * every platform.  Build without -ffast-math and with -ffp-contract=off, so
+ * the arithmetic is the IEEE operations written below, in the order written,
+ * and reruns are bit for bit the same.
  */
 #define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
@@ -63,6 +80,8 @@
 #define TWO_STAGE_STEPS 512
 /* steps between moves of the split, and the ring of handed-over sums */
 #define WINDOW 32
+/* pairs per block of map_pairs: a multiple of the two lanes */
+#define BLOCK 8
 /* polls of a counter before each wait yields the CPU */
 #define SPINS 4096
 #define STACK_BYTES (256 * 1024)
@@ -119,10 +138,94 @@ static void coin_map(double *v, const double *c)
     v[3] = (ar * c[5] + ai * c[4]) + (br * c[7] + bi * c[6]);
 }
 
+/* the bits of pair (a, b)'s four components, or'ed: zero in all but the sign
+ * bit for four +-0, and with neither bit 9 nor bit 10 of the exponent field set
+ * where all four lie below 2^-511 */
+static uint64_t pair_bits(const double *a, const double *b)
+{
+    return bits_of(a[0]) | bits_of(a[1]) | bits_of(b[0]) | bits_of(b[1]);
+}
+
+/* 1 for the bits of a plain pair, which is mapped unscaled */
+static int is_plain(uint64_t bits)
+{
+    return (bits & 0x6000000000000000ULL) != 0;
+}
+
+/* Map pair j of step k, a at coin 0 and b at coin 1, and add its terms to
+ * ``acc`` (s0 s1 s2 u0 u1 u2, see map_pairs) */
+static void map_pair(double *a, double *b, const double *c, int64_t j, int64_t k, double *acc)
+{
+    const uint64_t any = pair_bits(a, b);
+    if ((any << 1) == 0)  /* four +-0: the map gives zeros and the sums gain nothing */
+        return;
+    const int scaled = !is_plain(any);
+    double v[4] = {a[0], a[1], b[0], b[1]};
+    if (scaled)
+        for (int i = 0; i < 4; i++)
+            v[i] = scale_up(v[i]);
+    coin_map(v, c);
+    if (scaled) {
+        a[0] = scale_down(v[0]);
+        a[1] = scale_down(v[1]);
+        b[0] = scale_down(v[2]);
+        b[1] = scale_down(v[3]);
+    } else {
+        a[0] = v[0];
+        a[1] = v[1];
+        b[0] = v[2];
+        b[1] = v[3];
+    }
+    const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
+    const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
+    double *sum = acc + 3 * scaled;
+    sum[0] += qa + qb;
+    sum[1] += da * qa + db * qb;
+    sum[2] += (da * da) * qa + (db * db) * qb;
+}
+
+/* two lanes of doubles, native on SSE2 and NEON: one lane per pair */
+typedef double lanes __attribute__((vector_size(2 * sizeof(double))));
+
+/* Map the BLOCK plain pairs from pair j of step k, two at a time in planar
+ * (re, im) lanes: every lane runs map_pair's operations on map_pair's
+ * operands, and the terms are added to the plain sums one lane at a time, in
+ * the order of j. */
+static void map_plain_block(double *a, double *b, const double *c, int64_t j, int64_t k, double *acc)
+{
+    const lanes c0r = {c[0], c[0]}, c0i = {c[1], c[1]}, c1r = {c[2], c[2]}, c1i = {c[3], c[3]};
+    const lanes c2r = {c[4], c[4]}, c2i = {c[5], c[5]}, c3r = {c[6], c[6]}, c3i = {c[7], c[7]};
+    double s0 = acc[0], s1 = acc[1], s2 = acc[2];
+    for (int i = 0; i < 2 * BLOCK; i += 4, j += 2) {
+        const lanes ar = {a[i], a[i + 2]}, ai = {a[i + 1], a[i + 3]};
+        const lanes br = {b[i], b[i + 2]}, bi = {b[i + 1], b[i + 3]};
+        const lanes xr = (ar * c0r - ai * c0i) + (br * c1r - bi * c1i);
+        const lanes xi = (ar * c0i + ai * c0r) + (br * c1i + bi * c1r);
+        const lanes yr = (ar * c2r - ai * c2i) + (br * c3r - bi * c3i);
+        const lanes yi = (ar * c2i + ai * c2r) + (br * c3i + bi * c3r);
+        a[i] = xr[0], a[i + 1] = xi[0], a[i + 2] = xr[1], a[i + 3] = xi[1];
+        b[i] = yr[0], b[i + 1] = yi[0], b[i + 2] = yr[1], b[i + 3] = yi[1];
+        const lanes qa = xr * xr + xi * xi, qb = yr * yr + yi * yi;
+        const lanes da = {(double)(2 * j + 2 - k), (double)(2 * j + 4 - k)};
+        const lanes db = {(double)(2 * j - k), (double)(2 * j + 2 - k)};
+        const lanes p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
+        s0 += p[0];
+        s1 += dp[0];
+        s2 += ddp[0];
+        s0 += p[1];
+        s1 += dp[1];
+        s2 += ddp[1];
+    }
+    acc[0] = s0, acc[1] = s1, acc[2] = s2;
+}
+
 /* Map pairs [from, to) of step k.  Block site i after step k is displaced
  * 2i - k from the start site.  ``acc`` holds the step's running sums over the
  * plain pairs and, scaled by 2^1200, over the scaled ones (s0 s1 s2 u0 u1 u2);
- * these pairs' terms are added to it in the order of j. */
+ * these pairs' terms are added to it in the order of j.  The pairs go in
+ * blocks of BLOCK from ``from``: a block of plain pairs through
+ * map_plain_block, any other block and the last pairs short of a block
+ * through map_pair. */
 static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k, int64_t from, int64_t to,
                       double *acc)
 {
@@ -132,45 +235,23 @@ static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k
     double *b0 = flat + 2 * (steps - k + 1), *b1 = flat + 2 * (steps + 1);
     double c[8]; /* a local copy, which no store to flat can alias */
     memcpy(c, coin, sizeof c);
-    double s0 = acc[0], s1 = acc[1], s2 = acc[2], u0 = acc[3], u1 = acc[4], u2 = acc[5];
-    for (int64_t j = from; j < to; j++) {
+    double s[6]; /* the running sums, in a local copy too */
+    memcpy(s, acc, sizeof s);
+    int64_t j = from;
+    for (; j + BLOCK <= to; j += BLOCK) {
         double *a = b0 + 2 * j, *b = b1 + 2 * j;
-        double v[4] = {a[0], a[1], b[0], b[1]};
-        const uint64_t any = bits_of(v[0]) | bits_of(v[1]) | bits_of(v[2]) | bits_of(v[3]);
-        if ((any << 1) == 0)  /* four +-0: the map gives zeros and the sums gain nothing */
-            continue;
-        /* all four below 2^-511: no exponent field has bit 9 or 10 set */
-        const int scaled = (any & 0x6000000000000000ULL) == 0;
-        if (scaled)
-            for (int i = 0; i < 4; i++)
-                v[i] = scale_up(v[i]);
-        coin_map(v, c);
-        if (scaled) {
-            a[0] = scale_down(v[0]);
-            a[1] = scale_down(v[1]);
-            b[0] = scale_down(v[2]);
-            b[1] = scale_down(v[3]);
-        } else {
-            a[0] = v[0];
-            a[1] = v[1];
-            b[0] = v[2];
-            b[1] = v[3];
-        }
-        const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
-        const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
-        const double p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
-        if (scaled) {
-            u0 += p;
-            u1 += dp;
-            u2 += ddp;
-        } else {
-            s0 += p;
-            s1 += dp;
-            s2 += ddp;
-        }
+        int plain = 1;
+        for (int i = 0; i < 2 * BLOCK; i += 2)
+            plain &= is_plain(pair_bits(a + i, b + i));
+        if (plain)
+            map_plain_block(a, b, c, j, k, s);
+        else
+            for (int i = 0; i < BLOCK; i++)
+                map_pair(a + 2 * i, b + 2 * i, c, j + i, k, s);
     }
-    acc[0] = s0, acc[1] = s1, acc[2] = s2;
-    acc[3] = u0, acc[4] = u1, acc[5] = u2;
+    for (; j < to; j++)
+        map_pair(b0 + 2 * j, b1 + 2 * j, c, j, k, s);
+    memcpy(acc, s, sizeof s);
 }
 
 /* column k of ``sums`` from the step's running sums */

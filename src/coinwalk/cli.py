@@ -165,8 +165,6 @@ _OPTIONS = (
     _Option("map_out", ("gapscan",), help="also write a gap-map CSV theta,phi,gap_zero,gap_pi"),
     _Option("map_grid", ("gapscan",), int, (2, _MAX_MAP_GRID), "gap-map resolution per axis", DEFAULT_MAP_GRID),
 )
-# the options that name an output file
-_OUTPUTS = ("out", "distribution_out", "map_out")
 
 
 def _value(opt: _Option, text: str):
@@ -227,12 +225,8 @@ def _parser() -> _Parser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="flat key = value configuration file")
         for opt in (opt for opt in _OPTIONS if name in opt.commands):
-            out = opt.name == "out"  # its help and whether it is required belong to the subcommand
-            p.add_argument(
-                "--" + opt.name.replace("_", "-"),
-                required=out and command.out_required,
-                help=command.out_help if out else _help(opt),
-            )
+            out = opt.name == "out"  # its help is the subcommand's; _merge checks that it is given
+            p.add_argument("--" + opt.name.replace("_", "-"), help=command.out_help if out else _help(opt))
     return parser
 
 
@@ -241,20 +235,26 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     ``$COINWALK_OUTPUT_DIR`` (``output_dir`` only), else the default.  Text is
     parsed where the option has a parser, so every config-file value is
     checked, also for options the subcommand does not take."""
+    if args.config == "":
+        raise ConfigError("argument --config: empty path")
     fallback = read_config_file(args.config) if args.config else {}
     fallback.setdefault("output_dir", os.environ.get(_OUTPUT_DIR_ENV))  # below the file, above the default
     cfg = argparse.Namespace(command=args.command)
     for opt in _OPTIONS:
         text = getattr(args, opt.name, None)
+        flag = "--" + opt.name.replace("_", "-")
         if isinstance(text, list):  # argparse reads "--name=--" as no value at all
-            raise ConfigError(f"argument --{opt.name.replace('_', '-')}: expected one argument")
-        if text == "" and opt.name in _OUTPUTS:  # it names no file, so nothing would be written
-            raise ConfigError(f"argument --{opt.name.replace('_', '-')}: empty path")
+            raise ConfigError(f"argument {flag}: expected one argument")
+        if text == "":  # as in a config file, where "name =" is an error: empty text is not "not given"
+            # an output option (``out``, ``*_out``) would name no file, so nothing would be written
+            raise ConfigError(f"argument {flag}: empty {'path' if opt.name.endswith('out') else 'value'}")
         if text is None:
             text = fallback.get(opt.name)
         if text is not None and opt.parse is not None:
             text = _value(opt, text)
         setattr(cfg, opt.name, opt.default if text is None else text)
+    if cfg.out is None and _COMMANDS[cfg.command].out_required:  # by flag or by config file
+        raise ConfigError("the following arguments are required: --out")
     return cfg
 
 

@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coinwalk import cli
@@ -369,3 +369,53 @@ def test_readme_states_the_size_ranges():
             default = opt.default
             assert f"`--{opt.name.replace('_', '-')}`" in readme
             assert f"default {default}, {opt.bounds[0]} to {opt.bounds[1]}" in readme, opt.name
+
+
+# every (subcommand, option) pair; each runs with BASE's other options, less
+# the one that the option excludes
+FLAG_ROWS = [(command, opt.name) for command in cli._COMMANDS for opt in cli._OPTIONS if command in opt.commands]
+_EXCLUDES = {"coin_file": "coin", "initial_coin": "initial_bloch"}
+# text that a config line carries as it is: no "#", no line break and no blank
+# at either end; and no "/", so that every path stays inside the run's directory
+_LINE_TEXT = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="#/"), max_size=10).filter(
+    lambda text: text == text.strip() and (text.splitlines() or [""]) == [text]
+)
+
+
+def _run_in(directory: Path, argv: list[str]) -> tuple:
+    """Exit code, stdout and every file under ``directory`` (relative path ->
+    bytes) of ``argv`` run from ``directory / "run"``."""
+    (directory / "run").mkdir(parents=True)
+    out, cwd = io.StringIO(), os.getcwd()
+    os.chdir(directory / "run")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    files = {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+    return code, out.getvalue(), files
+
+
+@pytest.mark.parametrize("command, name", FLAG_ROWS)
+@settings(max_examples=5, deadline=None)
+@given(text=_LINE_TEXT)
+@example(text="")
+def test_a_flag_and_a_config_line_end_alike(command, name, text):
+    """``--name TEXT`` and a config file's ``name = TEXT`` give the same exit
+    code, stdout and files, byte for byte; the empty text included."""
+    if name in CHEAP:  # a size past CHEAP's makes a slow run
+        with contextlib.suppress(ValueError):
+            assume(int(text) <= CHEAP[name])
+    options = {key: value for key, value in BASE[command].items() if key not in (name, _EXCLUDES.get(name))}
+    flag = "--" + name.replace("_", "-")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text(f"{name} = {text}\n", encoding="utf-8")
+        expected = _run_in(tmp / "config", [command, f"--config={tmp / 'run.cfg'}", *_flags(options)])
+        # argparse reads "--name=--" as no value, and "--name -x" as two flags
+        spellings = [[f"{flag}={text}"]] if text != "--" else []
+        if not text.startswith("-"):
+            spellings.append([flag, text])
+        for i, spelling in enumerate(spellings):
+            assert _run_in(tmp / f"flag{i}", [command, *_flags(options), *spelling]) == expected, spelling

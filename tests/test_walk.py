@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import hashlib
 import math
 import os
 import shlex
@@ -415,19 +416,100 @@ def _mirror_advance(amps, steps, c):
     return amps, sums
 
 
+def _hand_set_flat(rng, steps, scales):
+    """A flat buffer for a walk of ``steps`` steps with every slot set, in runs
+    of one of ``scales``.  Each slot is read first where its pair joins the
+    light cone."""
+    values = []
+    while len(values) < 4 * (steps + 1):
+        scale = scales[rng.integers(len(scales))]
+        values += [float(z) * scale for z in rng.uniform(-1, 1, size=2 * int(rng.integers(1, 33)))]
+    return np.array(values[: 4 * (steps + 1)])
+
+
+# (coin preset or None for a random coin, scales): 1 and 2^-505 make plain
+# pairs, 2^-530 scaled pairs whose map meets no subnormal, 2^-1050 and 2^-1073
+# scaled pairs that map to subnormals, and 2^-1073 and 0 pairs of four zeros;
+# the identity coin keeps zero pairs zero, so that blocks of every kind and
+# every mix of kinds occur
+_MIRROR_WALKS = [
+    (None, (1.0, 2.0**-505, 0.0)),
+    (None, (1.0, 2.0**-530, 2.0**-1073)),
+    (None, (2.0**-505, 2.0**-530, 2.0**-1050)),
+    (None, (2.0**-1050, 2.0**-1073, 0.0)),
+    (None, (1.0, 2.0**-1050, 0.0)),
+    (None, (1.0, 2.0**-505, 2.0**-530)),
+    ("identity", (1.0, 2.0**-530, 0.0)),
+    ("identity", (2.0**-505, 2.0**-1073, 0.0)),
+]
+
+
 def test_compiled_kernel_is_its_python_float_mirror_bit_for_bit():
+    """Walks of 100 to 200 steps, each many blocks long, from hand-set buffers
+    of plain, scaled and zero pairs; every step's range ends in a short block
+    of each length in turn."""
     kernel = _compiled()
     rng = np.random.default_rng(42)
-    steps, width = 12, 13
-    for _ in range(20):
-        coin = compose(random_coin_spec(rng, int(rng.integers(1, 5))))
-        flat = np.zeros(2 * width, dtype=np.complex128)
-        flat[steps], flat[width] = random_coin_state(rng)
-        amps, sums = _mirror_advance(flat.view(np.float64).tolist(), steps, coin.view(np.float64).ravel().tolist())
-        got = np.zeros((3, width))
+    for preset, scales in _MIRROR_WALKS:
+        steps = int(rng.integers(100, 201))
+        coin = compose(preset_coin(preset) if preset else random_coin_spec(rng, int(rng.integers(1, 5))))
+        flat = _hand_set_flat(rng, steps, scales)
+        amps, sums = _mirror_advance(flat.tolist(), steps, coin.view(np.float64).ravel().tolist())
+        got = np.zeros((3, steps + 1))
         kernel(flat.ctypes.data, steps, coin.ctypes.data, got.ctypes.data)
-        assert flat.view(np.float64).tobytes() == np.array(amps).tobytes()
+        assert flat.tobytes() == np.array(amps).tobytes()
         assert got.tobytes() == np.array(sums).tobytes()
+
+
+# Walks run by coinwalk_advance from one site: steps, the coin entries c00,
+# c01, c10, c11 as (re, im), the start pair (coin 0 then coin 1, as (re, im)),
+# and the SHA-256 of the flat buffer's bytes then the sums' after the walk, as
+# the one-pair loop wrote them before pairs were mapped in blocks.  Every input
+# is a hex literal, so no libm value enters.  The R = 0.5 walk passes through
+# scaled pairs and, at its edges, through pairs of four zeros; the R = 0.1
+# walk through more of both.
+_GOLDEN_WALKS = [
+    (
+        2400,
+        "0x1.e921dd42f09bap-2 0x1.2e9cd95baba33p-3 -0x1.a928cc5d3b2dfp-2 0x1.851fdf590d1f5p-1"
+        " 0x1.a928cc5d3b2dfp-2 0x1.851fdf590d1f5p-1 0x1.e921dd42f09bap-2 -0x1.2e9cd95baba33p-3",
+        "0x1.6a09e667f3bcdp-1 0x0.0p+0 0x0.0p+0 0x1.6a09e667f3bcdp-1",
+        "c1635b09828c6b2e629b85ee4f9c961ab3307fdbd97aeb2c82fb0b5ad9b3da00",
+    ),
+    (
+        1200,
+        "0x1.cbd66d382d34cp-2 0x1.c3bc353187425p-1 0x1.c20567661105fp-5 0x1.0a1999deafab6p-3"
+        " -0x1.c20567661105fp-5 0x1.0a1999deafab6p-3 0x1.cbd66d382d34cp-2 -0x1.c3bc353187425p-1",
+        "0x1.3333333333333p-1 0x0.0p+0 0x0.0p+0 0x1.999999999999ap-1",
+        "630c5703198dc04710330ce960f020b3d8a00c1b8d0f2b1e309e1b91fb6e07a2",
+    ),
+    (
+        777,
+        "0x1.5f4180239f822p-1 -0x1.1ccff65781383p-3 -0x1.4c79fec469216p-1 -0x1.305220318a721p-2"
+        " 0x1.4c79fec469216p-1 -0x1.305220318a721p-2 0x1.5f4180239f822p-1 0x1.1ccff65781383p-3",
+        "0x1.1eb851eb851ecp-2 -0x1.eb851eb851eb8p-1 0x0.0p+0 0x0.0p+0",
+        "c8296cfb9fd5ff426fef67a73646fd8ec5a05a9be9aec64a4833ed78ac113951",
+    ),
+    (
+        600,
+        "0x1.fd390f0eb0360p-5 0x1.40d9c79e4869bp-4 -0x1.96de31e83dd0ap-4 0x1.fae3762bb419cp-1"
+        " 0x1.96de31e83dd0ap-4 0x1.fae3762bb419cp-1 0x1.fd390f0eb0360p-5 -0x1.40d9c79e4869bp-4",
+        "0x0.0p+0 0x0.0p+0 -0x1.999999999999ap-1 0x1.3333333333333p-1",
+        "0618b632c482675ae224a55fec6cf6154f6e4c3128863ea5061e0f0c413df99a",
+    ),
+]
+
+
+@pytest.mark.parametrize("steps, coin, start, digest", _GOLDEN_WALKS, ids=[f"{w[0]}-steps" for w in _GOLDEN_WALKS])
+def test_compiled_kernel_writes_the_golden_bytes(steps, coin, start, digest):
+    kernel = _compiled()
+    coin = np.array([float.fromhex(h) for h in coin.split()])
+    flat = np.zeros(4 * (steps + 1))
+    start = [float.fromhex(h) for h in start.split()]
+    flat[2 * steps : 2 * steps + 2], flat[2 * steps + 2 : 2 * steps + 4] = start[:2], start[2:]
+    sums = np.zeros((3, steps + 1))
+    kernel(flat.ctypes.data, steps, coin.ctypes.data, sums.ctypes.data)
+    assert hashlib.sha256(flat.tobytes() + sums.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("magnitude", [0.5, 2.0**-520, 2.0**-700, 2.0**-1000, 2.0**-1060, 0.0])
