@@ -13,49 +13,47 @@
  * Subnormals.  The amplitudes near the light-cone edges decay through the
  * subnormal range, and on many x86 cores every multiplication that reads or
  * writes a subnormal takes a microcode assist dozens of times slower than the
- * multiplication itself; scalar code pays one assist per operation where
- * numpy's vector loops pay one per vector.  So a pair whose four components
- * all lie below 2^-511 is mapped scaled up by 2^600: the scaling is exact and
- * done on the bits, the products are all normal, and the result is scaled back
- * down with IEEE rounding, also on the bits.  Where no operand or result of
- * the unscaled map is subnormal the scaled map gives the same bits; elsewhere
- * it lands within one unit of the last subnormal place of the exact map.  Its
+ * multiplication itself.  So a pair whose four components all lie below 2^-511
+ * is scaled up by 2^600 into a copy, exactly, mapped there as a block of one
+ * pair, and scaled back down with IEEE rounding; both scalings are done on the
+ * bits, and the products are all normal.  Where no operand or result of the
+ * unscaled map is subnormal the scaled map gives the same bits; elsewhere it
+ * lands within one unit of the last subnormal place of the exact map.  Its
  * squares are normal too, so those pairs' sums are kept scaled by 2^1200 and
- * added in at the end of the step.  A pair of four zeros is left as it is.
+ * added in at the end of the step.  A pair of four zeros is skipped: the map
+ * would give zeros and the sums gain nothing.
  *
- * Blocks.  Most pairs are plain: neither four zeros nor all four below
- * 2^-511.  map_pairs takes its range in blocks of BLOCK pairs, and maps a
- * block of plain pairs two pairs at a time, in two-lane vectors of the GNU
- * vector extensions (SSE2 and NEON registers, with no -march and no CPU
- * dispatch), the real parts in one vector and the imaginary parts in
- * another.  Each lane runs the one-pair map's IEEE operations on its operands
- * in its order, and the lanes' terms are added to the sums one at a time in
- * the order of j, so the block writes the bytes that the one-pair loop writes;
- * a block that holds a scaled pair or four zeros, and the last pairs short of
- * a block, go through the one-pair loop.  On a 2-vCPU x86-64 VM (gcc 12, the
- * flags below) a plain pair costs 6.0 ns on one thread against 9.4 ns one
- * pair at a time (a 2400-step walk with |c00| = 0.99, median of 15 runs).
- * Mapping the scaled pairs in blocks as well, with the scaling done on the
- * bits in lanes, measured no faster, so they stay one at a time.
+ * Blocks.  Every mapped pair runs in map_lanes, which maps up to BLOCK pairs
+ * two at a time in two-lane vectors of the GNU vector extensions (SSE2 and
+ * NEON registers, with no -march and no CPU dispatch), the real parts in one
+ * vector and the imaginary parts in another; an odd last pair runs in lane 0
+ * beside a lane of zeros that is neither stored nor summed.  The lanes' terms
+ * are added to the sums one pair at a time in the order of j.  map_pairs takes
+ * its range in blocks of BLOCK pairs, the last one maybe short.  Most pairs
+ * are plain, neither four zeros nor all four components below 2^-511, and a
+ * block of plain pairs is mapped whole; in any other block each pair goes on
+ * its own, as a block of one pair, scaled or skipped.  On a 2-vCPU x86-64 VM
+ * (gcc 12, the flags below) a plain pair costs about 6 ns on one thread (a
+ * 2400-step walk with |c00| = 0.99, median of 31 runs).
  *
  * Two stages.  Pair j of step k reads only pairs j - 1 and j of step k - 1, so
- * a walk of at least TWO_STAGE_STEPS steps, where the calling thread may run
- * on two CPUs or more, is split in two: the caller maps pairs [0, m) of each
- * step and a second thread maps pairs [m, k).  While m holds, the first stage
- * never reads what the second writes, so it runs ahead; the second starts step
- * k once the first has published it, and takes over the first stage's running
- * sums of that step from a ring, so every sum is added in the order of j, as
- * the one-stage loop adds it.  m moves to half the pairs only at the start of
- * each WINDOW steps, where the first stage waits for the second to finish the
- * step before; so at most WINDOW steps' sums are in flight.  Both stages and
- * the one-stage loop run one routine, map_pairs, whose blocks start at the
- * range's first pair, and every operation is the same in the same order,
- * whether in a block or not: the bytes written do not depend on the number of
- * stages, nor on the number of CPUs.  Waits spin, then yield the CPU.  The
+ * a walk of at least TWO_STAGE_STEPS steps, where the calling thread may run on
+ * two CPUs or more, is split in two: the caller maps pairs [0, m) of each step
+ * and a second thread maps pairs [m, k).  While m holds, the first stage never
+ * reads what the second writes, so it runs ahead; the second starts step k once
+ * the first has published it, and takes over the first stage's running sums of
+ * that step from a ring, so every sum is added in the order of j, as the
+ * one-stage loop adds it.  m moves to half the pairs only at the start of each
+ * WINDOW steps, where the first stage waits for the second to finish the step
+ * before; so at most WINDOW steps' sums are in flight.  Both stages and the
+ * one-stage loop run one routine, map_pairs, whose blocks start at the range's
+ * first pair, and every operation is the same in the same order, whichever
+ * block and lane a pair falls in: the bytes written do not depend on the number
+ * of stages, nor on the number of CPUs.  Waits spin, then yield the CPU.  The
  * second thread is started for each call, on a small stack, by
  * coinwalk_start_second, which starts the CSV formatter's (_csv.c) too, and
- * joined before the call returns; where it does not start the caller maps
- * every pair.
+ * joined before the call returns; where it does not start the caller maps every
+ * pair.
  *
  * C11 with POSIX threads, the GNU vector extensions (gcc and clang) and no
  * Python API: the caller owns and sizes every buffer, and nothing is
@@ -127,17 +125,6 @@ static double scale_down(double a)
     return from_bits((uint64_t)(int64_t)m | (bits_of(a) & 0x8000000000000000ULL));
 }
 
-/* (a, b) <- (c00 a + c01 b, c10 a + c11 b) for v = (a.re, a.im, b.re, b.im);
- * c holds c00, c01, c10, c11 as (re, im) pairs. */
-static void coin_map(double *v, const double *c)
-{
-    const double ar = v[0], ai = v[1], br = v[2], bi = v[3];
-    v[0] = (ar * c[0] - ai * c[1]) + (br * c[2] - bi * c[3]);
-    v[1] = (ar * c[1] + ai * c[0]) + (br * c[3] + bi * c[2]);
-    v[2] = (ar * c[4] - ai * c[5]) + (br * c[6] - bi * c[7]);
-    v[3] = (ar * c[5] + ai * c[4]) + (br * c[7] + bi * c[6]);
-}
-
 /* the bits of pair (a, b)'s four components, or'ed: zero in all but the sign
  * bit for four +-0, and with neither bit 9 nor bit 10 of the exponent field set
  * where all four lie below 2^-511 */
@@ -152,80 +139,76 @@ static int is_plain(uint64_t bits)
     return (bits & 0x6000000000000000ULL) != 0;
 }
 
-/* Map pair j of step k, a at coin 0 and b at coin 1, and add its terms to
- * ``acc`` (s0 s1 s2 u0 u1 u2, see map_pairs) */
+/* two lanes of doubles, native on SSE2 and NEON: one lane per pair */
+typedef double lanes __attribute__((vector_size(2 * sizeof(double))));
+
+/* Map the n <= BLOCK pairs from pair j of step k, a at coin 0 and b at coin 1,
+ * (a, b) <- (c00 a + c01 b, c10 a + c11 b), and add their terms to ``sum``
+ * (s0 s1 s2 or u0 u1 u2, see map_pairs) in the order of j; c holds c00, c01,
+ * c10, c11 as (re, im) pairs.  Two pairs go at a time in planar (re, im)
+ * lanes, and an odd last pair in lane 0, with zeros in lane 1 that are
+ * neither stored nor summed.  Inline, so that each call site's loop is
+ * compiled for its own n: called, a walk took up to 16% longer. */
+static inline void map_lanes(double *a, double *b, const double *c, int n, int64_t j, int64_t k, double *sum)
+{
+    const lanes c0r = {c[0], c[0]}, c0i = {c[1], c[1]}, c1r = {c[2], c[2]}, c1i = {c[3], c[3]};
+    const lanes c2r = {c[4], c[4]}, c2i = {c[5], c[5]}, c3r = {c[6], c[6]}, c3i = {c[7], c[7]};
+    static const double none[2] = {0.0, 0.0};
+    double s0 = sum[0], s1 = sum[1], s2 = sum[2];
+    for (int i = 0; i < 2 * n; i += 4, j += 2) {
+        const int two = i + 2 < 2 * n;
+        const double *a1 = two ? a + i + 2 : none, *b1 = two ? b + i + 2 : none;
+        const lanes ar = {a[i], a1[0]}, ai = {a[i + 1], a1[1]};
+        const lanes br = {b[i], b1[0]}, bi = {b[i + 1], b1[1]};
+        const lanes xr = (ar * c0r - ai * c0i) + (br * c1r - bi * c1i);
+        const lanes xi = (ar * c0i + ai * c0r) + (br * c1i + bi * c1r);
+        const lanes yr = (ar * c2r - ai * c2i) + (br * c3r - bi * c3i);
+        const lanes yi = (ar * c2i + ai * c2r) + (br * c3i + bi * c3r);
+        const lanes qa = xr * xr + xi * xi, qb = yr * yr + yi * yi;
+        const lanes da = {(double)(2 * j + 2 - k), (double)(2 * j + 4 - k)};
+        const lanes db = {(double)(2 * j - k), (double)(2 * j + 2 - k)};
+        const lanes p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
+        a[i] = xr[0], a[i + 1] = xi[0], b[i] = yr[0], b[i + 1] = yi[0];
+        s0 += p[0];
+        s1 += dp[0];
+        s2 += ddp[0];
+        if (two) {
+            a[i + 2] = xr[1], a[i + 3] = xi[1], b[i + 2] = yr[1], b[i + 3] = yi[1];
+            s0 += p[1];
+            s1 += dp[1];
+            s2 += ddp[1];
+        }
+    }
+    sum[0] = s0, sum[1] = s1, sum[2] = s2;
+}
+
+/* Map pair j of step k on its own, and add its terms to ``acc`` (s0 s1 s2 u0
+ * u1 u2, see map_pairs): a scaled pair through a copy scaled up, whose terms
+ * go to the scaled sums */
 static void map_pair(double *a, double *b, const double *c, int64_t j, int64_t k, double *acc)
 {
     const uint64_t any = pair_bits(a, b);
     if ((any << 1) == 0)  /* four +-0: the map gives zeros and the sums gain nothing */
         return;
-    const int scaled = !is_plain(any);
-    double v[4] = {a[0], a[1], b[0], b[1]};
-    if (scaled)
-        for (int i = 0; i < 4; i++)
-            v[i] = scale_up(v[i]);
-    coin_map(v, c);
-    if (scaled) {
-        a[0] = scale_down(v[0]);
-        a[1] = scale_down(v[1]);
-        b[0] = scale_down(v[2]);
-        b[1] = scale_down(v[3]);
-    } else {
-        a[0] = v[0];
-        a[1] = v[1];
-        b[0] = v[2];
-        b[1] = v[3];
+    if (is_plain(any)) {
+        map_lanes(a, b, c, 1, j, k, acc);
+        return;
     }
-    const double qa = v[0] * v[0] + v[1] * v[1], qb = v[2] * v[2] + v[3] * v[3];
-    const double da = (double)(2 * j + 2 - k), db = (double)(2 * j - k);
-    double *sum = acc + 3 * scaled;
-    sum[0] += qa + qb;
-    sum[1] += da * qa + db * qb;
-    sum[2] += (da * da) * qa + (db * db) * qb;
-}
-
-/* two lanes of doubles, native on SSE2 and NEON: one lane per pair */
-typedef double lanes __attribute__((vector_size(2 * sizeof(double))));
-
-/* Map the BLOCK plain pairs from pair j of step k, two at a time in planar
- * (re, im) lanes: every lane runs map_pair's operations on map_pair's
- * operands, and the terms are added to the plain sums one lane at a time, in
- * the order of j. */
-static void map_plain_block(double *a, double *b, const double *c, int64_t j, int64_t k, double *acc)
-{
-    const lanes c0r = {c[0], c[0]}, c0i = {c[1], c[1]}, c1r = {c[2], c[2]}, c1i = {c[3], c[3]};
-    const lanes c2r = {c[4], c[4]}, c2i = {c[5], c[5]}, c3r = {c[6], c[6]}, c3i = {c[7], c[7]};
-    double s0 = acc[0], s1 = acc[1], s2 = acc[2];
-    for (int i = 0; i < 2 * BLOCK; i += 4, j += 2) {
-        const lanes ar = {a[i], a[i + 2]}, ai = {a[i + 1], a[i + 3]};
-        const lanes br = {b[i], b[i + 2]}, bi = {b[i + 1], b[i + 3]};
-        const lanes xr = (ar * c0r - ai * c0i) + (br * c1r - bi * c1i);
-        const lanes xi = (ar * c0i + ai * c0r) + (br * c1i + bi * c1r);
-        const lanes yr = (ar * c2r - ai * c2i) + (br * c3r - bi * c3i);
-        const lanes yi = (ar * c2i + ai * c2r) + (br * c3i + bi * c3r);
-        a[i] = xr[0], a[i + 1] = xi[0], a[i + 2] = xr[1], a[i + 3] = xi[1];
-        b[i] = yr[0], b[i + 1] = yi[0], b[i + 2] = yr[1], b[i + 3] = yi[1];
-        const lanes qa = xr * xr + xi * xi, qb = yr * yr + yi * yi;
-        const lanes da = {(double)(2 * j + 2 - k), (double)(2 * j + 4 - k)};
-        const lanes db = {(double)(2 * j - k), (double)(2 * j + 2 - k)};
-        const lanes p = qa + qb, dp = da * qa + db * qb, ddp = (da * da) * qa + (db * db) * qb;
-        s0 += p[0];
-        s1 += dp[0];
-        s2 += ddp[0];
-        s0 += p[1];
-        s1 += dp[1];
-        s2 += ddp[1];
-    }
-    acc[0] = s0, acc[1] = s1, acc[2] = s2;
+    double up_a[2] = {scale_up(a[0]), scale_up(a[1])}, up_b[2] = {scale_up(b[0]), scale_up(b[1])};
+    map_lanes(up_a, up_b, c, 1, j, k, acc + 3);
+    a[0] = scale_down(up_a[0]);
+    a[1] = scale_down(up_a[1]);
+    b[0] = scale_down(up_b[0]);
+    b[1] = scale_down(up_b[1]);
 }
 
 /* Map pairs [from, to) of step k.  Block site i after step k is displaced
  * 2i - k from the start site.  ``acc`` holds the step's running sums over the
  * plain pairs and, scaled by 2^1200, over the scaled ones (s0 s1 s2 u0 u1 u2);
  * these pairs' terms are added to it in the order of j.  The pairs go in
- * blocks of BLOCK from ``from``: a block of plain pairs through
- * map_plain_block, any other block and the last pairs short of a block
- * through map_pair. */
+ * blocks of BLOCK from ``from``, the last block maybe short: a block of plain
+ * pairs through map_lanes, any other block one pair at a time through
+ * map_pair. */
 static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k, int64_t from, int64_t to,
                       double *acc)
 {
@@ -237,20 +220,18 @@ static void map_pairs(double *flat, int64_t steps, const double *coin, int64_t k
     memcpy(c, coin, sizeof c);
     double s[6]; /* the running sums, in a local copy too */
     memcpy(s, acc, sizeof s);
-    int64_t j = from;
-    for (; j + BLOCK <= to; j += BLOCK) {
+    for (int64_t j = from; j < to; j += BLOCK) {
+        const int n = to - j < BLOCK ? (int)(to - j) : BLOCK;
         double *a = b0 + 2 * j, *b = b1 + 2 * j;
         int plain = 1;
-        for (int i = 0; i < 2 * BLOCK; i += 2)
+        for (int i = 0; i < 2 * n; i += 2)
             plain &= is_plain(pair_bits(a + i, b + i));
         if (plain)
-            map_plain_block(a, b, c, j, k, s);
+            map_lanes(a, b, c, n, j, k, s);
         else
-            for (int i = 0; i < BLOCK; i++)
+            for (int i = 0; i < n; i++)
                 map_pair(a + 2 * i, b + 2 * i, c, j + i, k, s);
     }
-    for (; j < to; j++)
-        map_pair(b0 + 2 * j, b1 + 2 * j, c, j, k, s);
     memcpy(acc, s, sizeof s);
 }
 

@@ -230,6 +230,28 @@ def _parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _flags(command: str) -> frozenset[str]:
+    """The flags of ``command``, every one of which takes a value."""
+    return frozenset(["--config", *("--" + opt.name.replace("_", "-") for opt in _OPTIONS if command in opt.commands)])
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each flag of its subcommand joined to the word after it as
+    ``--name=WORD``, so that argparse reads that word as the flag's value
+    whatever it begins with, as it reads ``--name=WORD``.  A flag's unique
+    prefix counts as the flag, as in argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    flags = _flags(argv[0])
+    words, joined = iter(argv), []
+    for word in words:
+        flag = word in flags or (word.startswith("--") and sum(f.startswith(word) for f in flags) == 1)
+        value = next(words, None) if flag else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """Every option's value: the flag, else the config file, else
     ``$COINWALK_OUTPUT_DIR`` (``output_dir`` only), else the default.  Text is
@@ -243,7 +265,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     for opt in _OPTIONS:
         text = getattr(args, opt.name, None)
         flag = "--" + opt.name.replace("_", "-")
-        if isinstance(text, list):  # argparse reads "--name=--" as no value at all
+        if isinstance(text, list):  # argparse reads "--name=--", so "--name --" too, as no value at all
             raise ConfigError(f"argument {flag}: expected one argument")
         if text == "":  # as in a config file, where "name =" is an error: empty text is not "not given"
             # an output option (``out``, ``*_out``) would name no file, so nothing would be written
@@ -475,7 +497,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
         cfg = _merge(args)
         coin = _resolve_coin(cfg) if cfg.command in _COINS else None
         init = _resolve_initial(cfg) if cfg.command in _WALKS else None

@@ -117,8 +117,11 @@ class CoinSpec:
         """Build from serialised records ``{"axis": [nx, ny, nz], "angle_rad"|"angle_deg": a}``.
 
         Every axis component and angle must be a number (an ``int`` that is
-        not a ``bool``, or a ``float``); strings, booleans and nulls are rejected.
+        not a ``bool``, or a ``float``); strings, booleans and nulls are rejected,
+        and so is anything but a list of records.
         """
+        if not isinstance(records, list):
+            raise ValueError(f"a coin file is a list of rotation records, got {type(records).__name__}")
         rotations = []
         for i, rec in enumerate(records):
             try:

@@ -17,12 +17,15 @@ step also reduces the moments over displacements from the start site, which
 are exact integers, and ``moment_series`` adds the start site once, so the
 variance does not depend on where the walk starts.
 
-The compiled loop maps each step's site pairs in blocks of 8: a block whose
-pairs all need no scaling against subnormals is mapped two pairs at a time in
-two-lane vectors (SSE2, NEON), each lane with the operations of the one-pair
-map on its own pair, and the pairs' terms are summed in site order.  So a
-block writes the bytes that the one-pair loop writes, at about 6 ns per pair
-on one thread against 9.4 ns one pair at a time (a 2-vCPU x86-64 VM).
+The compiled loop maps every site pair in two-lane vectors (SSE2, NEON), two
+pairs at a time, each lane running the same operations on its own pair, and
+sums the pairs' terms in site order; so the bytes do not depend on the lane or
+the block a pair falls in.  It takes each step's pairs in blocks of 8.  A
+block of plain pairs, neither four zeros nor all four components below 2^-511,
+is mapped whole, at about 6 ns per pair on one thread (a 2-vCPU x86-64 VM).
+In any other block each pair goes on its own: a pair whose four components all
+lie below 2^-511 is scaled up against subnormals and mapped as a block of one
+pair, and a pair of four zeros is skipped.
 
 A compiled walk of at least 512 steps, in a process that may run on two CPUs
 or more, runs in two stages on two threads: one maps the lower half of each

@@ -298,6 +298,18 @@ def test_coin_file_with_non_numbers_exits_1_and_writes_nothing(tmp_path, capsys)
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("text, kind", [('{"axis": [1, 0, 0]}', "dict"), ("NaN", "float")])
+def test_a_coin_file_that_is_not_a_list_exits_1_and_says_so(tmp_path, capsys, text, kind):
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("asymptotics", "--coin-file", str(coin_file), "--output-dir", str(out), "--out", "a.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"a coin file is a list of rotation records, got {kind}" in err
+    assert not any(out.iterdir())
+
+
 def test_dispersion_output(tmp_path):
     out = tmp_path / "band.csv"
     assert run("dispersion", "--coin", "identity", "--grid-size", "64", "--out", str(out)) == 0

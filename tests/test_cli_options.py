@@ -401,6 +401,7 @@ def _run_in(directory: Path, argv: list[str]) -> tuple:
 @settings(max_examples=5, deadline=None)
 @given(text=_LINE_TEXT)
 @example(text="")
+@example(text="-45deg")
 def test_a_flag_and_a_config_line_end_alike(command, name, text):
     """``--name TEXT`` and a config file's ``name = TEXT`` give the same exit
     code, stdout and files, byte for byte; the empty text included."""
@@ -413,9 +414,7 @@ def test_a_flag_and_a_config_line_end_alike(command, name, text):
         tmp = Path(tmp)
         (tmp / "run.cfg").write_text(f"{name} = {text}\n", encoding="utf-8")
         expected = _run_in(tmp / "config", [command, f"--config={tmp / 'run.cfg'}", *_flags(options)])
-        # argparse reads "--name=--" as no value, and "--name -x" as two flags
-        spellings = [[f"{flag}={text}"]] if text != "--" else []
-        if not text.startswith("-"):
-            spellings.append([flag, text])
+        # argparse reads "--name=--", and so "--name --", as no value
+        spellings = [[f"{flag}={text}"], [flag, text]] if text != "--" else []
         for i, spelling in enumerate(spellings):
             assert _run_in(tmp / f"flag{i}", [command, *_flags(options), *spelling]) == expected, spelling

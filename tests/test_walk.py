@@ -378,8 +378,8 @@ def test_compiled_kernel_matches_numpy_loop_through_subnormals():
 
 
 def _map(v, c):
-    """``coin_map`` of ``_walk.c`` in Python floats, which are IEEE doubles;
-    ``c`` holds c00, c01, c10, c11 as (re, im) pairs."""
+    """One lane of ``_walk.c``'s coin map in Python floats, which are IEEE
+    doubles; ``c`` holds c00, c01, c10, c11 as (re, im) pairs."""
     ar, ai, br, bi = v
     return [
         (ar * c[0] - ai * c[1]) + (br * c[2] - bi * c[3]),
@@ -537,6 +537,22 @@ def test_compiled_kernel_maps_tiny_pairs_scaled_and_rounded_once(magnitude):
     qa, qb = mapped[0] ** 2 + mapped[1] ** 2, mapped[2] ** 2 + mapped[3] ** 2
     raw = [qa + qb, 1.0 * qa + -1.0 * qb, (1.0 * 1.0) * qa + (-1.0 * -1.0) * qb]
     assert sums[:, 1].tolist() == [z / up / up for z in raw]
+
+
+def test_an_odd_pairs_empty_lane_adds_nothing_to_the_sums():
+    """A step of one pair maps it in lane 0 beside a lane of zeros, which is
+    neither stored nor summed.  With finite coin entries that lane's terms are
+    +-0 and would change no sum, so an infinite entry shows it: there they
+    would be 0 * inf, a NaN, where the pair's own terms are inf."""
+    kernel = _compiled()
+    c = [math.inf, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+    coin = np.array(c)
+    flat = np.array([0.0, 0.0, 0.6, 0.8, 0.3, 0.4, 0.0, 0.0])
+    amps, sums = _mirror_advance(flat.tolist(), 1, c)
+    got = np.zeros((3, 2))
+    kernel(flat.ctypes.data, 1, coin.ctypes.data, got.ctypes.data)
+    assert flat.tolist() == amps
+    assert got.tolist() == sums == [[0.0, math.inf]] * 3
 
 
 # --- two stages against one ---
