@@ -43,7 +43,6 @@ from .gapscan import (
     DEFAULT_GRID,
     DEFAULT_MAP_GRID,
     DEFAULT_TOL,
-    MAX_TOL,
     MIN_GRID,
     assert_no_boundary,
     closures_to_dict,
@@ -158,8 +157,6 @@ _OPTIONS = (
         "grid", ("gapscan",), int, (MIN_GRID, _MAX_GRID), "scan resolution per axis (inclusive of both edges)",
         DEFAULT_GRID,
     ),
-    # tol > 0: math.ulp(0.0) is the smallest positive float
-    _Option("tol", ("gapscan",), float, (math.ulp(0.0), MAX_TOL), "gap threshold for a closure", DEFAULT_TOL),
     _Option("out", _ALL),
     _Option("distribution_out", ("simulate",), help="also write the final-step distribution CSV (t,x,p)"),
     _Option("map_out", ("gapscan",), help="also write a gap-map CSV theta,phi,gap_zero,gap_pi"),
@@ -257,6 +254,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     ``$COINWALK_OUTPUT_DIR`` (``output_dir`` only), else the default.  Text is
     parsed where the option has a parser, so every config-file value is
     checked, also for options the subcommand does not take."""
+    if isinstance(args.config, list):  # "--config=--", as for the options below
+        raise ConfigError("argument --config: expected one argument")
     if args.config == "":
         raise ConfigError("argument --config: empty path")
     fallback = read_config_file(args.config) if args.config else {}
@@ -265,13 +264,13 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     for opt in _OPTIONS:
         text = getattr(args, opt.name, None)
         flag = "--" + opt.name.replace("_", "-")
-        if isinstance(text, list):  # argparse reads "--name=--", so "--name --" too, as no value at all
-            raise ConfigError(f"argument {flag}: expected one argument")
         if text == "":  # as in a config file, where "name =" is an error: empty text is not "not given"
             # an output option (``out``, ``*_out``) would name no file, so nothing would be written
             raise ConfigError(f"argument {flag}: empty {'path' if opt.name.endswith('out') else 'value'}")
         if text is None:
             text = fallback.get(opt.name)
+        if isinstance(text, list) or text == "--":  # "--name=--", "--name --", "name = --": no value at all
+            raise ConfigError(f"argument {flag}: expected one argument")
         if text is not None and opt.parse is not None:
             text = _value(opt, text)
         setattr(cfg, opt.name, opt.default if text is None else text)
@@ -428,9 +427,9 @@ def _cmd_weak_limit(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondit
 
 
 def _cmd_gapscan(cfg: argparse.Namespace, coin: None, init: None):
-    closures = enumerate_closures(cfg.grid, cfg.tol)
-    record = closures_to_dict(closures, grid=cfg.grid, tol=cfg.tol)
-    record["no_boundary"] = assert_no_boundary(closures, tol=cfg.tol)
+    closures = enumerate_closures(cfg.grid)
+    record = closures_to_dict(closures, grid=cfg.grid, tol=DEFAULT_TOL)
+    record["no_boundary"] = assert_no_boundary(closures)
     print(f"{record['count_points']} closure points; no_boundary = {record['no_boundary']}")
     writers = {
         "out": functools.partial(write_json, obj=record),

@@ -17,6 +17,15 @@ edges are geometrically distinct there); each point is reported once even
 when both bands close on it, and the mod-2pi identification of the edges is
 reported separately.
 
+A closure on the mesh is a cell whose gap is 0 in doubles, i.e. whose
+computed A is 1; the smallest non-zero gap a double can give is
+arccos(1 - 2^-53) ~ 1.49e-8.  A computed A of 1 needs cos theta cos phi or
+sin theta sin phi to round to +-1, and so both its factors: cos and sin
+round to +-1 only within 2^-26.5 ~ 1.05e-8 of a multiple of pi/2.  That
+window, 2.11e-8 wide, is narrower than the mesh spacing 2 pi / (grid - 1)
+for every grid up to 2^28 (2.34e-8), so each closure point is at most one
+cell of the mesh and no hits need merging.
+
 The enumeration screens one axis at a time.  With a = cos^2 theta and
 b = cos^2 phi, ``1 - A^2 = a (1 - b) + (1 - a) b >= min(a, 1 - a)``, and the
 same with theta and phi swapped, so a closure can only sit where both angles
@@ -51,20 +60,22 @@ __all__ = [
 BAND_ZERO = "omega_zero"
 BAND_PI = "omega_pi"
 
-# enumerate_closures: defaults and the bounds it enforces
+# enumerate_closures: default and bounds of the points per axis; up to
+# MAX_GRID each closure point is one mesh cell (module docstring)
 DEFAULT_GRID = 721
-DEFAULT_TOL = 1e-8
 MIN_GRID = 181
-MAX_TOL = 1e-6
+MAX_GRID = 2**28
+# the gap below which a cell is closed in the survey record and in the probes
+# of assert_no_boundary: below the smallest non-zero gap of a double, 1.49e-8
+DEFAULT_TOL = 1e-8
 # scan_gap_map: default points per axis
 DEFAULT_MAP_GRID = 181
 
 _POINT_MERGE_TOL = 1e-6
 
-# A hit needs arccos(A) < tol <= MAX_TOL, so 1 - A^2 <= arccos(A)^2 < 1e-12, and
-# 1 - A^2 >= min(cos^2, sin^2) of either angle (module docstring).  Keeping
-# every grid line with min(cos^2, sin^2) <= 1e-9 leaves three orders of
-# magnitude for rounding.
+# Both angles of a hit lie within 1.05e-8 of a multiple of pi/2 (module
+# docstring), where min(cos^2, sin^2) <= 1.2e-16.  Keeping every grid line
+# with min(cos^2, sin^2) <= 1e-9 leaves seven orders of magnitude for rounding.
 _LINE_SCREEN = 1e-9
 
 
@@ -111,30 +122,7 @@ def scan_gap_map(n_theta: int = DEFAULT_MAP_GRID, n_phi: int = DEFAULT_MAP_GRID)
     theta = np.linspace(-math.pi, math.pi, n_theta)
     phi = np.linspace(-math.pi, math.pi, n_phi)
     g = np.arccos(np.clip(_amplitude(theta[:, None], phi[None, :]), -1.0, 1.0))
-    return GapMap(theta_grid=theta, phi_grid=phi, gap_zero=g, gap_pi=g.copy())
-
-
-def _cluster_cells(cells: list[tuple[int, int]], radius: int = 2) -> list[list[tuple[int, int]]]:
-    """Group grid hits whose Chebyshev distance is <= radius."""
-    remaining = set(cells)
-    clusters = []
-    while remaining:
-        seed = remaining.pop()
-        group = [seed]
-        frontier = [seed]
-        while frontier:
-            ci, cj = frontier.pop()
-            near = [
-                cell
-                for cell in remaining
-                if abs(cell[0] - ci) <= radius and abs(cell[1] - cj) <= radius
-            ]
-            for cell in near:
-                remaining.remove(cell)
-                group.append(cell)
-                frontier.append(cell)
-        clusters.append(group)
-    return clusters
+    return GapMap(theta_grid=theta, phi_grid=phi, gap_zero=g, gap_pi=g)
 
 
 def _closure_lines(cos_a, sin_a) -> np.ndarray:
@@ -142,13 +130,12 @@ def _closure_lines(cos_a, sin_a) -> np.ndarray:
     return np.flatnonzero(np.minimum(cos_a * cos_a, sin_a * sin_a) <= _LINE_SCREEN)
 
 
-def enumerate_closures(grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> list[GapClosure]:
+def enumerate_closures(grid: int = DEFAULT_GRID) -> list[GapClosure]:
     """All gap closures on the closed square [-pi, pi]^2.
 
-    Scans an inclusive ``grid`` x ``grid`` mesh, merges grid-adjacent hits,
-    and reports one :class:`GapClosure` per (parameter point, band).  A
-    cluster wider than the merge radius means ``tol`` is blurring distinct
-    closures together and raises.
+    Scans an inclusive ``grid`` x ``grid`` mesh and reports one
+    :class:`GapClosure` per (closed cell, band); a closed cell is one whose
+    gap is 0 in doubles, and each is its own closure point (module docstring).
 
     Only the mesh cells where both angles pass the line screen of the module
     docstring are evaluated, so time and memory grow with ``grid``, not
@@ -156,28 +143,18 @@ def enumerate_closures(grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> li
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID} per axis")
-    if not 0.0 < tol <= MAX_TOL:
-        raise ValueError(f"tol must be in (0, {MAX_TOL}]")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be <= {MAX_GRID} per axis")
 
     theta = np.linspace(-math.pi, math.pi, grid)  # phi runs over the same grid
     lines = _closure_lines(np.cos(theta), np.sin(theta))
     amp = _amplitude(theta[lines, None], theta[None, lines])
-    gap = np.arccos(np.clip(amp, -1.0, 1.0))
-    # map block hits back to mesh cells; ``lines`` is sorted, so they stay row-major
-    amp_at = {(int(lines[i]), int(lines[j])): amp[i, j] for i, j in np.argwhere(gap < tol)}
 
     closures: list[GapClosure] = []
-    for group in _cluster_cells(list(amp_at), radius=2):
-        rows = [c[0] for c in group]
-        cols = [c[1] for c in group]
-        if max(rows) - min(rows) > 4 or max(cols) - min(cols) > 4:
-            raise ValueError(
-                f"tol={tol} merges {len(group)} cells spanning several closures; lower it"
-            )
-        best = max(group, key=amp_at.__getitem__)
-        th, ph = float(theta[best[0]]), float(theta[best[1]])
+    for i, j in np.argwhere(amp >= 1.0):
+        th, ph = float(theta[lines[i]]), float(theta[lines[j]])
         delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
-        # the best cell is a hit, and both bands' gaps are the same arccos A
+        # both bands' gaps are the same arccos A
         closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
         closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
     closures.sort(key=lambda c: (c.theta, c.phi, c.band))

@@ -83,9 +83,8 @@ def _band_arrays(c: float, s: np.ndarray, k):
     degenerate = sin_w <= DEGENERACY_THRESHOLD
     safe = np.where(degenerate, 1.0, sin_w)
     n = np.stack([-mx / safe, -my / safe, -mz / safe], axis=-1)
-    v = (c * sk - s[2] * ck) / safe  # dw/dk, equals n_z
     n = np.where(degenerate[..., None], np.nan, n)
-    v = np.where(degenerate, np.nan, v)
+    v = n[..., 2] + 0.0  # dw/dk = n_z, with a zero made +0 (n_z = -m_z / sin w is -0 where m_z is +0)
     return omega, n, v, degenerate
 
 

@@ -13,6 +13,7 @@ closure scan, sampled minimum gap).
 """
 
 import hashlib
+import itertools
 import math
 import os
 
@@ -25,7 +26,6 @@ from coinwalk.gapscan import (
     BAND_ZERO,
     GapClosure,
     _amplitude,
-    _cluster_cells,
     canonical_angle,
     min_gap,
 )
@@ -333,32 +333,27 @@ def reference_write_csv(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def reference_enumerate_closures(grid: int = 721, tol: float = 1e-8) -> list[GapClosure]:
+def reference_enumerate_closures(grid: int = 721) -> list[GapClosure]:
     """Closure enumeration over the whole inclusive ``grid`` x ``grid`` mesh:
-    the gap of every cell, then the same clustering and reporting as
-    ``enumerate_closures``.  O(grid**2) memory; keep ``grid`` in the low
-    thousands."""
+    the gap of every cell, a hit where it is below 1e-8, and each band of a
+    hit whose gap is below 1e-8 reported, as ``enumerate_closures`` does.  No
+    two hits may lie within 4 cells of each other.  O(grid**2) memory; keep
+    ``grid`` in the low thousands."""
     theta = np.linspace(-math.pi, math.pi, grid)
     phi = np.linspace(-math.pi, math.pi, grid)
-    amp = _amplitude(theta[:, None], phi[None, :])
-    gap = np.arccos(np.clip(amp, -1.0, 1.0))
-    hits = [tuple(c) for c in np.argwhere(gap < tol)]
+    gap = np.arccos(np.clip(_amplitude(theta[:, None], phi[None, :]), -1.0, 1.0))
+    hits = np.argwhere(gap < 1e-8)
+    for a, b in itertools.combinations(hits.tolist(), 2):
+        assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) > 4, f"hits {a} and {b} lie within 4 cells"
 
     closures = []
-    for group in _cluster_cells(hits, radius=2):
-        rows = [c[0] for c in group]
-        cols = [c[1] for c in group]
-        if max(rows) - min(rows) > 4 or max(cols) - min(cols) > 4:
-            raise ValueError(
-                f"tol={tol} merges {len(group)} cells spanning several closures; lower it"
-            )
-        best = max(group, key=lambda c: amp[c])
-        th, ph = float(theta[best[0]]), float(phi[best[1]])
+    for i, j in hits:
+        th, ph = float(theta[i]), float(phi[j])
         delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
         gap_zero, gap_pi = min_gap(th, ph)
-        if gap_zero < tol:
+        if gap_zero < 1e-8:
             closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
-        if gap_pi < tol:
+        if gap_pi < 1e-8:
             closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
     closures.sort(key=lambda c: (c.theta, c.phi, c.band))
     return closures

@@ -247,7 +247,7 @@ def test_criterion_08_weak_limit_distance():
 
 def test_criterion_09_gap_enumeration():
     start = time.perf_counter()
-    closures = enumerate_closures(721, 1e-8)
+    closures = enumerate_closures(721)
     points = closure_points(closures)
     expected = sorted(
         [(th, ph) for th in (-math.pi, 0.0, math.pi) for ph in (-math.pi, 0.0, math.pi)]

@@ -442,7 +442,7 @@ def test_gapscan_output(tmp_path):
     out = tmp_path / "closures.json"
     map_out = tmp_path / "map.csv"
     assert run(
-        "gapscan", "--grid", "361", "--tol", "1e-8",
+        "gapscan", "--grid", "361",
         "--out", str(out), "--map-out", str(map_out), "--map-grid", "181",
     ) == 0
     record = json.loads(out.read_text())
@@ -549,7 +549,6 @@ def test_invalid_knobs_exit_1(tmp_path):
     out = str(tmp_path / "x.csv")
     assert run("weak-limit", "--coin", "identity", "--bins", "8", "--out", out) == 1
     assert run("gapscan", "--grid", "100", "--out", out) == 1
-    assert run("gapscan", "--tol", "1", "--out", out) == 1
     assert run("simulate", "--coin", "identity", "--steps", "-2", "--out", out) == 1
 
 

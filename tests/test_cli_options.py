@@ -31,12 +31,12 @@ FLAGS = {
     "dispersion": "coin coin-file config grid-size out output-dir phi theta",
     "asymptotics": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position theta",
     "weak-limit": "bins coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position theta",
-    "gapscan": "config grid map-grid map-out out output-dir tol",
+    "gapscan": "config grid map-grid map-out out output-dir",
     "compare": "coin coin-file config grid-size initial-bloch initial-coin out output-dir phi position steps theta",
 }
 CONFIG_KEYS = {
     "bins", "coin", "coin_file", "distribution_out", "grid", "grid_size", "initial_bloch", "initial_coin",
-    "map_grid", "map_out", "out", "output_dir", "phi", "position", "steps", "theta", "tol",
+    "map_grid", "map_out", "out", "output_dir", "phi", "position", "steps", "theta",
 }
 PREFIX = {1: "config error:", 3: "i/o error:"}
 
@@ -312,6 +312,40 @@ def test_config_file_value_is_checked_for_an_option_the_subcommand_does_not_take
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_gapscan_takes_no_tol(tmp_path, capsys, via_config):
+    # a closure is a mesh cell whose gap is 0 in doubles: there is no tolerance to set
+    options = {**BASE["gapscan"], "output_dir": str(tmp_path / "out")}
+    config = tmp_path / "run.cfg"
+    config.write_text("tol = 1e-8\n")
+    tol = [f"--config={config}"] if via_config else ["--tol", "1e-8"]
+    assert cli.main(["gapscan", *_flags(options), *tol]) == 1
+    expected = f"{config}:1: unknown key 'tol'" if via_config else "unrecognized arguments: --tol 1e-8"
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "words, flag",
+    [
+        (["--out", "--"], "--out"),
+        (["--out=--"], "--out"),
+        (["--config={config}"], "--out"),  # the config line "out = --"
+        (["--out=o.csv", "--config", "--"], "--config"),
+        (["--out=o.csv", "--config=--"], "--config"),
+    ],
+)
+def test_double_dash_is_no_value_in_every_spelling(tmp_path, capsys, words, flag):
+    # argparse reads "--name=--", and so "--name --", as no value; a config line reads the same
+    config = tmp_path / "run.cfg"
+    config.write_text("out = --\n")
+    options = {key: text for key, text in BASE["moments"].items() if key != "out"}
+    argv = ["moments", *_flags(options), f"--output-dir={tmp_path / 'out'}", *(w.format(config=config) for w in words)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"config error: argument {flag}: expected one argument\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_table_gives_the_same_flags_and_config_keys():
     assert {opt.name for opt in cli._OPTIONS} == CONFIG_KEYS
     for command in cli._COMMANDS:
@@ -402,9 +436,11 @@ def _run_in(directory: Path, argv: list[str]) -> tuple:
 @given(text=_LINE_TEXT)
 @example(text="")
 @example(text="-45deg")
+@example(text="--")
 def test_a_flag_and_a_config_line_end_alike(command, name, text):
     """``--name TEXT`` and a config file's ``name = TEXT`` give the same exit
-    code, stdout and files, byte for byte; the empty text included."""
+    code, stdout and files, byte for byte; the empty text and ``--``
+    included."""
     if name in CHEAP:  # a size past CHEAP's makes a slow run
         with contextlib.suppress(ValueError):
             assume(int(text) <= CHEAP[name])
@@ -414,7 +450,5 @@ def test_a_flag_and_a_config_line_end_alike(command, name, text):
         tmp = Path(tmp)
         (tmp / "run.cfg").write_text(f"{name} = {text}\n", encoding="utf-8")
         expected = _run_in(tmp / "config", [command, f"--config={tmp / 'run.cfg'}", *_flags(options)])
-        # argparse reads "--name=--", and so "--name --", as no value
-        spellings = [[f"{flag}={text}"], [flag, text]] if text != "--" else []
-        for i, spelling in enumerate(spellings):
+        for i, spelling in enumerate([[f"{flag}={text}"], [flag, text]]):
             assert _run_in(tmp / f"flag{i}", [command, *_flags(options), *spelling]) == expected, spelling

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from coinwalk.gapscan import (
     BAND_PI,
     BAND_ZERO,
+    MAX_GRID,
     GapClosure,
+    _amplitude,
     _closure_lines,
     assert_no_boundary,
     canonical_angle,
@@ -64,7 +67,7 @@ def test_min_gap_sampled_validation():
 
 
 def test_enumerate_closures_counts():
-    closures = enumerate_closures(721, 1e-8)
+    closures = enumerate_closures(721)
     points = closure_points(closures)
     assert len(points) == 13
     assert len(canonical_points(closures)) == 8
@@ -72,7 +75,7 @@ def test_enumerate_closures_counts():
 
 
 def test_enumerate_closures_matches_expected_points():
-    closures = enumerate_closures(721, 1e-8)
+    closures = enumerate_closures(721)
     points = closure_points(closures)
     for expected, got in zip(EXPECTED_POINTS, points):
         assert got[0] == pytest.approx(expected[0], abs=1e-9)
@@ -80,13 +83,13 @@ def test_enumerate_closures_matches_expected_points():
 
 
 def test_open_point_never_reported():
-    closures = enumerate_closures(721, 1e-8)
+    closures = enumerate_closures(721)
     for c in closures:
         assert math.hypot(c.theta - math.pi / 4, c.phi - math.pi / 4) > 0.1
 
 
 def test_band_momenta_at_origin():
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
     by_band = {
         c.band: c.k_star
         for c in closures
@@ -97,7 +100,7 @@ def test_band_momenta_at_origin():
 
 
 def test_band_momenta_at_half_pi_points():
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
 
     def k_of(th, ph, band):
         for c in closures:
@@ -115,7 +118,7 @@ def test_band_momenta_at_half_pi_points():
 def test_closure_momenta_sit_on_band_edges():
     # at every reported closure the dispersion argument reaches +1 (w = 0
     # band) or -1 (w = +-pi band) at k_star
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
     for c in closures:
         arg = math.cos(c.k_star) * math.cos(c.theta) * math.cos(c.phi) - math.sin(
             c.k_star
@@ -126,13 +129,20 @@ def test_closure_momenta_sit_on_band_edges():
 
 def test_enumerate_validation():
     with pytest.raises(ValueError):
-        enumerate_closures(100, 1e-8)
-    with pytest.raises(ValueError):
-        enumerate_closures(721, 1e-3)
+        enumerate_closures(100)
+
+
+def test_enumerate_rejects_grid_above_max_before_allocating(monkeypatch):
+    # past 2^28 a closure point may span two cells, and the mesh axis alone
+    # would take 2 GiB: the grid is refused before any array is made
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("allocated the mesh axis"))
+    with pytest.raises(ValueError, match=f"grid must be <= {MAX_GRID} per axis"):
+        enumerate_closures(MAX_GRID + 1)
+    assert MAX_GRID == 2**28
 
 
 def test_no_boundary_for_real_closures():
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
     assert assert_no_boundary(closures)
 
 
@@ -166,7 +176,7 @@ def test_canonical_angle():
 
 
 def test_closures_to_dict_counts_and_fields():
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
     record = closures_to_dict(closures, grid=361, tol=1e-8)
     assert record["count_points"] == 13
     assert record["count_points_mod_2pi"] == 8
@@ -196,23 +206,38 @@ def test_ballistic_at_gap_open_and_gap_closed_parameters():
         assert classify_spreading(coin, init) == "ballistic"
 
 
-def _closures_json(closures, grid, tol):
-    return json.dumps(closures_to_dict(closures, grid=grid, tol=tol))
+def _closures_json(closures, grid):
+    return json.dumps(closures_to_dict(closures, grid=grid, tol=1e-8))
 
 
 @settings(max_examples=20, deadline=None)
-@given(grid=st.integers(181, 1500), log_tol=st.floats(-12.0, -6.0))
-def test_enumerate_closures_matches_full_mesh_scan(grid, log_tol):
-    tol = 10.0**log_tol
-    expected = _closures_json(reference_enumerate_closures(grid, tol), grid, tol)
-    assert _closures_json(enumerate_closures(grid, tol), grid, tol) == expected
+@given(grid=st.integers(181, 1500))
+def test_enumerate_closures_matches_full_mesh_scan(grid):
+    expected = _closures_json(reference_enumerate_closures(grid), grid)
+    assert _closures_json(enumerate_closures(grid), grid) == expected
 
 
 @pytest.mark.parametrize("grid", [721, 722, 723, 1000, 2881])
-@pytest.mark.parametrize("tol", [1e-6, 1e-8])
-def test_enumerate_closures_matches_full_mesh_scan_on_survey_grids(grid, tol):
-    expected = _closures_json(reference_enumerate_closures(grid, tol), grid, tol)
-    assert _closures_json(enumerate_closures(grid, tol), grid, tol) == expected
+def test_enumerate_closures_matches_full_mesh_scan_on_survey_grids(grid):
+    expected = _closures_json(reference_enumerate_closures(grid), grid)
+    assert _closures_json(enumerate_closures(grid), grid) == expected
+
+
+def test_fine_non_aligned_grid_reports_isolated_cells_of_amplitude_one():
+    # (grid - 1) % 4 == 1: the mesh misses some closure points (the known
+    # grid defect, so the count is not pinned), and a node sits a quarter cell,
+    # 0.79e-6, from each (+-pi/2, +-pi/2) in both angles, whose gap of 1.1e-6
+    # is below a loose tolerance but not 0.  Every cell reported must be
+    # closed in doubles and a closure point on its own.
+    grid = 2_000_002
+    closures = enumerate_closures(grid)
+    assert closures
+    step = 2.0 * math.pi / (grid - 1)
+    cells = {(round((c.theta + math.pi) / step), round((c.phi + math.pi) / step)) for c in closures}
+    for c in closures:
+        assert _amplitude(c.theta, c.phi) == 1.0, c
+    for a, b in itertools.combinations(cells, 2):
+        assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) > 4, (a, b)
 
 
 # angles on and near the closure lines theta in {0, +-pi/2, +-pi}
@@ -229,7 +254,7 @@ _ANY_ANGLE = st.one_of(st.floats(-math.pi, math.pi), _NEAR_LINE)
 @given(theta=_ANY_ANGLE, phi=_ANY_ANGLE)
 def test_gap_stays_open_off_the_screened_lines(theta, phi):
     # the bound behind the line screen: min(cos^2, sin^2) > 1e-9 for either
-    # angle keeps the gap above the loosest closure tolerance
+    # angle keeps the gap above 1e-6, far from a hit's gap of 0
     for a in (theta, phi):
         if min(math.cos(a) ** 2, math.sin(a) ** 2) > 1e-9:
             assert float(min_gap(theta, phi)[0]) > 1e-6
@@ -248,7 +273,7 @@ def test_screen_keeps_every_angle_of_a_hit(theta, phi):
 def test_enumerate_closures_memory_does_not_grow_with_grid():
     tracemalloc.start()
     try:
-        enumerate_closures(4001, 1e-8)
+        enumerate_closures(4001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -272,7 +297,7 @@ def test_enumerate_closures_at_200001_under_memory_cap():
         "import time\n"
         "from coinwalk.gapscan import canonical_points, closure_points, enumerate_closures\n"
         "t0 = time.perf_counter()\n"
-        "c = enumerate_closures(200_001, 1e-8)\n"
+        "c = enumerate_closures(200_001)\n"
         "print(len(closure_points(c)), len(canonical_points(c)), len(c), time.perf_counter() - t0)\n"
     )
     proc = _run_under_memory_cap([sys.executable, "-c", code])
@@ -303,7 +328,7 @@ def test_cli_oversized_gap_map_is_a_config_error_under_memory_cap(tmp_path):
 
 
 def test_no_boundary_calls_gap_fn_once_on_every_probe():
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
     calls = []
 
     def gap_fn(th, ph):
@@ -317,7 +342,7 @@ def test_no_boundary_calls_gap_fn_once_on_every_probe():
 def test_no_boundary_matches_scalar_probe_loop():
     # the one-call probe against a scalar loop over every ray, including a
     # gap function that vanishes on one ray only
-    closures = enumerate_closures(361, 1e-8)
+    closures = enumerate_closures(361)
     radii, n_dir = (0.02, 0.06, 0.1), 16
 
     def scalar_probe(gap_fn):
@@ -336,9 +361,3 @@ def test_no_boundary_matches_scalar_probe_loop():
         expected = scalar_probe(lambda th, ph: float(gap_fn(th, ph)))
         assert assert_no_boundary(closures, gap_fn=gap_fn, radii=radii, n_directions=n_dir) == expected
     assert not assert_no_boundary(closures, gap_fn=ray_fn, radii=radii, n_directions=n_dir)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), 2e-6])
-def test_enumerate_rejects_tol_outside_zero_to_max(tol):
-    with pytest.raises(ValueError, match="tol must be in"):
-        enumerate_closures(181, tol)

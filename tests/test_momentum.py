@@ -211,6 +211,19 @@ def test_v_group_and_nz_differ_in_the_sign_of_zero(tmp_path, coin):
     assert row.split(",")[4:] == ["-0", "0"]
 
 
+def test_v_group_is_n_z_with_its_zero_made_positive(tmp_path):
+    # v = n_z + 0.0, so a zero velocity is +0 for every coin; this coin has
+    # c < 0 and s_z = +0, where c sin k - s_z cos k at k = 0 is -0 - (+0) = -0
+    coin = preset_coin("paper_xy", theta=0.0, phi=-4.0)
+    band = dispersion_band(coin)
+    assert np.array_equal(band.group_velocity, band.bloch[:, 2], equal_nan=True)
+    assert not np.signbit(band.group_velocity[band.group_velocity == 0.0]).any()
+    path = tmp_path / "d.csv"
+    dispersion_to_csv(band, path)
+    (row,) = [line for line in path.read_text().splitlines() if line.startswith("0,")]
+    assert row.split(",")[4:] == ["-0", "0"]
+
+
 def test_group_velocity_matches_finite_difference():
     # v at grid points against a central difference of w off the grid
     rng = np.random.default_rng(26)
