@@ -42,7 +42,7 @@ from .export import write_csv, write_json
 from .gapscan import (
     DEFAULT_GRID,
     DEFAULT_MAP_GRID,
-    DEFAULT_TOL,
+    MAX_GRID,
     MIN_GRID,
     assert_no_boundary,
     closures_to_dict,
@@ -74,12 +74,13 @@ _OUTPUT_DIR_ENV = "COINWALK_OUTPUT_DIR"
 # 256 MiB for the interpreter and numpy (about 140 MiB measured), the rest for
 # work arrays, one Python float per CSV field and the formatted text.  Each
 # divisor is the measured growth of peak address space (VmPeak) per unit, in
-# the subcommand that needs the most for that option, rounded up.
+# the subcommand that needs the most for that option, rounded up.  ``--grid``
+# is bounded by gapscan.MAX_GRID instead: the closure scan's memory does not
+# grow with it.
 _MEMORY_BUDGET = (1 << 30) - (256 << 20)
 _MAX_STEPS = _MEMORY_BUDGET // 640  # simulate --distribution-out, 539 bytes per step
 _MAX_GRID_SIZE = _MEMORY_BUDGET // 768  # dispersion, 634 bytes per momentum
 _MAX_BINS = _MEMORY_BUDGET // 256  # weak-limit, 190 bytes per bin
-_MAX_GRID = _MEMORY_BUDGET // 64  # gapscan closure scan, 48 bytes per grid line
 _MAX_MAP_GRID = math.isqrt(_MEMORY_BUDGET // 400)  # gap map, 351 bytes per cell
 # the walk reduces displacements from the start site, so the variance is the
 # same at every start; the mean and the second moment add the start as a
@@ -154,7 +155,7 @@ _OPTIONS = (
     ),
     _Option("bins", ("weak-limit",), int, (MIN_BINS, _MAX_BINS), "velocity bins over [-1, 1]", DEFAULT_BINS),
     _Option(
-        "grid", ("gapscan",), int, (MIN_GRID, _MAX_GRID), "scan resolution per axis (inclusive of both edges)",
+        "grid", ("gapscan",), int, (MIN_GRID, MAX_GRID), "scan resolution per axis (inclusive of both edges)",
         DEFAULT_GRID,
     ),
     _Option("out", _ALL),
@@ -282,6 +283,10 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
 def _resolve_coin(cfg: argparse.Namespace) -> CoinSpec:
     if cfg.coin and cfg.coin_file:
         raise ConfigError("give either --coin or --coin-file, not both")
+    if not (cfg.coin or cfg.coin_file):
+        raise ConfigError("no coin given: use --coin or --coin-file")
+    if cfg.coin != "paper_xy" and (cfg.theta is not None or cfg.phi is not None):
+        raise ConfigError("theta and phi apply to --coin paper_xy only")
     if cfg.coin_file:
         try:
             records = json.loads(Path(cfg.coin_file).read_text(encoding="utf-8"))
@@ -293,8 +298,6 @@ def _resolve_coin(cfg: argparse.Namespace) -> CoinSpec:
             return CoinSpec.from_dicts(records)
         except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an integer past float range
             raise ConfigError(f"coin file {cfg.coin_file}: {exc}") from exc
-    if not cfg.coin:
-        raise ConfigError("no coin given: use --coin or --coin-file")
     try:
         return preset_coin(cfg.coin, theta=cfg.theta, phi=cfg.phi)
     except ValueError as exc:
@@ -330,9 +333,10 @@ def _write_outputs(
     """Write each output that the subcommand takes and was given, under
     ``cfg.output_dir``, then its ``<name>.manifest.json``, whose ``config``
     holds the parsed options the subcommand takes and a walk's initial coin
-    state.  If any write fails, delete every file this run wrote, the one
-    whose write failed and the manifest beside each output deleted, then
-    re-raise."""
+    state.  Two files of the run at one path are a config error, raised
+    before anything is written.  If any write fails, delete every file this
+    run wrote, the one whose write failed and the manifest beside each output
+    deleted, then re-raise."""
     taken = [opt for opt in _OPTIONS if cfg.command in opt.commands]
     outputs = [
         (Path(cfg.output_dir) / getattr(cfg, opt.name), writers[opt.name])
@@ -359,6 +363,11 @@ def _write_outputs(
     write_manifest = functools.partial(write_json, obj=manifest)
     manifests = {path: path.with_name(path.name + ".manifest.json") for path, _ in outputs}
     jobs = [*outputs, *((manifests[path], write_manifest) for path, _ in outputs)]
+    if len(outputs) > 1:  # an output and its own manifest differ in name within one directory
+        resolved = [os.path.realpath(path) for path, _ in jobs]  # Path.resolve raises on a symlink loop
+        for i, path in enumerate(resolved):
+            if path in resolved[:i]:
+                raise ConfigError(f"two files of the run would be written to {path}")
     for directory in dict.fromkeys(path.parent for path, _ in outputs):  # each manifest sits beside its output
         directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -428,7 +437,7 @@ def _cmd_weak_limit(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondit
 
 def _cmd_gapscan(cfg: argparse.Namespace, coin: None, init: None):
     closures = enumerate_closures(cfg.grid)
-    record = closures_to_dict(closures, grid=cfg.grid, tol=DEFAULT_TOL)
+    record = closures_to_dict(closures, grid=cfg.grid)
     record["no_boundary"] = assert_no_boundary(closures)
     print(f"{record['count_points']} closure points; no_boundary = {record['no_boundary']}")
     writers = {

@@ -26,12 +26,9 @@ window, 2.11e-8 wide, is narrower than the mesh spacing 2 pi / (grid - 1)
 for every grid up to 2^28 (2.34e-8), so each closure point is at most one
 cell of the mesh and no hits need merging.
 
-The enumeration screens one axis at a time.  With a = cos^2 theta and
-b = cos^2 phi, ``1 - A^2 = a (1 - b) + (1 - a) b >= min(a, 1 - a)``, and the
-same with theta and phi swapped, so a closure can only sit where both angles
-lie on a line with ``min(cos^2, sin^2)`` close to 0.  Only the grid lines
-that pass this screen are crossed and evaluated: O(grid) work and memory
-instead of a ``grid`` x ``grid`` mesh, with the same hits.
+So the enumeration evaluates only the mesh nodes nearest the quarter turns
+-pi, -pi/2, 0, pi/2 and pi and their neighbours, at most 15 per axis: O(1)
+time and memory at every grid.
 """
 
 from __future__ import annotations
@@ -67,16 +64,16 @@ MIN_GRID = 181
 MAX_GRID = 2**28
 # the gap below which a cell is closed in the survey record and in the probes
 # of assert_no_boundary: below the smallest non-zero gap of a double, 1.49e-8
-DEFAULT_TOL = 1e-8
+TOL = 1e-8
 # scan_gap_map: default points per axis
 DEFAULT_MAP_GRID = 181
 
-_POINT_MERGE_TOL = 1e-6
+# assert_no_boundary: the radii and the number of directions of its probe rays
+_PROBE_RADII = (0.02, 0.04, 0.06, 0.08, 0.1)
+_PROBE_DIRECTIONS = 16
 
-# Both angles of a hit lie within 1.05e-8 of a multiple of pi/2 (module
-# docstring), where min(cos^2, sin^2) <= 1.2e-16.  Keeping every grid line
-# with min(cos^2, sin^2) <= 1e-9 leaves seven orders of magnitude for rounding.
-_LINE_SCREEN = 1e-9
+# the angles that every closure on the mesh lies beside (module docstring)
+_QUARTER_TURNS = (-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi)
 
 
 @dataclass(frozen=True)
@@ -121,13 +118,18 @@ def scan_gap_map(n_theta: int = DEFAULT_MAP_GRID, n_phi: int = DEFAULT_MAP_GRID)
     """Closed-form gap map over inclusive grids covering [-pi, pi]."""
     theta = np.linspace(-math.pi, math.pi, n_theta)
     phi = np.linspace(-math.pi, math.pi, n_phi)
-    g = np.arccos(np.clip(_amplitude(theta[:, None], phi[None, :]), -1.0, 1.0))
-    return GapMap(theta_grid=theta, phi_grid=phi, gap_zero=g, gap_pi=g)
+    gap_zero, gap_pi = min_gap(theta[:, None], phi[None, :])
+    return GapMap(theta_grid=theta, phi_grid=phi, gap_zero=gap_zero, gap_pi=gap_pi)
 
 
-def _closure_lines(cos_a, sin_a) -> np.ndarray:
-    """Sorted indices of the grid lines that can hold a closure (see ``_LINE_SCREEN``)."""
-    return np.flatnonzero(np.minimum(cos_a * cos_a, sin_a * sin_a) <= _LINE_SCREEN)
+def _candidate_nodes(grid: int) -> np.ndarray:
+    """The mesh nodes nearest each quarter turn and their neighbours, in
+    increasing order, valued as ``np.linspace(-pi, pi, grid)`` values them:
+    ``i * step + -pi``, and pi at the last node."""
+    step = 2.0 * math.pi / (grid - 1)
+    nearest = [round((turn + math.pi) / step) for turn in _QUARTER_TURNS]
+    idx = np.array(sorted({min(max(i + d, 0), grid - 1) for i in nearest for d in (-1, 0, 1)}))
+    return np.where(idx == grid - 1, math.pi, idx * step + -math.pi)
 
 
 def enumerate_closures(grid: int = DEFAULT_GRID) -> list[GapClosure]:
@@ -137,22 +139,20 @@ def enumerate_closures(grid: int = DEFAULT_GRID) -> list[GapClosure]:
     :class:`GapClosure` per (closed cell, band); a closed cell is one whose
     gap is 0 in doubles, and each is its own closure point (module docstring).
 
-    Only the mesh cells where both angles pass the line screen of the module
-    docstring are evaluated, so time and memory grow with ``grid``, not
-    ``grid**2``; every other cell has ``1 - A^2 > 1e-9`` and cannot be a hit.
+    Only the cells where both angles are candidate nodes of the module
+    docstring are evaluated, so time and memory do not grow with ``grid``.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID} per axis")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be <= {MAX_GRID} per axis")
 
-    theta = np.linspace(-math.pi, math.pi, grid)  # phi runs over the same grid
-    lines = _closure_lines(np.cos(theta), np.sin(theta))
-    amp = _amplitude(theta[lines, None], theta[None, lines])
+    nodes = _candidate_nodes(grid)  # phi runs over the same nodes
+    amp = _amplitude(nodes[:, None], nodes[None, :])
 
     closures: list[GapClosure] = []
     for i, j in np.argwhere(amp >= 1.0):
-        th, ph = float(theta[lines[i]]), float(theta[lines[j]])
+        th, ph = float(nodes[i]), float(nodes[j])
         delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
         # both bands' gaps are the same arccos A
         closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
@@ -161,52 +161,38 @@ def enumerate_closures(grid: int = DEFAULT_GRID) -> list[GapClosure]:
     return closures
 
 
-def _dedupe(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for p in sorted(points):
-        if not any(abs(p[0] - q[0]) <= _POINT_MERGE_TOL and abs(p[1] - q[1]) <= _POINT_MERGE_TOL for q in out):
-            out.append(p)
-    return out
-
-
 def closure_points(closures: list[GapClosure]) -> list[tuple[float, float]]:
     """Distinct closure locations on the closed square, each counted once
-    regardless of how many bands close there."""
-    return _dedupe([(c.theta, c.phi) for c in closures])
+    regardless of how many bands close there: each is one mesh node."""
+    return sorted({(c.theta, c.phi) for c in closures})
 
 
 def canonical_points(closures: list[GapClosure]) -> list[tuple[float, float]]:
-    """Distinct closure locations after identifying angles modulo 2*pi."""
-    return _dedupe(
-        [(canonical_angle(c.theta), canonical_angle(c.phi)) for c in closures]
-    )
+    """Distinct closure locations after identifying angles modulo 2*pi; the
+    +-pi edges meet exactly, as ``canonical_angle(-pi)`` is pi."""
+    return sorted({(canonical_angle(c.theta), canonical_angle(c.phi)) for c in closures})
 
 
-def assert_no_boundary(
-    closures: list[GapClosure],
-    gap_fn=None,
-    tol: float = DEFAULT_TOL,
-    radii=(0.02, 0.04, 0.06, 0.08, 0.1),
-    n_directions: int = 16,
-) -> bool:
+def assert_no_boundary(closures: list[GapClosure], gap_fn=None) -> bool:
     """True iff every closure is isolated: the gap reopens in every direction.
 
-    Probes ``n_directions`` rays at each radius in ``radii`` around each
-    closure point; a closure lying on a curve of closures (a phase-transition
-    line) keeps the gap at zero along the curve and fails the probe.
+    Probes ``_PROBE_DIRECTIONS`` rays at each radius in ``_PROBE_RADII``
+    around each closure point; a closure lying on a curve of closures (a
+    phase-transition line) keeps the gap at zero along the curve and fails
+    the probe.
     ``gap_fn(theta, phi)`` defaults to the closed-form minimum gap; it is
     called once, on arrays of every probe point, so it must broadcast.
     """
     if gap_fn is None:
         gap_fn = lambda th, ph: min_gap(th, ph)[0]  # noqa: E731
     points = np.array(closure_points(closures), dtype=np.float64).reshape(-1, 1, 1, 2)
-    angles = 2.0 * math.pi * np.arange(n_directions) / n_directions
-    r = np.asarray(radii, dtype=np.float64)[:, None]
+    angles = 2.0 * math.pi * np.arange(_PROBE_DIRECTIONS) / _PROBE_DIRECTIONS
+    r = np.asarray(_PROBE_RADII, dtype=np.float64)[:, None]
     gap = gap_fn(points[..., 0] + r * np.cos(angles), points[..., 1] + r * np.sin(angles))
-    return not bool(np.any(np.asarray(gap) <= tol))
+    return not bool(np.any(np.asarray(gap) <= TOL))
 
 
-def closures_to_dict(closures: list[GapClosure], grid: int | None = None, tol: float | None = None) -> dict:
+def closures_to_dict(closures: list[GapClosure], grid: int | None = None) -> dict:
     """JSON-ready survey record reporting both counting conventions."""
     points = closure_points(closures)
     return {
@@ -226,7 +212,7 @@ def closures_to_dict(closures: list[GapClosure], grid: int | None = None, tol: f
         "count_points_mod_2pi": len(canonical_points(closures)),
         "count_point_band_pairs": len(closures),
         "grid": grid,
-        "tol": tol,
+        "tol": TOL,
     }
 
 

@@ -528,6 +528,23 @@ def test_non_finite_angle_for_a_preset_that_ignores_it_exits_1(tmp_path, capsys)
     assert "Bloch angle beta must be finite" in capsys.readouterr().err
 
 
+def test_theta_or_phi_with_another_coin_exits_1(tmp_path, capsys):
+    # only paper_xy takes the angles: with any other coin they would be
+    # recorded in the manifest but not used
+    (tmp_path / "coin.json").write_text('[{"axis": [0, 1, 0], "angle_deg": 45}]')
+    config = tmp_path / "run.cfg"
+    config.write_text("phi = 0.5\n")
+    for coin in (["--coin", "hadamard_analog"], ["--coin", "identity"], ["--coin-file", str(tmp_path / "coin.json")]):
+        for angles in (["--theta", "1"], ["--phi", "0"], ["--theta", "1", "--phi", "2"], ["--config", str(config)]):
+            argv = ["asymptotics", *coin, *angles, "--output-dir", str(tmp_path / "out"), "--out", "a.json"]
+            assert run(*argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err == "config error: theta and phi apply to --coin paper_xy only\n", argv
+    assert not (tmp_path / "out").exists()
+    assert run("asymptotics", "--coin", "paper_xy", "--theta", "1", "--phi", "2") == 0
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]

@@ -286,6 +286,41 @@ def test_unwritable_output_leaves_no_file_of_the_run(tmp_path, capsys, command, 
     assert (tmp_path / "keep.txt").read_text() == "unrelated\n"
 
 
+# each pair of outputs that one run takes
+OUTPUT_PAIRS = [("simulate", "out", "distribution_out"), ("gapscan", "out", "map_out")]
+
+
+@pytest.mark.parametrize("command, first, second", OUTPUT_PAIRS)
+@pytest.mark.parametrize("clash", ["same", "dot-slash", "manifest of first", "manifest of second"])
+def test_two_files_of_the_run_at_one_path_leave_no_file_of_the_run(tmp_path, capsys, command, first, second, clash):
+    # one file would overwrite the other and the run would end 0 with an
+    # output lost: it is a config error, before anything is written
+    (tmp_path / "keep.txt").write_text("unrelated\n")
+    # the two paths, and the one they share
+    first_path, second_path, shared = {
+        "same": ("x.out", "x.out", "x.out"),
+        "dot-slash": ("x.out", "./x.out", "x.out"),
+        "manifest of first": ("x.out", "x.out.manifest.json", "x.out.manifest.json"),
+        "manifest of second": ("x.out.manifest.json", "x.out", "x.out.manifest.json"),
+    }[clash]
+    options = {**BASE[command], first: first_path, second: second_path}
+    assert cli.main([command, f"--output-dir={tmp_path}", *_flags(options)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: two files of the run would be written to {tmp_path.resolve() / shared}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
+    assert (tmp_path / "keep.txt").read_text() == "unrelated\n"
+
+
+def test_output_through_a_symlink_loop_is_an_io_error(tmp_path, capsys):
+    # the check for two files at one path must not fail on a path it cannot resolve
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    assert cli.main(["gapscan", f"--output-dir={tmp_path}", "--grid=181", "--out=a/o.json", "--map-out=a/m.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("i/o error:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+
 @pytest.mark.parametrize("command", cli._COMMANDS)
 def test_manifest_config_holds_the_options_its_subcommand_takes(tmp_path, command):
     # every option the subcommand takes that parses to a value, plus the
@@ -406,9 +441,9 @@ def test_readme_states_the_size_ranges():
 
 
 # every (subcommand, option) pair; each runs with BASE's other options, less
-# the one that the option excludes
+# the ones that the option excludes
 FLAG_ROWS = [(command, opt.name) for command in cli._COMMANDS for opt in cli._OPTIONS if command in opt.commands]
-_EXCLUDES = {"coin_file": "coin", "initial_coin": "initial_bloch"}
+_EXCLUDES = {"coin_file": ("coin", "theta", "phi"), "initial_coin": ("initial_bloch",)}
 # text that a config line carries as it is: no "#", no line break and no blank
 # at either end; and no "/", so that every path stays inside the run's directory
 _LINE_TEXT = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="#/"), max_size=10).filter(
@@ -444,7 +479,7 @@ def test_a_flag_and_a_config_line_end_alike(command, name, text):
     if name in CHEAP:  # a size past CHEAP's makes a slow run
         with contextlib.suppress(ValueError):
             assume(int(text) <= CHEAP[name])
-    options = {key: value for key, value in BASE[command].items() if key not in (name, _EXCLUDES.get(name))}
+    options = {key: value for key, value in BASE[command].items() if key not in (name, *_EXCLUDES.get(name, ()))}
     flag = "--" + name.replace("_", "-")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coinwalk import gapscan
 from coinwalk.gapscan import (
     BAND_PI,
     BAND_ZERO,
     MAX_GRID,
+    MIN_GRID,
     GapClosure,
     _amplitude,
-    _closure_lines,
+    _candidate_nodes,
     assert_no_boundary,
     canonical_angle,
     canonical_points,
@@ -133,9 +135,9 @@ def test_enumerate_validation():
 
 
 def test_enumerate_rejects_grid_above_max_before_allocating(monkeypatch):
-    # past 2^28 a closure point may span two cells, and the mesh axis alone
-    # would take 2 GiB: the grid is refused before any array is made
-    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("allocated the mesh axis"))
+    # past 2^28 a closure point may span two cells: the grid is refused before
+    # any node is made
+    monkeypatch.setattr(gapscan, "_candidate_nodes", lambda grid: pytest.fail("made the candidate nodes"))
     with pytest.raises(ValueError, match=f"grid must be <= {MAX_GRID} per axis"):
         enumerate_closures(MAX_GRID + 1)
     assert MAX_GRID == 2**28
@@ -177,7 +179,8 @@ def test_canonical_angle():
 
 def test_closures_to_dict_counts_and_fields():
     closures = enumerate_closures(361)
-    record = closures_to_dict(closures, grid=361, tol=1e-8)
+    record = closures_to_dict(closures, grid=361)
+    assert record["tol"] == 1e-8
     assert record["count_points"] == 13
     assert record["count_points_mod_2pi"] == 8
     assert record["count_point_band_pairs"] == 26
@@ -207,7 +210,7 @@ def test_ballistic_at_gap_open_and_gap_closed_parameters():
 
 
 def _closures_json(closures, grid):
-    return json.dumps(closures_to_dict(closures, grid=grid, tol=1e-8))
+    return json.dumps(closures_to_dict(closures, grid=grid))
 
 
 @settings(max_examples=20, deadline=None)
@@ -253,21 +256,48 @@ _ANY_ANGLE = st.one_of(st.floats(-math.pi, math.pi), _NEAR_LINE)
 @settings(max_examples=300, deadline=None)
 @given(theta=_ANY_ANGLE, phi=_ANY_ANGLE)
 def test_gap_stays_open_off_the_screened_lines(theta, phi):
-    # the bound behind the line screen: min(cos^2, sin^2) > 1e-9 for either
-    # angle keeps the gap above 1e-6, far from a hit's gap of 0
+    # away from the quarter turns, where min(cos^2, sin^2) > 1e-9 for either
+    # angle, the gap stays above 1e-6, far from a hit's gap of 0
     for a in (theta, phi):
         if min(math.cos(a) ** 2, math.sin(a) ** 2) > 1e-9:
             assert float(min_gap(theta, phi)[0]) > 1e-6
 
 
+# angles at and within 1e-6 of a quarter turn, where every hit lies
+_AT_TURN = st.builds(
+    lambda base, off: base * HALF_PI + off,
+    st.integers(-2, 2),
+    st.floats(-1e-6, 1e-6) | st.floats(-3e-8, 3e-8),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(theta=_NEAR_LINE, phi=_NEAR_LINE)
-@example(theta=HALF_PI - 5e-7, phi=HALF_PI - 5e-7)
-@example(theta=-math.pi + 5e-7, phi=5e-7)
-def test_screen_keeps_every_angle_of_a_hit(theta, phi):
-    if float(min_gap(theta, phi)[0]) < 1e-6:
+@given(theta=_AT_TURN | _ANY_ANGLE, phi=_AT_TURN | _ANY_ANGLE)
+@example(theta=HALF_PI - 1.04e-8, phi=HALF_PI - 1.04e-8)
+@example(theta=-math.pi + 1e-8, phi=1e-8)
+@example(theta=1.0536e-8, phi=0.0)
+def test_every_angle_of_a_hit_lies_by_a_quarter_turn(theta, phi):
+    # the lemma behind the candidate nodes (module docstring): both angles of
+    # a cell whose computed amplitude is 1 lie within 2^-26.5 = 1.0537e-8 of a
+    # multiple of pi/2
+    if _amplitude(theta, phi) >= 1.0:
         for a in (theta, phi):
-            assert _closure_lines(np.cos([a]), np.sin([a])).tolist() == [0]
+            assert abs(a - round(a / HALF_PI) * HALF_PI) <= 1.0537e-8, a
+
+
+def test_candidate_nodes_are_mesh_nodes():
+    # every candidate value is the mesh node np.linspace gives at its index,
+    # and the node nearest each quarter turn is a candidate
+    rng = np.random.default_rng(53)
+    grids = [*range(MIN_GRID, 3000), 2**20 + 1, *rng.integers(3000, 2**20, 50)]
+    for grid in map(int, grids):
+        nodes = _candidate_nodes(grid)
+        mesh = np.linspace(-math.pi, math.pi, grid)
+        idx = np.searchsorted(mesh, nodes)
+        assert nodes.tolist() == mesh[idx].tolist(), grid
+        assert 0 < len(idx) <= 15 and np.all(np.diff(idx) > 0), grid
+        for turn in (-math.pi, -HALF_PI, 0.0, HALF_PI, math.pi):
+            assert int(np.argmin(np.abs(mesh - turn))) in idx, (grid, turn)
 
 
 def test_enumerate_closures_memory_does_not_grow_with_grid():
@@ -281,8 +311,9 @@ def test_enumerate_closures_memory_does_not_grow_with_grid():
 
 
 def _run_under_memory_cap(argv):
-    """Run ``argv`` with a 1 GB address-space limit (a full-mesh scan at the
-    grids used here would need terabytes and fail fast instead)."""
+    """Run ``argv`` with a 1 GB address-space limit (a scan whose memory grows
+    with the grid, even one array per mesh axis, would need 2 GiB at the grids
+    used here and fail fast instead)."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -292,23 +323,28 @@ def _run_under_memory_cap(argv):
     return subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
 
 
-def test_enumerate_closures_at_200001_under_memory_cap():
+def test_enumerate_closures_at_max_aligned_grid_under_memory_cap():
+    # MAX_GRID - 3 is the finest grid with (grid - 1) % 4 == 0, so every
+    # closure point is a mesh node; one float64 axis of it alone is 2 GiB
     code = (
-        "import time\n"
-        "from coinwalk.gapscan import canonical_points, closure_points, enumerate_closures\n"
+        "import time, tracemalloc\n"
+        "from coinwalk.gapscan import MAX_GRID, canonical_points, closure_points, enumerate_closures\n"
+        "tracemalloc.start()\n"
         "t0 = time.perf_counter()\n"
-        "c = enumerate_closures(200_001)\n"
-        "print(len(closure_points(c)), len(canonical_points(c)), len(c), time.perf_counter() - t0)\n"
+        "c = enumerate_closures(MAX_GRID - 3)\n"
+        "seconds = time.perf_counter() - t0\n"
+        "print(len(closure_points(c)), len(canonical_points(c)), len(c), seconds, tracemalloc.get_traced_memory()[1])\n"
     )
     proc = _run_under_memory_cap([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
-    points, canonical, pairs, seconds = proc.stdout.split()
+    points, canonical, pairs, seconds, peak = proc.stdout.split()
     assert (int(points), int(canonical), int(pairs)) == (13, 8, 26)
     assert float(seconds) < 1.0
+    assert int(peak) < 64_000
 
 
-def test_cli_gapscan_at_200001_under_memory_cap(tmp_path):
-    argv = [sys.executable, "-m", "coinwalk.cli", "gapscan", "--grid", "200001",
+def test_cli_gapscan_at_max_aligned_grid_under_memory_cap(tmp_path):
+    argv = [sys.executable, "-m", "coinwalk.cli", "gapscan", "--grid", str(MAX_GRID - 3),
             "--output-dir", str(tmp_path), "--out", "big.json"]
     proc = _run_under_memory_cap(argv)
     assert proc.returncode == 0, proc.stderr
@@ -335,15 +371,15 @@ def test_no_boundary_calls_gap_fn_once_on_every_probe():
         calls.append(np.shape(th))
         return min_gap(th, ph)[0]
 
-    assert assert_no_boundary(closures, gap_fn=gap_fn, radii=(0.02, 0.05, 0.1), n_directions=8)
-    assert calls == [(13, 3, 8)]
+    assert assert_no_boundary(closures, gap_fn=gap_fn)
+    assert calls == [(13, 5, 16)]  # 13 points, 5 radii, 16 directions
 
 
 def test_no_boundary_matches_scalar_probe_loop():
     # the one-call probe against a scalar loop over every ray, including a
     # gap function that vanishes on one ray only
     closures = enumerate_closures(361)
-    radii, n_dir = (0.02, 0.06, 0.1), 16
+    radii, n_dir = (0.02, 0.04, 0.06, 0.08, 0.1), 16
 
     def scalar_probe(gap_fn):
         for th, ph in closure_points(closures):
@@ -359,5 +395,5 @@ def test_no_boundary_matches_scalar_probe_loop():
 
     for gap_fn in (lambda th, ph: min_gap(th, ph)[0], ray_fn):
         expected = scalar_probe(lambda th, ph: float(gap_fn(th, ph)))
-        assert assert_no_boundary(closures, gap_fn=gap_fn, radii=radii, n_directions=n_dir) == expected
-    assert not assert_no_boundary(closures, gap_fn=ray_fn, radii=radii, n_directions=n_dir)
+        assert assert_no_boundary(closures, gap_fn=gap_fn) == expected
+    assert not assert_no_boundary(closures, gap_fn=ray_fn)
