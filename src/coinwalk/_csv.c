@@ -12,13 +12,28 @@
  * binary exponent puts k at one of two values, and one comparison with the
  * double nearest the upper one's power of ten picks it; where that double is
  * not the power itself (10^-1 .. 10^-16), x equal to it can be one power too
- * high, which D < 10^16 shows and one more rounding corrects.  The digits are
- * written two at a time from a table, and each field is laid out with copies
- * of fixed size inside its 25 bytes.  Every other double (subnormal, or
- * outside that range) goes to snprintf, which is exact too, and so does every
- * double where the compiler has no 128-bit integer type.  snprintf prints the
- * decimal point of LC_NUMERIC; the caller takes this path only where that
- * point is ".".
+ * high, which D < 10^16 shows and one more rounding corrects.  Two steps take
+ * no branch: the floor of the exponent estimate is a shift of an int made
+ * positive, and rounding half to even is a bitwise expression of the
+ * remainder, where a branch would go either way on real data.  The digits
+ * are written two at a time from a table, and each field is laid out with
+ * copies of fixed size inside its 25 bytes.  Every other double (subnormal,
+ * or outside that range) goes to snprintf, which is exact too, and so does
+ * every double where the compiler has no 128-bit integer type.  snprintf
+ * prints the decimal point of LC_NUMERIC; the caller takes this path only
+ * where that point is ".".
+ *
+ * The memo.  A double field whose bit pattern equals that of the double field
+ * just before it in its row, or that of its own column's field in the row
+ * before, copies that field's bytes instead of formatting again: the gap map's
+ * theta repeats down its column, gap_pi equals gap_zero, and a band's
+ * v_group equals nz but for the sign of zero.  Bits are compared, never
+ * values, so 0 and -0 stay apart, and so do NaNs of other payloads.  The
+ * memo covers tables of up to MEMO_COLS columns, in arrays on the stack;
+ * wider tables format every field.  It starts empty at the first row of each
+ * call and of each stage, and reads only fields that call or stage wrote: a
+ * copied field holds exactly the bytes its value prints as, so the memo
+ * changes no byte, whatever the rows per call or the stages.
  *
  * Two stages.  A call of at least TWO_STAGE_FIELDS fields, where the calling
  * thread may run on two CPUs or more, is split in two: the caller formats the
@@ -49,6 +64,8 @@
  * second thread costs more than the second CPU saves */
 #define TWO_STAGE_FIELDS 3072
 #define STACK_BYTES (64 * 1024)
+/* the most columns whose fields the memo keeps */
+#define MEMO_COLS 8
 
 /* read by the tests, which cover the edges of the split */
 const int64_t coinwalk_two_stage_fields = TWO_STAGE_FIELDS;
@@ -143,11 +160,11 @@ static uint64_t scaled_floor(uint64_t m, int e, int p, int *up)
     if (s < 64) {  /* in 64-bit halves, as for every p <= 27: q < 10^18 */
         const uint64_t lo = (uint64_t)n, q = (uint64_t)(n >> 64) << (64 - s) | lo >> s;
         const uint64_t rem = lo & ((1ULL << s) - 1), half = 1ULL << (s - 1);
-        *up = rem > half || (rem == half && (q & 1));
+        *up = (rem > half) | ((rem == half) & (int)(q & 1));
         return q;
     }
     const u128 q = n >> s, rem = n - (q << s), half = (u128)1 << (s - 1);
-    *up = rem > half || (rem == half && (q & 1));
+    *up = (rem > half) | ((rem == half) & (int)(q & 1));
     return (uint64_t)q;
 }
 
@@ -155,9 +172,10 @@ static uint64_t scaled_floor(uint64_t m, int e, int p, int *up)
  * out[0, 24); returns the length */
 static int put_fast(char *out, int neg, double a, uint64_t m, int e)
 {
-    /* floor(log10 2^(e + 52)) is k or k - 1, and at least -17 for a > 1e-16 */
+    /* floor(log10 2^(e + 52)) is k or k - 1, and at least -17 for a > 1e-16;
+     * |t| < 2^23 in this range, so t + 2^24 is positive and shifts exactly */
     const int t = (e + 52) * 78913;
-    int k = t >= 0 ? t >> 18 : -((-t + 262143) >> 18);
+    int k = ((t + (64 << 18)) >> 18) - 64;
     k += a >= POW10[k + 17];
     int up;
     /* below 10^17 at k, and below 10^18 at k - 1, so it fits in 64 bits */
@@ -245,15 +263,48 @@ static int put_double(char *out, double x)
     return n;
 }
 
+/* the field of ``len`` bytes at src, written already, again at out, past it;
+ * writes no further than out[23].  The 24 bytes read may overlap the 24
+ * written, so they pass through a local copy, which keeps both fixed-size */
+static int copy_field(char *out, const char *src, int len)
+{
+    char f[24];
+    memcpy(f, src, 24);
+    memcpy(out, f, 24);
+    return len;
+}
+
 /* rows [first, first + rows) at out; returns the bytes written */
 static int64_t format_rows(const void *const *cols, const char *kinds, int64_t ncols, int64_t first, int64_t rows,
                            char *out)
 {
+    /* the memo: per double column, the bits of its last field and where its
+     * bytes start; kept up to MEMO_COLS columns, and filled from this call's
+     * first row on */
+    uint64_t bits_at[MEMO_COLS];
+    const char *field_at[MEMO_COLS];
+    int len_at[MEMO_COLS];
+    const int memo = ncols <= MEMO_COLS;
     char *p = out;
     for (int64_t r = first; r < first + rows; r++) {
+        const int above = memo && r > first;  /* the row before is this call's */
         for (int64_t j = 0; j < ncols; j++) {
             if (kinds[j] == 'f') {
-                p += put_double(p, ((const double *)cols[j])[r]);
+                uint64_t bits;
+                memcpy(&bits, (const double *)cols[j] + r, sizeof bits);
+                int n;
+                if (memo && j > 0 && kinds[j - 1] == 'f' && bits == bits_at[j - 1])  /* the field before */
+                    n = copy_field(p, field_at[j - 1], len_at[j - 1]);
+                else if (above && bits == bits_at[j])  /* the field above */
+                    n = copy_field(p, field_at[j], len_at[j]);
+                else
+                    n = put_double(p, ((const double *)cols[j])[r]);
+                if (memo) {
+                    bits_at[j] = bits;
+                    field_at[j] = p;
+                    len_at[j] = n;
+                }
+                p += n;
             } else if (kinds[j] == 'u') {
                 p += put_unsigned(p, ((const uint64_t *)cols[j])[r]);
             } else {

@@ -327,22 +327,44 @@ def _resolve_initial(cfg: argparse.Namespace) -> InitialCondition:
     return init
 
 
+def _plan_outputs(cfg: argparse.Namespace) -> dict[str, Path]:
+    """Each output option (``out``, ``*_out``) that the subcommand takes and
+    was given, with its path under ``cfg.output_dir``, in option order.  Two
+    files of the run at one path, outputs or the ``<name>.manifest.json``
+    beside each, are a config error, raised here from ``cfg`` alone, before
+    the run computes."""
+    outputs = {
+        opt.name: Path(cfg.output_dir) / getattr(cfg, opt.name)
+        for opt in _OPTIONS
+        if cfg.command in opt.commands and opt.name.endswith("out") and getattr(cfg, opt.name)
+    }
+    if len(outputs) > 1:  # an output and its own manifest differ in name within one directory
+        files = [*outputs.values(), *map(_manifest_path, outputs.values())]
+        resolved = [os.path.realpath(path) for path in files]  # Path.resolve raises on a symlink loop
+        for i, path in enumerate(resolved):
+            if path in resolved[:i]:
+                raise ConfigError(f"two files of the run would be written to {path}")
+    return outputs
+
+
+def _manifest_path(path: Path) -> Path:
+    return path.with_name(path.name + ".manifest.json")
+
+
 def _write_outputs(
-    cfg: argparse.Namespace, coin: CoinSpec | None, init: InitialCondition | None, writers: dict, results: dict | None
+    cfg: argparse.Namespace,
+    outputs: dict[str, Path],
+    coin: CoinSpec | None,
+    init: InitialCondition | None,
+    writers: dict,
+    results: dict | None,
 ) -> None:
-    """Write each output that the subcommand takes and was given, under
-    ``cfg.output_dir``, then its ``<name>.manifest.json``, whose ``config``
-    holds the parsed options the subcommand takes and a walk's initial coin
-    state.  Two files of the run at one path are a config error, raised
-    before anything is written.  If any write fails, delete every file this
-    run wrote, the one whose write failed and the manifest beside each output
-    deleted, then re-raise."""
+    """Write each of the planned ``outputs`` by its option's writer, then its
+    ``<name>.manifest.json``, whose ``config`` holds the parsed options the
+    subcommand takes and a walk's initial coin state.  If any write fails,
+    delete every file this run wrote, the one whose write failed and the
+    manifest beside each output deleted, then re-raise."""
     taken = [opt for opt in _OPTIONS if cfg.command in opt.commands]
-    outputs = [
-        (Path(cfg.output_dir) / getattr(cfg, opt.name), writers[opt.name])
-        for opt in taken
-        if opt.name in writers and getattr(cfg, opt.name)
-    ]
     config = {"command": cfg.command, **{opt.name: getattr(cfg, opt.name) for opt in taken if opt.parse}}
     if init is not None:
         config["initial_coin"] = [[float(c.real), float(c.imag)] for c in init.coin_state]
@@ -352,7 +374,7 @@ def _write_outputs(
         # the composed coin (c, sx, sy, sz) that every output is computed from;
         # ``config`` names the preset or the coin file
         "coin_parts": list(coin.parts) if coin is not None else None,
-        "outputs": [path.name for path, _ in outputs],
+        "outputs": [path.name for path in outputs.values()],
         "sign_calibration": sign_calibration(),
     }
     if coin is not None:
@@ -361,14 +383,12 @@ def _write_outputs(
     if results:
         manifest["results"] = results
     write_manifest = functools.partial(write_json, obj=manifest)
-    manifests = {path: path.with_name(path.name + ".manifest.json") for path, _ in outputs}
-    jobs = [*outputs, *((manifests[path], write_manifest) for path, _ in outputs)]
-    if len(outputs) > 1:  # an output and its own manifest differ in name within one directory
-        resolved = [os.path.realpath(path) for path, _ in jobs]  # Path.resolve raises on a symlink loop
-        for i, path in enumerate(resolved):
-            if path in resolved[:i]:
-                raise ConfigError(f"two files of the run would be written to {path}")
-    for directory in dict.fromkeys(path.parent for path, _ in outputs):  # each manifest sits beside its output
+    manifests = {path: _manifest_path(path) for path in outputs.values()}
+    jobs = [
+        *((path, writers[name]) for name, path in outputs.items()),
+        *((manifest_path, write_manifest) for manifest_path in manifests.values()),
+    ]
+    for directory in dict.fromkeys(path.parent for path in outputs.values()):  # each manifest sits beside its output
         directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for path, write in jobs:
@@ -509,8 +529,9 @@ def main(argv=None) -> int:
         cfg = _merge(args)
         coin = _resolve_coin(cfg) if cfg.command in _COINS else None
         init = _resolve_initial(cfg) if cfg.command in _WALKS else None
+        outputs = _plan_outputs(cfg)
         writers, results = _COMMANDS[cfg.command].run(cfg, coin, init)
-        _write_outputs(cfg, coin, init, writers, results)
+        _write_outputs(cfg, outputs, coin, init, writers, results)
         return 0
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)

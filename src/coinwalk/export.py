@@ -9,14 +9,18 @@ and group velocity at a band touching, a relative error against a zero
 prediction).
 
 The rows are formatted in C (``_csv.c``, in the package's compiled library),
-a fixed number of rows at a time into one reused buffer.  A call of at least
-3072 fields, where the process may use two CPUs, is split between the calling
-thread and a second one, each formatting half the rows into its own part of
-that buffer.  Every row is formatted by the same routine from its own values
-alone, so the bytes depend on neither the number of threads nor the number of
-CPUs.  Where that library did not load, or the locale's decimal point is not
-".", the whole table is filled by one Python ``%`` operation instead.  The
-bytes are those of ``%d`` and ``%.17g`` on every path.
+16384 rows per call into one reused buffer, so a band of 16384 momenta is one
+call and a 181 x 181 gap map two.  A call of at least 3072 fields, where the
+process may use two CPUs, is split between the calling thread and a second
+one, each formatting half the rows into its own part of that buffer.  A
+double field equal in bits to the one before it in its row, or to the one
+above it, copies that field's bytes.  Every field's bytes are those of its own
+value, so they depend on neither the rows per call, the number of threads nor
+the number of CPUs.  On a 2-vCPU VM a 16384-row band takes about 13 ns a field
+on two threads and 22 ns on one, and the gap map 9 and 15 ns.  Where that
+library did not load, or the locale's decimal point is not ".", the whole
+table is filled by one Python ``%`` operation instead.  The bytes are those of
+``%d`` and ``%.17g`` on every path.
 
 Both writers rewrite their file in place: it is opened without ``O_TRUNC``,
 written from offset 0 and then cut at the end of the new bytes.  Truncating
@@ -43,7 +47,7 @@ import numpy as np
 
 from ._native import library
 
-_CHUNK_ROWS = 4096  # rows formatted per call into the buffer
+_CHUNK_ROWS = 16384  # rows formatted per call into the buffer: 2.4 MB at six columns
 _FIELD_BYTES = 25  # the widest field, "-1.7976931348623157e+308", and its delimiter
 # the dtype _csv.c formats each column kind from, by numpy's kind code, which _csv.c shares
 _C_DTYPES = {"f": np.float64, "i": np.int64, "u": np.uint64}

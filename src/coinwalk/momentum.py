@@ -18,6 +18,11 @@ conventions the group velocity ``dw/dk`` equals ``n_z(k)``, and for the coin
 Writing ``C = c I + i (s . sigma)`` (c real, s a real 3-vector) gives the
 closed dispersion ``cos w(k) = c cos k + s_z sin k``: a pure sinusoid in k
 for every composite coin, which the gap scanner exploits.
+
+The Bloch axis is built in columns, one contiguous block of momenta per
+component, and ``DispersionBand.bloch`` is a view of it with the component
+axis last: it keeps the shape ``(n_k, 3)``, and each row of ``bloch.T`` is
+contiguous, so the CSV writer takes the components without a copy.
 """
 
 from __future__ import annotations
@@ -67,7 +72,9 @@ def _band_arrays(c: float, s: np.ndarray, k):
     """Vectorised dispersion data for coin parts ``(c, s)`` on momenta ``k``.
 
     Returns ``(omega, n, v, degenerate)`` where ``n`` has shape ``k.shape + (3,)``;
-    rows of ``n`` and entries of ``v`` are NaN where the gap closes.
+    rows of ``n`` and entries of ``v`` are NaN where the gap closes.  ``n`` is
+    built in columns, one contiguous ``k.shape`` block per component, and
+    returned as a view with the component axis last.
     """
     k = np.asarray(k, dtype=np.float64)
     ck, sk = np.cos(k), np.sin(k)
@@ -76,16 +83,16 @@ def _band_arrays(c: float, s: np.ndarray, k):
 
     # U_k = cos(w) I + i (m . sigma) with |m| = sin(w); n = -m / sin(w).  |m|
     # keeps its precision near band touchings, where sin(arccos(.)) cancels
-    mx = ck * s[0] - sk * s[1]
-    my = ck * s[1] + sk * s[0]
-    mz = ck * s[2] - c * sk
-    sin_w = np.sqrt(mx * mx + my * my + mz * mz)
+    m = np.empty((3,) + k.shape)
+    np.subtract(ck * s[0], sk * s[1], out=m[0, ...])
+    np.add(ck * s[1], sk * s[0], out=m[1, ...])
+    np.subtract(ck * s[2], c * sk, out=m[2, ...])
+    sin_w = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
     degenerate = sin_w <= DEGENERACY_THRESHOLD
-    safe = np.where(degenerate, 1.0, sin_w)
-    n = np.stack([-mx / safe, -my / safe, -mz / safe], axis=-1)
-    n = np.where(degenerate[..., None], np.nan, n)
-    v = n[..., 2] + 0.0  # dw/dk = n_z, with a zero made +0 (n_z = -m_z / sin w is -0 where m_z is +0)
-    return omega, n, v, degenerate
+    n = np.full(m.shape, np.nan)
+    np.divide(np.negative(m, out=m), sin_w, out=n, where=~degenerate)
+    v = n[2] + 0.0  # dw/dk = n_z, with a zero made +0 (n_z = -m_z / sin w is -0 where m_z is +0)
+    return omega, np.moveaxis(n, 0, -1), v, degenerate
 
 
 def dispersion_band(coin: CoinSpec, n_k: int = DEFAULT_GRID_SIZE) -> DispersionBand:

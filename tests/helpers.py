@@ -188,6 +188,24 @@ def band_at(coin: CoinSpec, k):
     return _band_arrays(*su2_parts(coin), k)
 
 
+def reference_band_arrays(c: float, s: np.ndarray, k):
+    """``momentum._band_arrays`` by the row formula it replaced: the three
+    components stacked on a last axis, then the degenerate rows set to NaN.
+    The same operations in the same order, so the arrays match byte for byte."""
+    k = np.asarray(k, dtype=np.float64)
+    ck, sk = np.cos(k), np.sin(k)
+    omega = np.arccos(np.clip(c * ck + s[2] * sk, -1.0, 1.0))
+    mx = ck * s[0] - sk * s[1]
+    my = ck * s[1] + sk * s[0]
+    mz = ck * s[2] - c * sk
+    sin_w = np.sqrt(mx * mx + my * my + mz * mz)
+    degenerate = sin_w <= DEGENERACY_THRESHOLD
+    safe = np.where(degenerate, 1.0, sin_w)
+    n = np.stack([-mx / safe, -my / safe, -mz / safe], axis=-1)
+    n = np.where(degenerate[..., None], np.nan, n)
+    return omega, n, n[..., 2] + 0.0, degenerate
+
+
 def bloch_matrix(n) -> np.ndarray:
     """``n . sigma`` for a real 3-vector ``n``."""
     return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z

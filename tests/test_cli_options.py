@@ -311,6 +311,26 @@ def test_two_files_of_the_run_at_one_path_leave_no_file_of_the_run(tmp_path, cap
     assert (tmp_path / "keep.txt").read_text() == "unrelated\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gapscan", "--grid=2881", "--out=a.json", "--map-out=a.json"],
+        ["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=x.csv", "--distribution-out=x.csv"],
+    ],
+    ids=["gapscan", "simulate"],
+)
+def test_two_files_at_one_path_fail_before_the_run_computes(tmp_path, capsys, monkeypatch, argv):
+    # the clash is known from the options alone: no walk, no scan, nothing printed
+    calls = []
+    for name in ("moment_series", "enumerate_closures"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    assert cli.main([*argv, f"--output-dir={tmp_path}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: two files of the run would be written to "), err
+    assert calls == []
+    assert not any(tmp_path.iterdir())
+
+
 def test_output_through_a_symlink_loop_is_an_io_error(tmp_path, capsys):
     # the check for two files at one path must not fail on a path it cannot resolve
     (tmp_path / "a").symlink_to("b")

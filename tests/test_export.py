@@ -294,6 +294,87 @@ def test_two_stage_formatting_leaves_no_thread_behind(tmp_path):
     assert fast == percent
 
 
+# --- the formatter's memo: a double field copies the bytes of an equal one ---
+
+_ZERO, _NEG_ZERO = 0x0000000000000000, 0x8000000000000000
+_NANS = [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF]
+
+
+def _memo_table(kinds, pool, n, rng):
+    """``n`` rows of ``kinds`` columns whose doubles repeat: a float column
+    either runs through values of ``pool`` (bit patterns), changing value at
+    a random rate, or follows the float column before it, with a share of its
+    fields drawn from ``pool`` instead."""
+    pool = np.array(pool, dtype=np.uint64)
+    columns = []
+    for kind in kinds:
+        if kind != "f":
+            columns.append(_random_column(kind, [0, 1], n, rng))
+            continue
+        runs = np.cumsum(rng.random(n) < rng.choice([0.0, 0.01, 0.3, 1.0]))
+        bits = pool[rng.integers(0, pool.size, size=runs[-1] + 1)][runs]
+        if columns and columns[-1].dtype == np.float64 and rng.random() < 0.5:
+            before = columns[-1].view(np.uint64)
+            bits = np.where(rng.random(n) < rng.choice([0.0, 0.1, 0.5]), bits, before)
+        columns.append(bits.view(np.float64))
+    return columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_formatter_memo_matches_percent_body(data):
+    """Runs of one value down a column and equal neighbours across a row, at
+    small row counts and at the chunk size and the two-stage threshold, each
+    +-1: every copied field holds the bytes its own value prints as."""
+    threshold = _two_stage_fields()
+    kinds = data.draw(st.lists(st.sampled_from("fffiu"), min_size=1, max_size=6), label="kinds")
+    at_threshold = -(-threshold // len(kinds))  # the fewest rows split in two
+    near_splits = [r + d for r in (at_threshold, export._CHUNK_ROWS) for d in (-1, 0, 1)]
+    n = data.draw(st.one_of(st.integers(1, 40), st.sampled_from(near_splits)), label="rows")
+    pool = data.draw(st.lists(st.one_of(_BITS, st.sampled_from([_ZERO, _NEG_ZERO, *_NANS])), min_size=1, max_size=6),
+                     label="pool")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = _memo_table(kinds, pool, n, rng)
+    assert _formatted(columns) == export._percent_body(columns, n).encode("ascii")
+
+
+def _bits_column(*bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "columns, body",
+    [
+        pytest.param([_bits_column(_ZERO), _bits_column(_NEG_ZERO)], b"0,-0\n", id="0,-0-across"),
+        pytest.param([_bits_column(_NEG_ZERO), _bits_column(_ZERO)], b"-0,0\n", id="-0,0-across"),
+        pytest.param([_bits_column(_ZERO, _NEG_ZERO)], b"0\n-0\n", id="0,-0-down"),
+        pytest.param([_bits_column(_NEG_ZERO, _ZERO)], b"-0\n0\n", id="-0,0-down"),
+        pytest.param([_bits_column(*_NANS[:2]), _bits_column(*_NANS[2:])], b",\n,\n", id="nan-payloads"),
+    ],
+)
+def test_formatter_memo_keeps_zeros_of_either_sign_and_nans_apart(columns, body):
+    # equal values with other bits print otherwise, or print alike by another rule
+    _formatter()
+    assert _formatted(columns) == export._percent_body(columns, columns[0].shape[0]).encode("ascii") == body
+
+
+def test_formatter_call_reads_no_field_of_an_earlier_call():
+    # the rows after the first chunk repeat its last row; the first chunk's
+    # buffer is overwritten before they are formatted, as a reused buffer is
+    _formatter()
+    lib, n, m = export.library(), 8, 5
+    columns = [np.full(n, 0.25), np.repeat([1.5, -3.0], [m, n - m]), np.full(n, 0.25), np.arange(n)]
+    arrays = [np.ascontiguousarray(c, dtype=export._C_DTYPES[c.dtype.kind]) for c in columns]
+    kinds = "".join(c.dtype.kind for c in arrays).encode()
+    pointers = (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
+    buf = np.empty(n * len(arrays) * export._FIELD_BYTES, dtype=np.uint8)
+    for first, rows in ((0, m), (m, n - m)):
+        buf[:] = ord("~")
+        size = lib.coinwalk_format_rows(pointers, kinds, len(arrays), first, rows, buf.ctypes.data)
+        tail = [c[first:first + rows] for c in columns]
+        assert buf[:size].tobytes() == export._percent_body(tail, rows).encode("ascii")
+
+
 # --- the cases that take the % path ---
 
 _FALLBACK_COLUMNS = [np.array([-3, 0, 7]), np.array([0.1, math.nan, -1e300]), np.array([1e-320, -0.0, math.inf])]

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from coinwalk.coins import CoinRotation, CoinSpec, preset_coin
+from coinwalk.coins import CoinRotation, CoinSpec, preset_coin, random_coin_spec, su2_parts
 from coinwalk.momentum import (
     DEFAULT_GRID_SIZE,
     MIN_GRID_SIZE,
+    _band_arrays,
     dispersion_band,
     dispersion_to_csv,
 )
@@ -18,6 +19,7 @@ from helpers import (
     cos_omega_two_rotation,
     eigvecs_from_bloch,
     random_multirot_coin,
+    reference_band_arrays,
     uk_entries_two_rotation,
     uk_matrix,
 )
@@ -306,3 +308,36 @@ def test_bloch_vectors_are_unit_near_band_touching(eps):
     band = dispersion_band(preset_coin("paper_xy", theta=math.pi / 2 - eps, phi=math.pi / 2), 4096)
     assert not np.any(np.isnan(band.bloch))
     assert float(np.max(np.abs(np.linalg.norm(band.bloch, axis=1) - 1.0))) <= 1e-12
+
+
+def _assert_same_band_arrays(c, s, k):
+    """``_band_arrays`` and the stacked-row oracle: the same shapes, dtypes and bytes."""
+    for new, ref in zip(_band_arrays(c, s, k), reference_band_arrays(c, s, k)):
+        new, ref = np.asarray(new), np.asarray(ref)
+        assert (new.shape, new.dtype) == (ref.shape, ref.dtype)
+        assert np.ascontiguousarray(new).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_k", [MIN_GRID_SIZE, DEFAULT_GRID_SIZE, 16384])
+def test_band_arrays_match_the_stacked_rows_on_random_coins(n_k):
+    rng = np.random.default_rng(n_k)
+    k = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
+    for _ in range(20):
+        _assert_same_band_arrays(*su2_parts(random_coin_spec(rng, int(rng.integers(1, 5)))), k)
+
+
+@pytest.mark.parametrize("coin", ["identity", "sigma_x"])
+def test_band_arrays_match_the_stacked_rows_at_touchings_and_scalar_k(coin):
+    # identity touches at k = 0 and k = +-pi; sigma_x never does
+    c, s = su2_parts(preset_coin(coin))
+    _assert_same_band_arrays(c, s, np.array([-math.pi, -1.0, -0.0, 0.0, 0.5, math.pi]))
+    _assert_same_band_arrays(c, s, np.linspace(-math.pi, math.pi, MIN_GRID_SIZE, endpoint=False))
+    for k in (-math.pi, 0.0, 0.3):
+        _assert_same_band_arrays(c, s, k)
+
+
+def test_bloch_is_rows_whose_columns_are_contiguous():
+    # dispersion_to_csv writes band.bloch.T, whose rows write_csv takes without a copy
+    band = dispersion_band(PXY4, 4096)
+    assert band.bloch.shape == (4096, 3)
+    assert all(row.flags.c_contiguous for row in band.bloch.T)
