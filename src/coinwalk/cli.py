@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``simulate``, ``moments``, ``dispersion``, ``asymptotics``,
-``weak-limit``, ``gapscan``, ``compare``.  Every run resolves a single
-configuration (flat ``key = value`` config file, overridden by command-line
-flags), writes the requested data files, and pairs each output with a
-``<name>.manifest.json`` echoing the options the subcommand takes and the
-resolved initial state, so the artifact can be reproduced byte for byte.  A
-run that fails while writing deletes the files it wrote, so it leaves no
-output and no manifest behind.
+``weak-limit``, ``gapscan``, ``compare``, each read as ``coinwalk COMMAND
+[--name VALUE | --name=VALUE]...`` by full flag name; the last of a repeated
+flag wins, ``-h``/``--help`` prints the flags, and ``--version`` goes before
+the subcommand.  Every run resolves a single configuration (flat ``key =
+value`` config file, overridden by command-line flags), checks before it
+computes that each of its files can be written, writes the requested data
+files, and pairs each output with a ``<name>.manifest.json`` echoing the
+options the subcommand takes and the resolved initial state, so the artifact
+can be reproduced byte for byte.  A run that fails while writing deletes the
+files it wrote, so it leaves no output and no manifest behind.
 
 Angles are radians by default; append ``deg`` for degrees (``--theta 45deg``).
 Exit codes: 0 success, 1 configuration error, 3 I/O error.
@@ -15,14 +18,16 @@ Exit codes: 0 success, 1 configuration error, 3 I/O error.
 
 from __future__ import annotations
 
-import argparse
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -90,11 +95,6 @@ _MAX_SITE = 2**53
 
 class ConfigError(ValueError):
     """Unusable configuration (bad flag, bad config file, missing input)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # route argparse failures to exit code 1
-        raise ConfigError(message)
 
 
 def parse_angle(text: str, name: str = "angle") -> float:
@@ -206,81 +206,84 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _help(opt: _Option) -> str:
-    notes = [] if opt.default is None else [f"default {opt.default!r}"]
-    if opt.bounds:
-        notes.append("%s to %s" % opt.bounds)
-    return f"{opt.help} ({'; '.join(notes)})" if notes else opt.help
+def _usage(command: str | None) -> str:
+    """The help text: the subcommands, or the flags of ``command`` with their
+    help, default and bounds."""
+    if command is None:
+        head = f"[-h] [--version] COMMAND [--name VALUE | --name=VALUE]...\n\n{__doc__.splitlines()[0]}\n\ncommands:"
+        rows = [(name, c.help) for name, c in _COMMANDS.items()]
+    else:
+        head = f"{command} [--name VALUE | --name=VALUE]...\n\n{_COMMANDS[command].help}\n\noptions:"
+        rows = [("-h, --help", "show this help and exit"), ("--config", "flat key = value configuration file")]
+        for opt in (opt for opt in _OPTIONS if command in opt.commands):
+            notes = [] if opt.default is None else [f"default {opt.default!r}"]
+            notes += ["%s to %s" % opt.bounds] if opt.bounds else []
+            text = opt.help or _COMMANDS[command].out_help  # out's help is the subcommand's
+            rows.append(("--" + opt.name.replace("_", "-"), f"{text} ({'; '.join(notes)})" if notes else text))
+    return "\n".join([f"usage: coinwalk {head}", *(f"  {name:<20}{text or ''}".rstrip() for name, text in rows)])
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The argument parser, built from the option and subcommand tables once per process."""
-    parser = _Parser(prog="coinwalk", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"coinwalk {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", help="flat key = value configuration file")
-        for opt in (opt for opt in _OPTIONS if name in opt.commands):
-            out = opt.name == "out"  # its help is the subcommand's; _merge checks that it is given
-            p.add_argument("--" + opt.name.replace("_", "-"), help=command.out_help if out else _help(opt))
-    return parser
-
-
-@functools.cache
-def _flags(command: str) -> frozenset[str]:
-    """The flags of ``command``, every one of which takes a value."""
-    return frozenset(["--config", *("--" + opt.name.replace("_", "-") for opt in _OPTIONS if command in opt.commands)])
-
-
-def _joined(argv: list[str]) -> list[str]:
-    """``argv`` with each flag of its subcommand joined to the word after it as
-    ``--name=WORD``, so that argparse reads that word as the flag's value
-    whatever it begins with, as it reads ``--name=WORD``.  A flag's unique
-    prefix counts as the flag, as in argparse."""
-    if not argv or argv[0] not in _COMMANDS:
-        return argv
-    flags = _flags(argv[0])
-    words, joined = iter(argv), []
+def _read(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The subcommand and the text of each flag given, from ``argv`` read as
+    ``COMMAND [--name VALUE | --name=VALUE]...`` by exact flag name.  The
+    word after a flag is its value whatever it begins with, and the last of a
+    repeated flag wins.  ``-h``/``--help``, and ``--version`` before the
+    subcommand, print and raise ``SystemExit(0)``."""
+    words = iter(argv)
+    command = next(words, None)
+    if command in ("-h", "--help", "--version"):
+        print(f"coinwalk {__version__}" if command == "--version" else _usage(None))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        invalid = f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, _COMMANDS))})"
+        raise ConfigError(invalid if argv else "the following arguments are required: command")
+    taken = [opt.name for opt in _OPTIONS if command in opt.commands]
+    names = {"--" + name.replace("_", "-"): name for name in ("config", *taken)}
+    texts, unknown = {}, []
     for word in words:
-        flag = word in flags or (word.startswith("--") and sum(f.startswith(word) for f in flags) == 1)
-        value = next(words, None) if flag else None
-        joined.append(word if value is None else f"{word}={value}")
-    return joined
+        if word in ("-h", "--help"):
+            print(_usage(command))
+            raise SystemExit(0)
+        flag, eq, text = word.partition("=")
+        if flag not in names:
+            unknown.append(word)
+        elif (text := text if eq else next(words, None)) is None:
+            raise ConfigError(f"argument {flag}: expected one argument")
+        else:
+            texts[names[flag]] = text
+    if unknown:
+        raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, texts
 
 
-def _merge(args: argparse.Namespace) -> argparse.Namespace:
+def _merge(command: str, texts: dict[str, str]) -> SimpleNamespace:
     """Every option's value: the flag, else the config file, else
     ``$COINWALK_OUTPUT_DIR`` (``output_dir`` only), else the default.  Text is
     parsed where the option has a parser, so every config-file value is
     checked, also for options the subcommand does not take."""
-    if isinstance(args.config, list):  # "--config=--", as for the options below
-        raise ConfigError("argument --config: expected one argument")
-    if args.config == "":
-        raise ConfigError("argument --config: empty path")
-    fallback = read_config_file(args.config) if args.config else {}
+    config = texts.get("config")
+    if config in ("", "--"):  # as for the options below
+        raise ConfigError(f"argument --config: {'expected one argument' if config else 'empty path'}")
+    fallback = read_config_file(config) if config else {}
     fallback.setdefault("output_dir", os.environ.get(_OUTPUT_DIR_ENV))  # below the file, above the default
-    cfg = argparse.Namespace(command=args.command)
+    cfg = SimpleNamespace(command=command)
     for opt in _OPTIONS:
-        text = getattr(args, opt.name, None)
+        text = texts.get(opt.name, fallback.get(opt.name))
         flag = "--" + opt.name.replace("_", "-")
         if text == "":  # as in a config file, where "name =" is an error: empty text is not "not given"
             # an output option (``out``, ``*_out``) would name no file, so nothing would be written
             raise ConfigError(f"argument {flag}: empty {'path' if opt.name.endswith('out') else 'value'}")
-        if text is None:
-            text = fallback.get(opt.name)
-        if isinstance(text, list) or text == "--":  # "--name=--", "--name --", "name = --": no value at all
+        if text == "--":  # "--name=--", "--name --", "name = --": no value at all
             raise ConfigError(f"argument {flag}: expected one argument")
         if text is not None and opt.parse is not None:
             text = _value(opt, text)
         setattr(cfg, opt.name, opt.default if text is None else text)
-    if cfg.out is None and _COMMANDS[cfg.command].out_required:  # by flag or by config file
+    if cfg.out is None and _COMMANDS[command].out_required:  # by flag or by config file
         raise ConfigError("the following arguments are required: --out")
     return cfg
 
 
-def _resolve_coin(cfg: argparse.Namespace) -> CoinSpec:
+def _resolve_coin(cfg: SimpleNamespace) -> CoinSpec:
     if cfg.coin and cfg.coin_file:
         raise ConfigError("give either --coin or --coin-file, not both")
     if not (cfg.coin or cfg.coin_file):
@@ -304,7 +307,7 @@ def _resolve_coin(cfg: argparse.Namespace) -> CoinSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_initial(cfg: argparse.Namespace) -> InitialCondition:
+def _resolve_initial(cfg: SimpleNamespace) -> InitialCondition:
     coin_text, bloch_text = cfg.initial_coin, cfg.initial_bloch
     if coin_text and bloch_text:
         raise ConfigError("give either initial_coin or initial_bloch, not both")
@@ -313,37 +316,39 @@ def _resolve_initial(cfg: argparse.Namespace) -> InitialCondition:
             parts = [p.strip() for p in str(bloch_text).split(",")]
             if len(parts) != 2:
                 raise ConfigError("initial_bloch needs 'alpha,beta'")
-            init = InitialCondition.from_bloch(
-                parse_angle(parts[0], "Bloch angle alpha"),
-                parse_angle(parts[1], "Bloch angle beta"),
-                cfg.position,
-            )
-        elif coin_text:
-            init = InitialCondition(_parse_complex_pair(coin_text), cfg.position)
-        else:
-            init = InitialCondition(np.array([1.0, 0.0]), cfg.position)  # |0>
+            alpha, beta = parse_angle(parts[0], "Bloch angle alpha"), parse_angle(parts[1], "Bloch angle beta")
+            return InitialCondition.from_bloch(alpha, beta, cfg.position)
+        if coin_text:
+            return InitialCondition(_parse_complex_pair(coin_text), cfg.position)
+        return InitialCondition(np.array([1.0, 0.0]), cfg.position)  # |0>
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return init
 
 
-def _plan_outputs(cfg: argparse.Namespace) -> dict[str, Path]:
+def _plan_outputs(cfg: SimpleNamespace) -> dict[str, Path]:
     """Each output option (``out``, ``*_out``) that the subcommand takes and
     was given, with its path under ``cfg.output_dir``, in option order.  Two
     files of the run at one path, outputs or the ``<name>.manifest.json``
     beside each, are a config error, raised here from ``cfg`` alone, before
-    the run computes."""
-    outputs = {
-        opt.name: Path(cfg.output_dir) / getattr(cfg, opt.name)
-        for opt in _OPTIONS
-        if cfg.command in opt.commands and opt.name.endswith("out") and getattr(cfg, opt.name)
-    }
+    the run computes; a file that cannot be written (a directory at its path,
+    a file above it, or no write permission where ``os.access`` can tell)
+    raises the ``OSError`` its write would, creating nothing."""
+    taken = (opt.name for opt in _OPTIONS if cfg.command in opt.commands and opt.name.endswith("out"))
+    outputs = {name: Path(cfg.output_dir) / getattr(cfg, name) for name in taken if getattr(cfg, name)}
+    files = [*outputs.values(), *map(_manifest_path, outputs.values())]
     if len(outputs) > 1:  # an output and its own manifest differ in name within one directory
-        files = [*outputs.values(), *map(_manifest_path, outputs.values())]
         resolved = [os.path.realpath(path) for path in files]  # Path.resolve raises on a symlink loop
         for i, path in enumerate(resolved):
             if path in resolved[:i]:
                 raise ConfigError(f"two files of the run would be written to {path}")
+    for path in files:  # os.stat raises the error a write would where a regular file lies above the path
+        try:
+            near, is_dir = path, stat.S_ISDIR(os.stat(path).st_mode)
+        except FileNotFoundError:  # then the nearest ancestor that exists is a directory
+            near, is_dir = next((p for p in path.parents if p.exists()), None), False
+        if is_dir or (near is not None and not os.access(near, os.W_OK)):
+            error = errno.EISDIR if is_dir else errno.EACCES
+            raise OSError(error, os.strerror(error), str(path))
     return outputs
 
 
@@ -352,7 +357,7 @@ def _manifest_path(path: Path) -> Path:
 
 
 def _write_outputs(
-    cfg: argparse.Namespace,
+    cfg: SimpleNamespace,
     outputs: dict[str, Path],
     coin: CoinSpec | None,
     init: InitialCondition | None,
@@ -384,10 +389,8 @@ def _write_outputs(
         manifest["results"] = results
     write_manifest = functools.partial(write_json, obj=manifest)
     manifests = {path: _manifest_path(path) for path in outputs.values()}
-    jobs = [
-        *((path, writers[name]) for name, path in outputs.items()),
-        *((manifest_path, write_manifest) for manifest_path in manifests.values()),
-    ]
+    jobs = [(path, writers[name]) for name, path in outputs.items()]
+    jobs += [(manifest_path, write_manifest) for manifest_path in manifests.values()]
     for directory in dict.fromkeys(path.parent for path in outputs.values()):  # each manifest sits beside its output
         directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -418,21 +421,19 @@ def _delete_file(path: Path) -> bool:
     return True
 
 
-def _cmd_simulate(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
+def _cmd_simulate(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
     ms = moment_series(init, coin, cfg.steps)
     # skip the trivial t=0 row: a run of N steps yields N data rows
-    table = MomentSeries(
-        times=ms.times[1:], mean=ms.mean[1:], second=ms.second[1:], variance=ms.variance[1:], norm=ms.norm[1:]
-    )
+    table = MomentSeries(ms.times[1:], ms.mean[1:], ms.second[1:], ms.variance[1:], ms.norm[1:])
     writers = {"out": table.to_csv, "distribution_out": functools.partial(distribution_to_csv, ms.final)}
     return writers, {"max_norm_drift": ms.max_norm_drift, "walk_kernel": kernel_name()}
 
 
-def _cmd_dispersion(cfg: argparse.Namespace, coin: CoinSpec, init: None):
+def _cmd_dispersion(cfg: SimpleNamespace, coin: CoinSpec, init: None):
     return {"out": functools.partial(dispersion_to_csv, dispersion_band(coin, cfg.grid_size))}, None
 
 
-def _cmd_asymptotics(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
+def _cmd_asymptotics(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
     am = moment_integrals(coin, init)
     record = asymptotic_moments_to_dict(am)
     record["classification"] = am.classification
@@ -445,7 +446,7 @@ def _cmd_asymptotics(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondi
     return {"out": functools.partial(write_json, obj=record)}, results
 
 
-def _cmd_weak_limit(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
+def _cmd_weak_limit(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
     vd = weak_limit_density(coin, init, cfg.bins)
     if vd.degenerate:
         print("note: coin is in the sigma_x family; the density collapses onto v = 0")
@@ -455,7 +456,7 @@ def _cmd_weak_limit(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondit
     return {"out": functools.partial(velocity_density_to_csv, vd)}, results
 
 
-def _cmd_gapscan(cfg: argparse.Namespace, coin: None, init: None):
+def _cmd_gapscan(cfg: SimpleNamespace, coin: None, init: None):
     closures = enumerate_closures(cfg.grid)
     record = closures_to_dict(closures, grid=cfg.grid)
     record["no_boundary"] = assert_no_boundary(closures)
@@ -468,7 +469,7 @@ def _cmd_gapscan(cfg: argparse.Namespace, coin: None, init: None):
     return writers, {"count_points": record["count_points"]}
 
 
-def _cmd_compare(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition):
+def _cmd_compare(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
     am = moment_integrals(coin, init)
     ms = moment_series(init, coin, cfg.steps)
     var = ms.variance
@@ -496,7 +497,7 @@ def _cmd_compare(cfg: argparse.Namespace, coin: CoinSpec, init: InitialCondition
 class _Command(NamedTuple):
     # computes and prints; returns one writer per output option, path -> None,
     # and the manifest ``results``
-    run: Callable[[argparse.Namespace, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
+    run: Callable[[SimpleNamespace, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
     help: str
     out_help: str | None = None
     out_required: bool = True
@@ -525,8 +526,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
-        cfg = _merge(args)
+        cfg = _merge(*_read(sys.argv[1:] if argv is None else list(argv)))
         coin = _resolve_coin(cfg) if cfg.command in _COINS else None
         init = _resolve_initial(cfg) if cfg.command in _WALKS else None
         outputs = _plan_outputs(cfg)

@@ -6,6 +6,7 @@ and no file written.
 """
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coinwalk import cli
+from coinwalk import __version__, cli
 
 # flags per subcommand and config keys that the option table must produce
 FLAGS = {
@@ -331,6 +332,39 @@ def test_two_files_at_one_path_fail_before_the_run_computes(tmp_path, capsys, mo
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, path, code",
+    [
+        (["gapscan", "--grid=2881", "--out=file/a.json"], "file/a.json", errno.ENOTDIR),
+        (["moments", "--coin=hadamard_analog", "--steps=20000", "--out=file/m.csv"], "file/m.csv", errno.ENOTDIR),
+        (["gapscan", "--grid=2881", "--out=sub"], "sub", errno.EISDIR),
+        (["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=m.csv", "--distribution-out=sub"], "sub",
+         errno.EISDIR),
+        (["gapscan", "--grid=2881", "--out=x.json"], "x.json.manifest.json", errno.EISDIR),
+        (["moments", "--coin=hadamard_analog", "--steps=20000", "--out=locked/m.csv"], "locked/m.csv", errno.EACCES),
+    ],
+    ids=["under a file", "walk under a file", "a directory", "distribution a directory", "manifest a directory",
+         "no write permission"],
+)
+def test_an_unwritable_output_fails_before_the_run_computes(tmp_path, capsys, monkeypatch, argv, path, code):
+    # the nearest existing ancestor of each file of the run tells that its
+    # write would fail: exit 3 with that write's error, no walk, no scan,
+    # nothing printed and nothing created
+    (tmp_path / "file").write_text("a file\n")
+    for directory in ("sub", "x.json.manifest.json", "locked"):
+        (tmp_path / directory).mkdir()
+    access = os.access  # root may write anywhere, so "locked" is denied by a stand-in
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != tmp_path / "locked" and access(p, mode))
+    calls = []
+    for name in ("moment_series", "enumerate_closures"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    assert cli.main([*argv, f"--output-dir={tmp_path}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"i/o error: [Errno {code}] {os.strerror(code)}: '{tmp_path / path}'\n", err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "locked", "sub", "x.json.manifest.json"]
+
+
 def test_output_through_a_symlink_loop_is_an_io_error(tmp_path, capsys):
     # the check for two files at one path must not fail on a path it cannot resolve
     (tmp_path / "a").symlink_to("b")
@@ -401,11 +435,12 @@ def test_double_dash_is_no_value_in_every_spelling(tmp_path, capsys, words, flag
     assert not (tmp_path / "out").exists()
 
 
-def test_table_gives_the_same_flags_and_config_keys():
+def test_table_gives_the_same_flags_and_config_keys(capsys):
     assert {opt.name for opt in cli._OPTIONS} == CONFIG_KEYS
     for command in cli._COMMANDS:
-        parser = cli._parser()._subparsers._group_actions[0].choices[command]
-        flags = {o[2:] for a in parser._actions for o in a.option_strings if o not in ("-h", "--help")}
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        flags = set(re.findall(r"^  --([a-z-]+)", capsys.readouterr().out, re.MULTILINE))
         assert flags == set(FLAGS[command].split()), command
 
 
@@ -418,19 +453,19 @@ def test_defaults_and_sizes_in_use_lie_within_bounds():
             assert lo <= in_use.get(opt.name, lo) <= hi, opt.name
 
 
-def test_parser_is_built_once(tmp_path, monkeypatch):
-    built = []
-    init = cli._Parser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counted)
-    cli._parser.cache_clear()
-    for steps in ("1", "2", "3"):
-        assert cli.main(["moments", "--coin", "identity", "--steps", steps, "--out", str(tmp_path / "m.csv")]) == 0
-    assert len(built) == 1 + len(cli._COMMANDS)  # the top-level parser and one per subcommand
+def test_a_run_imports_no_argparse(tmp_path):
+    # the CLI reads argv from its own option table; argparse would cost every process its import
+    run = (
+        "import sys; from coinwalk import cli; "
+        "code = cli.main(['moments', '--coin', 'identity', '--steps', '3', '--out', 'm.csv']); "
+        "print(code, 'argparse' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", run], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
 
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
@@ -507,3 +542,72 @@ def test_a_flag_and_a_config_line_end_alike(command, name, text):
         expected = _run_in(tmp / "config", [command, f"--config={tmp / 'run.cfg'}", *_flags(options)])
         for i, spelling in enumerate([[f"{flag}={text}"], [flag, text]]):
             assert _run_in(tmp / f"flag{i}", [command, *_flags(options), *spelling]) == expected, spelling
+
+
+COMMAND_CHOICES = "'simulate', 'moments', 'dispersion', 'asymptotics', 'weak-limit', 'gapscan', 'compare'"
+
+
+def _ends(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of ``argv``; a ``SystemExit`` gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param([], (1, "", "config error: the following arguments are required: command\n"), id="no command"),
+        pytest.param(
+            ["bogus"],
+            (1, "", f"config error: argument command: invalid choice: 'bogus' (choose from {COMMAND_CHOICES})\n"),
+            id="bogus command",
+        ),
+        pytest.param(["--version"], (0, f"coinwalk {__version__}\n", ""), id="version"),
+        pytest.param(
+            ["moments", "--coin=identity", "--out"], (1, "", "config error: argument --out: expected one argument\n"),
+            id="flag without value",
+        ),
+        pytest.param(
+            ["gapscan", "--out=o.json", "--tol", "1e-8"], (1, "", "config error: unrecognized arguments: --tol 1e-8\n"),
+            id="unknown flag",
+        ),
+        pytest.param(
+            ["gapscan", "--out=o.json", "stray"], (1, "", "config error: unrecognized arguments: stray\n"),
+            id="stray word",
+        ),
+        pytest.param(
+            ["gapscan", "--out=o.json", "--", "x"], (1, "", "config error: unrecognized arguments: -- x\n"),
+            id="double dash",
+        ),
+        pytest.param(
+            ["moments", "--out=o.csv", "-h"], (0, re.compile(r"usage: coinwalk moments .*--steps.*", re.DOTALL), ""),
+            id="subcommand help",
+        ),
+        # ends as the last value given alone, which is not the first's
+        pytest.param(
+            ["asymptotics", "--coin=identity", "--coin", "sigma_x"], ["asymptotics", "--coin", "sigma_x"],
+            id="repeated flag",
+        ),
+        # a flag is read by its full name only: "--grid-s" is not "--grid-size"
+        pytest.param(
+            ["dispersion", "--coin=sigma_x", "--grid-s", "64", "--out=o.csv"],
+            (1, "", "config error: unrecognized arguments: --grid-s 64\n"),
+            id="no abbreviation",
+        ),
+    ],
+)
+def test_the_reader_ends_each_argv_as_pinned(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _ends(argv)
+    if isinstance(expected, list):
+        assert (code, out, err) == _ends(expected) != _ends([*expected[:1], "--coin", "identity"])
+    elif isinstance(expected[1], re.Pattern):
+        assert (code, err) == (expected[0], expected[2]) and expected[1].fullmatch(out), out
+    else:
+        assert (code, out, err) == expected
+    assert not any(tmp_path.iterdir())
