@@ -29,8 +29,8 @@ _SOURCES = (_HERE / "_walk.c", _HERE / "_csv.c")
 # portable and exact: no -march, no -ffast-math, no fused multiply-adds;
 # POSIX threads for the walk kernel's second stage
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
-# this library's builds, and those of the walk kernel alone that it replaced
-_BUILDS = ("_native-*.so", "_walk-*.so")
+# this library's builds
+_BUILDS = "_native-*.so"
 # every exported function: (restype, argtypes)
 _PROTOTYPES = {
     # flat amplitudes, steps, coin entries, moment sums
@@ -70,7 +70,7 @@ def load(cache_dir: Path) -> ctypes.CDLL | None:
                 os.replace(tmp, lib)
             finally:
                 tmp.unlink(missing_ok=True)
-            for stale in (p for pattern in _BUILDS for p in cache_dir.glob(pattern)):
+            for stale in cache_dir.glob(_BUILDS):
                 if stale != lib:  # other sources, flags or compiler
                     with contextlib.suppress(OSError):
                         stale.unlink()

@@ -220,7 +220,7 @@ def _usage(command: str | None) -> str:
             notes += ["%s to %s" % opt.bounds] if opt.bounds else []
             text = opt.help or _COMMANDS[command].out_help  # out's help is the subcommand's
             rows.append(("--" + opt.name.replace("_", "-"), f"{text} ({'; '.join(notes)})" if notes else text))
-    return "\n".join([f"usage: coinwalk {head}", *(f"  {name:<20}{text or ''}".rstrip() for name, text in rows)])
+    return "\n".join([f"usage: coinwalk {head}", *(f"  {name:<20}{text}" for name, text in rows)])
 
 
 def _read(argv: list[str]) -> tuple[str, dict[str, str]]:
@@ -464,7 +464,7 @@ def _cmd_gapscan(cfg: SimpleNamespace, coin: None, init: None):
     writers = {
         "out": functools.partial(write_json, obj=record),
         # the map is computed only when it is written
-        "map_out": lambda path: gap_map_to_csv(scan_gap_map(cfg.map_grid, cfg.map_grid), path),
+        "map_out": lambda path: gap_map_to_csv(scan_gap_map(cfg.map_grid), path),
     }
     return writers, {"count_points": record["count_points"]}
 
@@ -499,7 +499,7 @@ class _Command(NamedTuple):
     # and the manifest ``results``
     run: Callable[[SimpleNamespace, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
     help: str
-    out_help: str | None = None
+    out_help: str
     out_required: bool = True
 
 
@@ -508,7 +508,7 @@ _COMMANDS = {
         _cmd_simulate, "exact walk; writes the per-step moment table", "moment table CSV (t,mean,second,variance)"
     ),
     # same table, no distribution option
-    "moments": _Command(_cmd_simulate, "per-step moment table only"),
+    "moments": _Command(_cmd_simulate, "per-step moment table only", "moment table CSV (t,mean,second,variance)"),
     "dispersion": _Command(_cmd_dispersion, "quasi-energy band export", "CSV k,omega,nx,ny,nz,v_group"),
     "asymptotics": _Command(
         _cmd_asymptotics, "long-time drift and spread coefficients",

@@ -8,9 +8,11 @@ The coin ``R_x(phi) R_y(theta)`` gives the dispersion argument
 with amplitude ``A = hypot(cos theta cos phi, sin theta sin phi)`` and phase
 ``d = atan2(sin theta sin phi, cos theta cos phi)``.  The band therefore
 sweeps ``[arccos A, pi - arccos A]``: the gap at w = 0 and the gap at
-w = +-pi are both ``arccos A``, and they close exactly where A = 1, at
-isolated parameter points.  The tests check the closed form against a
-brute-force sampled minimiser over k.
+w = +-pi are one and the same ``arccos A``, and it closes exactly where
+A = 1, at isolated parameter points.  So the survey carries one gap, which a
+gap map writes into both its ``gap_zero`` and its ``gap_pi`` column.  The
+spread of the walk at long times is ``s_perp = sin(gap)``.  The tests check
+the closed form against a brute-force sampled minimiser over k.
 
 Closure points are enumerated on the closed square [-pi, pi]^2 (the +-pi
 edges are geometrically distinct there); each point is reported once even
@@ -26,9 +28,12 @@ window, 2.11e-8 wide, is narrower than the mesh spacing 2 pi / (grid - 1)
 for every grid up to 2^28 (2.34e-8), so each closure point is at most one
 cell of the mesh and no hits need merging.
 
-So the enumeration evaluates only the mesh nodes nearest the quarter turns
--pi, -pi/2, 0, pi/2 and pi and their neighbours, at most 15 per axis: O(1)
-time and memory at every grid.
+Half that spacing, pi / (2^28 - 1) ~ 1.17e-8, is wider than the window's
+half-width, so a node inside the window is the unique node nearest its
+quarter turn, and a node halfway between two neighbours lies in neither
+window.  So the enumeration evaluates only the mesh node nearest each
+quarter turn -pi, -pi/2, 0, pi/2 and pi, at most 5 per axis: O(1) time and
+memory at every grid.
 """
 
 from __future__ import annotations
@@ -88,12 +93,11 @@ class GapClosure:
 
 @dataclass(frozen=True)
 class GapMap:
-    """Minimum gap to w=0 and to w=+-pi over inclusive uniform parameter grids."""
+    """The gap over an inclusive uniform grid of both angles: theta is the
+    row and phi the column of ``gap``, and both run over ``axis``."""
 
-    theta_grid: np.ndarray
-    phi_grid: np.ndarray
-    gap_zero: np.ndarray  # shape (len(theta_grid), len(phi_grid))
-    gap_pi: np.ndarray
+    axis: np.ndarray
+    gap: np.ndarray
 
 
 def canonical_angle(a: float) -> float:
@@ -108,27 +112,24 @@ def _amplitude(theta, phi):
     return np.hypot(np.cos(theta) * np.cos(phi), np.sin(theta) * np.sin(phi))
 
 
-def min_gap(theta: float, phi: float):
-    """Closed-form ``(gap_zero, gap_pi)``; both equal ``arccos A`` (see module docstring)."""
-    g = np.arccos(np.clip(_amplitude(theta, phi), -1.0, 1.0))
-    return g, g
+def min_gap(theta, phi):
+    """Closed-form gap ``arccos A`` to w = 0 and to w = +-pi alike (module
+    docstring); broadcasts over array-valued angles."""
+    return np.arccos(np.clip(_amplitude(theta, phi), -1.0, 1.0))
 
 
-def scan_gap_map(n_theta: int = DEFAULT_MAP_GRID, n_phi: int = DEFAULT_MAP_GRID) -> GapMap:
-    """Closed-form gap map over inclusive grids covering [-pi, pi]."""
-    theta = np.linspace(-math.pi, math.pi, n_theta)
-    phi = np.linspace(-math.pi, math.pi, n_phi)
-    gap_zero, gap_pi = min_gap(theta[:, None], phi[None, :])
-    return GapMap(theta_grid=theta, phi_grid=phi, gap_zero=gap_zero, gap_pi=gap_pi)
+def scan_gap_map(n: int = DEFAULT_MAP_GRID) -> GapMap:
+    """Closed-form gap map over an inclusive ``n`` x ``n`` grid covering [-pi, pi]^2."""
+    axis = np.linspace(-math.pi, math.pi, n)
+    return GapMap(axis=axis, gap=min_gap(axis[:, None], axis[None, :]))
 
 
 def _candidate_nodes(grid: int) -> np.ndarray:
-    """The mesh nodes nearest each quarter turn and their neighbours, in
-    increasing order, valued as ``np.linspace(-pi, pi, grid)`` values them:
-    ``i * step + -pi``, and pi at the last node."""
+    """The mesh node nearest each quarter turn, in increasing order, valued
+    as ``np.linspace(-pi, pi, grid)`` values them: ``i * step + -pi``, and pi
+    at the last node."""
     step = 2.0 * math.pi / (grid - 1)
-    nearest = [round((turn + math.pi) / step) for turn in _QUARTER_TURNS]
-    idx = np.array(sorted({min(max(i + d, 0), grid - 1) for i in nearest for d in (-1, 0, 1)}))
+    idx = np.array([round((turn + math.pi) / step) for turn in _QUARTER_TURNS])
     return np.where(idx == grid - 1, math.pi, idx * step + -math.pi)
 
 
@@ -173,7 +174,7 @@ def canonical_points(closures: list[GapClosure]) -> list[tuple[float, float]]:
     return sorted({(canonical_angle(c.theta), canonical_angle(c.phi)) for c in closures})
 
 
-def assert_no_boundary(closures: list[GapClosure], gap_fn=None) -> bool:
+def assert_no_boundary(closures: list[GapClosure], gap_fn=min_gap) -> bool:
     """True iff every closure is isolated: the gap reopens in every direction.
 
     Probes ``_PROBE_DIRECTIONS`` rays at each radius in ``_PROBE_RADII``
@@ -183,8 +184,6 @@ def assert_no_boundary(closures: list[GapClosure], gap_fn=None) -> bool:
     ``gap_fn(theta, phi)`` defaults to the closed-form minimum gap; it is
     called once, on arrays of every probe point, so it must broadcast.
     """
-    if gap_fn is None:
-        gap_fn = lambda th, ph: min_gap(th, ph)[0]  # noqa: E731
     points = np.array(closure_points(closures), dtype=np.float64).reshape(-1, 1, 1, 2)
     angles = 2.0 * math.pi * np.arange(_PROBE_DIRECTIONS) / _PROBE_DIRECTIONS
     r = np.asarray(_PROBE_RADII, dtype=np.float64)[:, None]
@@ -192,7 +191,7 @@ def assert_no_boundary(closures: list[GapClosure], gap_fn=None) -> bool:
     return not bool(np.any(np.asarray(gap) <= TOL))
 
 
-def closures_to_dict(closures: list[GapClosure], grid: int | None = None) -> dict:
+def closures_to_dict(closures: list[GapClosure], grid: int) -> dict:
     """JSON-ready survey record reporting both counting conventions."""
     points = closure_points(closures)
     return {
@@ -217,8 +216,7 @@ def closures_to_dict(closures: list[GapClosure], grid: int | None = None) -> dic
 
 
 def gap_map_to_csv(gm: GapMap, path) -> None:
-    """Long-format ``theta,phi,gap_zero,gap_pi`` rows, phi varying fastest."""
-    theta = np.repeat(gm.theta_grid, gm.phi_grid.size)
-    phi = np.tile(gm.phi_grid, gm.theta_grid.size)
-    columns = [theta, phi, gm.gap_zero.ravel(), gm.gap_pi.ravel()]
-    write_csv(path, ["theta", "phi", "gap_zero", "gap_pi"], columns)
+    """Long-format ``theta,phi,gap_zero,gap_pi`` rows, phi varying fastest;
+    the one gap fills both gap columns."""
+    n, gap = gm.axis.size, gm.gap.ravel()
+    write_csv(path, ["theta", "phi", "gap_zero", "gap_pi"], [np.repeat(gm.axis, n), np.tile(gm.axis, n), gap, gap])

@@ -353,10 +353,10 @@ def reference_write_csv(path, header, rows) -> None:
 
 def reference_enumerate_closures(grid: int = 721) -> list[GapClosure]:
     """Closure enumeration over the whole inclusive ``grid`` x ``grid`` mesh:
-    the gap of every cell, a hit where it is below 1e-8, and each band of a
-    hit whose gap is below 1e-8 reported, as ``enumerate_closures`` does.  No
-    two hits may lie within 4 cells of each other.  O(grid**2) memory; keep
-    ``grid`` in the low thousands."""
+    the gap of every cell, a hit where it is below 1e-8, and both bands of a
+    hit reported, as ``enumerate_closures`` does, since one gap closes both.
+    No two hits may lie within 4 cells of each other.  O(grid**2) memory;
+    keep ``grid`` in the low thousands."""
     theta = np.linspace(-math.pi, math.pi, grid)
     phi = np.linspace(-math.pi, math.pi, grid)
     gap = np.arccos(np.clip(_amplitude(theta[:, None], phi[None, :]), -1.0, 1.0))
@@ -368,10 +368,8 @@ def reference_enumerate_closures(grid: int = 721) -> list[GapClosure]:
     for i, j in hits:
         th, ph = float(theta[i]), float(phi[j])
         delta = math.atan2(math.sin(th) * math.sin(ph), math.cos(th) * math.cos(ph))
-        gap_zero, gap_pi = min_gap(th, ph)
-        if gap_zero < 1e-8:
+        if min_gap(th, ph) < 1e-8:
             closures.append(GapClosure(th, ph, canonical_angle(-delta), BAND_ZERO))
-        if gap_pi < 1e-8:
             closures.append(GapClosure(th, ph, canonical_angle(math.pi - delta), BAND_PI))
     closures.sort(key=lambda c: (c.theta, c.phi, c.band))
     return closures

@@ -479,6 +479,11 @@ def test_help_renders(capsys, command):
         return
     for flag in FLAGS[command].split():
         assert f"--{flag}" in text, flag
+    # every flag row states what the flag is for
+    rows = re.findall(r"^  (--[a-z-]+)(.*)$", text, re.MULTILINE)
+    assert sorted(flag for flag, _ in rows) == sorted(f"--{flag}" for flag in FLAGS[command].split())
+    for flag, help_text in rows:
+        assert help_text.strip(), flag
     for opt in cli._OPTIONS:
         if opt.bounds and command in opt.commands:
             assert f"{opt.bounds[0]} to {opt.bounds[1]}" in " ".join(text.split()), opt.name

@@ -469,12 +469,12 @@ def test_velocity_density_bytes(tmp_path):
 
 
 def test_gap_map_bytes(tmp_path):
-    gm = scan_gap_map(23, 17)
+    gm = scan_gap_map(23)
     gap_map_to_csv(gm, tmp_path / "new.csv")
     rows = [
-        (float(th), float(ph), float(gm.gap_zero[i, j]), float(gm.gap_pi[i, j]))
-        for i, th in enumerate(gm.theta_grid)
-        for j, ph in enumerate(gm.phi_grid)
+        (float(th), float(ph), float(gm.gap[i, j]), float(gm.gap[i, j]))
+        for i, th in enumerate(gm.axis)
+        for j, ph in enumerate(gm.axis)
     ]
     reference_write_csv(tmp_path / "ref.csv", ["theta", "phi", "gap_zero", "gap_pi"], rows)
     _assert_same_files(tmp_path)

@@ -739,14 +739,15 @@ def test_second_load_reuses_the_built_library(tmp_path, monkeypatch):
 
 def test_a_build_deletes_older_builds(tmp_path):
     _compiler_on_path()
-    # an older build of the library, and one of the walk kernel alone it replaced
-    stale = [tmp_path / "_native-00000000.so", tmp_path / "_walk-00000000.so"]
-    for path in stale:
-        path.write_bytes(b"an older build")
-    unrelated = tmp_path / "other.so"
-    unrelated.write_bytes(b"not a coinwalk library")
+    # an older build of the library goes; any other file, a build named as
+    # the walk kernel's were before it joined the library included, stays
+    stale = tmp_path / "_native-00000000.so"
+    stale.write_bytes(b"an older build")
+    unrelated = [tmp_path / "other.so", tmp_path / "_walk-00000000.so"]
+    for path in unrelated:
+        path.write_bytes(b"not a build of this library")
     assert load(tmp_path) is not None
-    assert not any(path.exists() for path in stale) and unrelated.exists()
+    assert not stale.exists() and all(path.exists() for path in unrelated)
     assert len(list(tmp_path.glob("_native-*.so"))) == 1
 
 
