@@ -292,7 +292,8 @@ def _resolve_coin(cfg: SimpleNamespace) -> CoinSpec:
         raise ConfigError("theta and phi apply to --coin paper_xy only")
     if cfg.coin_file:
         try:
-            records = json.loads(Path(cfg.coin_file).read_text(encoding="utf-8"))
+            with open(cfg.coin_file, encoding="utf-8") as fh:
+                records = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read coin file {cfg.coin_file}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -392,7 +393,8 @@ def _write_outputs(
     jobs = [(path, writers[name]) for name, path in outputs.items()]
     jobs += [(manifest_path, write_manifest) for manifest_path in manifests.values()]
     for directory in dict.fromkeys(path.parent for path in outputs.values()):  # each manifest sits beside its output
-        directory.mkdir(parents=True, exist_ok=True)
+        if not os.path.isdir(directory):  # a regular file there raises FileExistsError
+            directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for path, write in jobs:
         try:

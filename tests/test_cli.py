@@ -578,3 +578,25 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 def test_read_config_rejects_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         read_config_file(str(tmp_path / "nope.cfg"))
+
+
+def test_every_json_file_re_encodes_to_itself(tmp_path):
+    # each record and manifest holds the text json.dumps gives for its own value
+    runs = [
+        ("asymptotics", "--coin", "hadamard_analog", "--out", "a.json"),
+        ("gapscan", "--grid", "181", "--out", "g.json", "--map-out", "g.csv", "--map-grid", "9"),
+        ("simulate", "--coin", "paper_xy", "--theta", "0.7", "--phi", "1.3", "--steps", "20", "--out", "s.csv", "--distribution-out", "d.csv"),
+        ("weak-limit", "--coin", "hadamard_analog", "--bins", "32", "--out", "w.csv"),
+        ("dispersion", "--coin", "sigma_x", "--grid-size", "64", "--out", "b.csv"),
+        ("compare", "--coin", "hadamard_analog", "--steps", "20", "--out", "c.csv"),
+        ("moments", "--coin", "hadamard_analog", "--steps", "20", "--out", "m.csv"),
+    ]
+    for argv in runs:
+        assert run(*argv, "--output-dir", str(tmp_path)) == 0
+    records = ["a.json", "g.json"]
+    outputs = [*records, "g.csv", "s.csv", "d.csv", "w.csv", "b.csv", "c.csv", "m.csv"]
+    files = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in files] == sorted([*records, *(name + ".manifest.json" for name in outputs)])
+    for path in files:
+        data = path.read_bytes()
+        assert data == (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode("ascii"), path.name

@@ -574,3 +574,48 @@ def test_write_json_bytes(tmp_path):
         json.dump(_RECORD, fh, indent=2, sort_keys=True)
         fh.write("\n")
     assert (tmp_path / "x.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# --- the JSON encoder against json.dumps ---
+
+# quotes, backslashes, control characters, non-ASCII text past the BMP, and
+# lone surrogates, which st.characters() leaves out
+_EDGE_CHARS = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\udfff", "\U0001f600"])
+_JSON_TEXT = st.text(st.one_of(st.characters(), _EDGE_CHARS), max_size=8)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -1),
+    _FLOATS,  # +-0.0, subnormals, nan and +-inf among them
+    _FLOATS.map(np.float64),
+    _JSON_TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_write_json_writes_the_text_of_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "x.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), np.bool_(True), {1, 2}, b"x", {1: "int key"}, {"a": [0.5, {None: 1}]}, [np.float64(1.0), np.int64(2)]],
+    ids=["int64", "bool_", "set", "bytes", "int-key", "nested-none-key", "nested-int64"],
+)
+def test_write_json_rejects_what_it_cannot_write_exactly(tmp_path, value):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", value)
