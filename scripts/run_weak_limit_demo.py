@@ -13,7 +13,7 @@ import numpy as np
 from coinwalk.asymptotics import weak_limit_density
 from coinwalk.coins import preset_coin
 from coinwalk.export import write_csv
-from coinwalk.walk import InitialCondition, evolve
+from coinwalk.walk import InitialCondition, moment_series
 from run_spreading_survey import _BOUNDS, _int_in  # this script's directory leads sys.path
 
 
@@ -35,7 +35,7 @@ def main() -> int:
     }
     for name, coin in cases.items():
         vd = weak_limit_density(coin, init, bins=args.bins)
-        state = evolve(init, coin, args.steps)
+        state = moment_series(init, coin, args.steps).final
         v_bin = ((state.positions / args.steps + 1.0) / width).astype(np.int64)
         p_site = np.sum(np.abs(state.amplitudes) ** 2, axis=1)  # coin traced out
         emp = np.bincount(np.minimum(args.bins - 1, v_bin), weights=p_site, minlength=args.bins)

@@ -20,14 +20,11 @@ from .walk import (
     InitialCondition,
     MomentSeries,
     WalkerState,
-    evolve,
     moment_series,
 )
 from .asymptotics import (
     AsymptoticMoments,
     VelocityDensity,
-    classify_spreading,
-    drift_sign,
     moment_integrals,
     weak_limit_density,
 )

@@ -265,7 +265,7 @@ def _merge(command: str, texts: dict[str, str]) -> SimpleNamespace:
     if config in ("", "--"):  # as for the options below
         raise ConfigError(f"argument --config: {'expected one argument' if config else 'empty path'}")
     fallback = read_config_file(config) if config else {}
-    fallback.setdefault("output_dir", os.environ.get(_OUTPUT_DIR_ENV))  # below the file, above the default
+    fallback.setdefault("output_dir", os.environ.get(_OUTPUT_DIR_ENV) or None)  # below the file; empty is unset
     cfg = SimpleNamespace(command=command)
     for opt in _OPTIONS:
         text = texts.get(opt.name, fallback.get(opt.name))
@@ -302,28 +302,22 @@ def _resolve_coin(cfg: SimpleNamespace) -> CoinSpec:
             return CoinSpec.from_dicts(records)
         except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an integer past float range
             raise ConfigError(f"coin file {cfg.coin_file}: {exc}") from exc
-    try:
-        return preset_coin(cfg.coin, theta=cfg.theta, phi=cfg.phi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return preset_coin(cfg.coin, theta=cfg.theta, phi=cfg.phi)
 
 
 def _resolve_initial(cfg: SimpleNamespace) -> InitialCondition:
     coin_text, bloch_text = cfg.initial_coin, cfg.initial_bloch
     if coin_text and bloch_text:
         raise ConfigError("give either initial_coin or initial_bloch, not both")
-    try:
-        if bloch_text:
-            parts = [p.strip() for p in str(bloch_text).split(",")]
-            if len(parts) != 2:
-                raise ConfigError("initial_bloch needs 'alpha,beta'")
-            alpha, beta = parse_angle(parts[0], "Bloch angle alpha"), parse_angle(parts[1], "Bloch angle beta")
-            return InitialCondition.from_bloch(alpha, beta, cfg.position)
-        if coin_text:
-            return InitialCondition(_parse_complex_pair(coin_text), cfg.position)
-        return InitialCondition(np.array([1.0, 0.0]), cfg.position)  # |0>
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if bloch_text:
+        parts = [p.strip() for p in str(bloch_text).split(",")]
+        if len(parts) != 2:
+            raise ConfigError("initial_bloch needs 'alpha,beta'")
+        alpha, beta = parse_angle(parts[0], "Bloch angle alpha"), parse_angle(parts[1], "Bloch angle beta")
+        return InitialCondition.from_bloch(alpha, beta, cfg.position)
+    if coin_text:
+        return InitialCondition(_parse_complex_pair(coin_text), cfg.position)
+    return InitialCondition(np.array([1.0, 0.0]), cfg.position)  # |0>
 
 
 def _plan_outputs(cfg: SimpleNamespace) -> dict[str, Path]:
@@ -332,8 +326,9 @@ def _plan_outputs(cfg: SimpleNamespace) -> dict[str, Path]:
     files of the run at one path, outputs or the ``<name>.manifest.json``
     beside each, are a config error, raised here from ``cfg`` alone, before
     the run computes; a file that cannot be written (a directory at its path,
-    a file above it, or no write permission where ``os.access`` can tell)
-    raises the ``OSError`` its write would, creating nothing."""
+    a file or a dangling link above it, a dangling link at it whose target's
+    directory is missing, or no write permission where ``os.access`` can
+    tell) raises the ``OSError`` its write would, creating nothing."""
     taken = (opt.name for opt in _OPTIONS if cfg.command in opt.commands and opt.name.endswith("out"))
     outputs = {name: Path(cfg.output_dir) / getattr(cfg, name) for name in taken if getattr(cfg, name)}
     files = [*outputs.values(), *map(_manifest_path, outputs.values())]
@@ -345,8 +340,13 @@ def _plan_outputs(cfg: SimpleNamespace) -> dict[str, Path]:
     for path in files:  # os.stat raises the error a write would where a regular file lies above the path
         try:
             near, is_dir = path, stat.S_ISDIR(os.stat(path).st_mode)
-        except FileNotFoundError:  # then the nearest ancestor that exists is a directory
-            near, is_dir = next((p for p in path.parents if p.exists()), None), False
+        except FileNotFoundError:  # then the nearest ancestor that exists is a directory, or a dangling link
+            near, is_dir = next((p for p in path.parents if os.path.lexists(p)), None), False
+            if near is not None and not near.exists():  # a dangling link above the path, where mkdir fails
+                raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(near))
+            # a dangling link at the path: the write creates its target, whose directory must exist
+            if os.path.islink(path) and not (near := Path(os.path.realpath(path)).parent).is_dir():
+                raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
         if is_dir or (near is not None and not os.access(near, os.W_OK)):
             error = errno.EISDIR if is_dir else errno.EACCES
             raise OSError(error, os.strerror(error), str(path))

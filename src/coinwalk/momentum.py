@@ -23,6 +23,7 @@ The Bloch axis is built in columns, one contiguous block of momenta per
 component, and ``DispersionBand.bloch`` is a view of it with the component
 axis last: it keeps the shape ``(n_k, 3)``, and each row of ``bloch.T`` is
 contiguous, so the CSV writer takes the components without a copy.
+``DispersionBand`` holds w and n; the CSV writes v = n_z as ``v_group``.
 """
 
 from __future__ import annotations
@@ -58,23 +59,22 @@ MIN_GRID_SIZE = 64
 class DispersionBand:
     """Quasi-energy band sampled on a uniform momentum grid over [-pi, pi).
 
-    ``bloch`` rows and ``group_velocity`` entries are NaN at band-touching
-    momenta.
+    ``bloch`` rows are NaN at band-touching momenta; the group velocity
+    ``dw/dk`` is ``bloch[:, 2]``.
     """
 
     k_grid: NDArray[np.float64]
     omega_values: NDArray[np.float64]
     bloch: NDArray[np.float64]
-    group_velocity: NDArray[np.float64]
 
 
 def _band_arrays(c: float, s: np.ndarray, k):
     """Vectorised dispersion data for coin parts ``(c, s)`` on momenta ``k``.
 
-    Returns ``(omega, n, v, degenerate)`` where ``n`` has shape ``k.shape + (3,)``;
-    rows of ``n`` and entries of ``v`` are NaN where the gap closes.  ``n`` is
-    built in columns, one contiguous ``k.shape`` block per component, and
-    returned as a view with the component axis last.
+    Returns ``(omega, n)`` where ``n`` has shape ``k.shape + (3,)``, NaN in the
+    rows where the gap closes; ``n`` is built in columns, one contiguous
+    ``k.shape`` block per component, and returned as a view with the
+    component axis last.
     """
     k = np.asarray(k, dtype=np.float64)
     ck, sk = np.cos(k), np.sin(k)
@@ -88,11 +88,9 @@ def _band_arrays(c: float, s: np.ndarray, k):
     np.add(ck * s[1], sk * s[0], out=m[1, ...])
     np.subtract(ck * s[2], c * sk, out=m[2, ...])
     sin_w = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
-    degenerate = sin_w <= DEGENERACY_THRESHOLD
     n = np.full(m.shape, np.nan)
-    np.divide(np.negative(m, out=m), sin_w, out=n, where=~degenerate)
-    v = n[2] + 0.0  # dw/dk = n_z, with a zero made +0 (n_z = -m_z / sin w is -0 where m_z is +0)
-    return omega, np.moveaxis(n, 0, -1), v, degenerate
+    np.divide(np.negative(m, out=m), sin_w, out=n, where=sin_w > DEGENERACY_THRESHOLD)
+    return omega, np.moveaxis(n, 0, -1)
 
 
 def dispersion_band(coin: CoinSpec, n_k: int = DEFAULT_GRID_SIZE) -> DispersionBand:
@@ -101,11 +99,12 @@ def dispersion_band(coin: CoinSpec, n_k: int = DEFAULT_GRID_SIZE) -> DispersionB
         raise ValueError(f"n_k must be >= {MIN_GRID_SIZE}")
     k = np.linspace(-math.pi, math.pi, n_k, endpoint=False)
     c, s = su2_parts(coin)
-    omega, n, v, _ = _band_arrays(c, s, k)
-    return DispersionBand(k_grid=k, omega_values=omega, bloch=n, group_velocity=v)
+    omega, n = _band_arrays(c, s, k)
+    return DispersionBand(k_grid=k, omega_values=omega, bloch=n)
 
 
 def dispersion_to_csv(band: DispersionBand, path) -> None:
     """Write ``k,omega,nx,ny,nz,v_group`` rows; degenerate momenta get empty n/v fields."""
-    columns = [band.k_grid, band.omega_values, *band.bloch.T, band.group_velocity]
+    # v_group = dw/dk = n_z, with a zero made +0 (n_z = -m_z / sin w is -0 where m_z is +0)
+    columns = [band.k_grid, band.omega_values, *band.bloch.T, band.bloch[:, 2] + 0.0]
     write_csv(path, ["k", "omega", "nx", "ny", "nz", "v_group"], columns)

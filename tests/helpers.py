@@ -184,7 +184,8 @@ def uk_matrix(coin: CoinSpec, k: float) -> np.ndarray:
 
 
 def band_at(coin: CoinSpec, k):
-    """``(omega, n, v, degenerate)`` of the coin's band at arbitrary momenta ``k``."""
+    """``(omega, n)`` of the coin's band at arbitrary momenta ``k``; the group
+    velocity is ``n[..., 2]`` and the rows of ``n`` are NaN at band touchings."""
     return _band_arrays(*su2_parts(coin), k)
 
 
@@ -203,7 +204,7 @@ def reference_band_arrays(c: float, s: np.ndarray, k):
     safe = np.where(degenerate, 1.0, sin_w)
     n = np.stack([-mx / safe, -my / safe, -mz / safe], axis=-1)
     n = np.where(degenerate[..., None], np.nan, n)
-    return omega, n, n[..., 2] + 0.0, degenerate
+    return omega, n
 
 
 def bloch_matrix(n) -> np.ndarray:
@@ -254,8 +255,8 @@ def eigenbasis_integrands(coin, init, grid_size: int):
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
 
     def eval_at(kk):
-        _, n, _, degenerate = _band_arrays(c, s, kk)
-        if np.any(degenerate):
+        _, n = _band_arrays(c, s, kk)
+        if np.isnan(n).any():
             raise ValueError("band touching inside offset evaluation")
         v_plus, v_minus = eigvecs_from_bloch(n)
         cp = np.abs(np.einsum("...i,i->...", v_plus.conj(), phi0)) ** 2
@@ -264,7 +265,7 @@ def eigenbasis_integrands(coin, init, grid_size: int):
         am = (np.abs(v_minus[..., 0]) ** 2 - np.abs(v_minus[..., 1]) ** 2).real
         return cp * ap + cm * am, cp * ap**2 + cm * am**2
 
-    _, _, _, degenerate = _band_arrays(c, s, k)
+    degenerate = np.isnan(_band_arrays(c, s, k)[1][:, 0])
     g1 = np.zeros(grid_size)
     g2 = np.zeros(grid_size)
     g1[~degenerate], g2[~degenerate] = eval_at(k[~degenerate])

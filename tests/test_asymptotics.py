@@ -125,7 +125,7 @@ def test_eigenbasis_completeness():
     for _ in range(200):
         coin = random_multirot_coin(rng)
         k = rng.uniform(-math.pi, math.pi)
-        omega, n, _, _ = band_at(coin, k)
+        omega, n = band_at(coin, k)
         if math.sin(omega) <= 1e-8:
             continue
         init = random_coin_state(rng)
@@ -158,7 +158,7 @@ def test_weak_limit_supported_inside_max_velocity():
     for coin in (HAD, random_multirot_coin(rng), random_multirot_coin(rng)):
         vd = weak_limit_density(coin, COIN0, bins=64)
         band = dispersion_band(coin, 4096)
-        v_max = float(np.nanmax(np.abs(band.group_velocity)))
+        v_max = float(np.nanmax(np.abs(band.bloch[:, 2])))
         width = vd.v_grid[1] - vd.v_grid[0]
         outside = np.abs(vd.v_grid) > v_max + width
         assert float(np.sum(vd.density[outside])) == 0.0

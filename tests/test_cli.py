@@ -575,6 +575,15 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "env.csv").exists()
 
 
+def test_an_empty_output_dir_variable_counts_as_unset(tmp_path, monkeypatch):
+    # the default is $COINWALK_OUTPUT_DIR, else "."; an empty value is no directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COINWALK_OUTPUT_DIR", "")
+    assert run("moments", "--coin", "hadamard_analog", "--steps", "3", "--out", "m.csv") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "m.csv.manifest.json"]
+    assert json.loads((tmp_path / "m.csv.manifest.json").read_text())["config"]["output_dir"] == "."
+
+
 def test_read_config_rejects_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         read_config_file(str(tmp_path / "nope.cfg"))

@@ -342,9 +342,12 @@ def test_two_files_at_one_path_fail_before_the_run_computes(tmp_path, capsys, mo
          errno.EISDIR),
         (["gapscan", "--grid=2881", "--out=x.json"], "x.json.manifest.json", errno.EISDIR),
         (["moments", "--coin=hadamard_analog", "--steps=20000", "--out=locked/m.csv"], "locked/m.csv", errno.EACCES),
+        (["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=dangling/m.csv"], "dangling", errno.EEXIST),
+        (["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=m.csv", "--distribution-out=link.csv"],
+         "link.csv", errno.ENOENT),
     ],
     ids=["under a file", "walk under a file", "a directory", "distribution a directory", "manifest a directory",
-         "no write permission"],
+         "no write permission", "under a dangling link", "a dangling link to a missing directory"],
 )
 def test_an_unwritable_output_fails_before_the_run_computes(tmp_path, capsys, monkeypatch, argv, path, code):
     # the nearest existing ancestor of each file of the run tells that its
@@ -353,6 +356,8 @@ def test_an_unwritable_output_fails_before_the_run_computes(tmp_path, capsys, mo
     (tmp_path / "file").write_text("a file\n")
     for directory in ("sub", "x.json.manifest.json", "locked"):
         (tmp_path / directory).mkdir()
+    (tmp_path / "dangling").symlink_to("nowhere")
+    (tmp_path / "link.csv").symlink_to("missing/x.csv")
     access = os.access  # root may write anywhere, so "locked" is denied by a stand-in
     monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != tmp_path / "locked" and access(p, mode))
     calls = []
@@ -362,7 +367,19 @@ def test_an_unwritable_output_fails_before_the_run_computes(tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert out == "" and err == f"i/o error: [Errno {code}] {os.strerror(code)}: '{tmp_path / path}'\n", err
     assert calls == []
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "locked", "sub", "x.json.manifest.json"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "dangling", "file", "link.csv", "locked", "sub", "x.json.manifest.json"
+    ]
+
+
+def test_a_dangling_link_whose_target_directory_exists_receives_the_output(tmp_path):
+    # the write follows the link and creates its target, as the plan allows
+    (tmp_path / "target").mkdir()
+    (tmp_path / "link.csv").symlink_to("target/m.csv")
+    argv = ["moments", "--coin=hadamard_analog", "--steps=20", "--out=link.csv", f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target" / "m.csv").read_text().startswith("t,mean,second,variance\n")
 
 
 def test_output_through_a_symlink_loop_is_an_io_error(tmp_path, capsys):

@@ -446,15 +446,15 @@ def test_compare_bytes(tmp_path, coin):
 
 def test_dispersion_bytes_on_touching_coin(tmp_path):
     band = dispersion_band(preset_coin("identity"), 64)  # touches at k = -pi and k = 0
-    assert np.isnan(band.group_velocity).sum() == 2
+    assert np.isnan(band.bloch[:, 2]).sum() == 2
     dispersion_to_csv(band, tmp_path / "new.csv")
     rows = []
     for i in range(band.k_grid.size):
         row = [band.k_grid[i], band.omega_values[i]]
-        if math.isnan(band.group_velocity[i]):
+        if math.isnan(band.bloch[i, 2]):
             row += ["", "", "", ""]
         else:
-            row += [*band.bloch[i], band.group_velocity[i]]
+            row += [*band.bloch[i], band.bloch[i, 2] + 0.0]
         rows.append(row)
     reference_write_csv(tmp_path / "ref.csv", ["k", "omega", "nx", "ny", "nz", "v_group"], rows)
     _assert_same_files(tmp_path)

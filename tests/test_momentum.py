@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from coinwalk.coins import CoinRotation, CoinSpec, preset_coin, random_coin_spec
 from coinwalk.momentum import (
     DEFAULT_GRID_SIZE,
     MIN_GRID_SIZE,
+    DispersionBand,
     _band_arrays,
     dispersion_band,
     dispersion_to_csv,
@@ -33,7 +35,7 @@ def rebuilt_uk(omega, n):
 
 
 def gap_open_points(rng, count, min_sin):
-    """``count`` random (coin, k, omega, n, v) band samples with sin(w) > min_sin,
+    """``count`` random (coin, k, omega, n) band samples with sin(w) > min_sin,
     each at a random point of a random coin's ``dispersion_band`` grid."""
     points = []
     while len(points) < count:
@@ -41,7 +43,7 @@ def gap_open_points(rng, count, min_sin):
         band = dispersion_band(coin, MIN_GRID_SIZE)
         i = int(rng.integers(MIN_GRID_SIZE))
         if math.sin(band.omega_values[i]) > min_sin:
-            points.append((coin, band.k_grid[i], band.omega_values[i], band.bloch[i], band.group_velocity[i]))
+            points.append((coin, band.k_grid[i], band.omega_values[i], band.bloch[i]))
     return points
 
 
@@ -59,7 +61,7 @@ def test_build_uk_identity_coin():
     k = 0.9
     expected = np.diag([np.exp(-1j * k), np.exp(1j * k)])
     assert np.allclose(uk_matrix(preset_coin("identity"), k), expected, atol=1e-15)
-    omega, n, _, _ = band_at(preset_coin("identity"), k)
+    omega, n = band_at(preset_coin("identity"), k)
     assert np.allclose(rebuilt_uk(omega, n), expected, atol=1e-15)
 
 
@@ -67,7 +69,7 @@ def test_build_uk_sigma_x_coin():
     k = -1.3
     expected = np.array([[0, 1j * np.exp(-1j * k)], [1j * np.exp(1j * k), 0]])
     assert np.allclose(uk_matrix(preset_coin("sigma_x"), k), expected, atol=1e-15)
-    omega, n, _, _ = band_at(preset_coin("sigma_x"), k)
+    omega, n = band_at(preset_coin("sigma_x"), k)
     assert np.allclose(rebuilt_uk(omega, n), expected, atol=1e-15)
 
 
@@ -167,12 +169,12 @@ def test_bloch_matches_axis_closed_form_up_to_global_sign():
 
 def test_reconstruction_from_omega_and_axis():
     rng = np.random.default_rng(24)
-    for coin, k, w, n, _ in gap_open_points(rng, 300, 1e-8):
+    for coin, k, w, n in gap_open_points(rng, 300, 1e-8):
         assert np.max(np.abs(rebuilt_uk(w, n) - uk_matrix(coin, k))) < 1e-10
 
 
 def test_effective_hamiltonian_identity_coin():
-    omega, n, _, _ = band_at(preset_coin("identity"), 0.5)
+    omega, n = band_at(preset_coin("identity"), 0.5)
     h = omega * bloch_matrix(n)
     assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-0.5, 0.5], atol=1e-13)
     assert np.allclose(scipy.linalg.expm(-1j * h), uk_matrix(preset_coin("identity"), 0.5), atol=1e-12)
@@ -180,26 +182,30 @@ def test_effective_hamiltonian_identity_coin():
 
 def test_effective_hamiltonian_random_round_trip():
     rng = np.random.default_rng(25)
-    for coin, k, w, n, _ in gap_open_points(rng, 200, 1e-6):
+    for coin, k, w, n in gap_open_points(rng, 200, 1e-6):
         h = w * bloch_matrix(n)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
         assert np.max(np.abs(scipy.linalg.expm(-1j * h) - uk_matrix(coin, k))) <= 1e-10
 
 
 def test_effective_hamiltonian_pxy_eigenvalues():
-    omega, n, _, _ = band_at(PXY4, 0.0)
+    omega, n = band_at(PXY4, 0.0)
     h = omega * bloch_matrix(n)
     assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-math.pi / 3, math.pi / 3], atol=1e-12)
 
 
 def test_group_velocity_examples():
-    assert math.isclose(band_at(preset_coin("identity"), 0.5)[2], 1.0, abs_tol=1e-12)
+    # v = n_z
+    assert math.isclose(band_at(preset_coin("identity"), 0.5)[1][2], 1.0, abs_tol=1e-12)
     expected = 0.5 / math.sin(math.pi / 3)
-    assert math.isclose(band_at(PXY4, 0.0)[2], expected, abs_tol=1e-12)
-    assert np.max(np.abs(band_at(preset_coin("sigma_x"), np.linspace(-3, 3, 7))[2])) < 1e-14
-    # the band's v is n_z, as the dispersion CSV states it
-    band = dispersion_band(PXY4, MIN_GRID_SIZE)
-    assert np.array_equal(band.group_velocity, band.bloch[:, 2])
+    assert math.isclose(band_at(PXY4, 0.0)[1][2], expected, abs_tol=1e-12)
+    assert np.max(np.abs(band_at(preset_coin("sigma_x"), np.linspace(-3, 3, 7))[1][:, 2])) < 1e-14
+
+
+def test_the_band_holds_its_velocity_once():
+    # v = n_z is bloch[:, 2]; neither the band nor _band_arrays keeps a copy
+    assert [f.name for f in dataclasses.fields(DispersionBand)] == ["k_grid", "omega_values", "bloch"]
+    assert len(_band_arrays(*su2_parts(PXY4), np.linspace(-3.0, 3.0, 7))) == 2
 
 
 @pytest.mark.parametrize("coin", ["hadamard_analog", "sigma_x"])
@@ -218,10 +224,10 @@ def test_v_group_is_n_z_with_its_zero_made_positive(tmp_path):
     # c < 0 and s_z = +0, where c sin k - s_z cos k at k = 0 is -0 - (+0) = -0
     coin = preset_coin("paper_xy", theta=0.0, phi=-4.0)
     band = dispersion_band(coin)
-    assert np.array_equal(band.group_velocity, band.bloch[:, 2], equal_nan=True)
-    assert not np.signbit(band.group_velocity[band.group_velocity == 0.0]).any()
     path = tmp_path / "d.csv"
     dispersion_to_csv(band, path)
+    fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert all(v == ("0" if nz == "-0" else nz) for *_, nz, v in fields)
     (row,) = [line for line in path.read_text().splitlines() if line.startswith("0,")]
     assert row.split(",")[4:] == ["-0", "0"]
 
@@ -230,9 +236,9 @@ def test_group_velocity_matches_finite_difference():
     # v at grid points against a central difference of w off the grid
     rng = np.random.default_rng(26)
     h = 1e-5
-    for coin, k, w, _, v in gap_open_points(rng, 1000, 1e-3):
+    for coin, k, w, n in gap_open_points(rng, 1000, 1e-3):
         w_lo, w_hi = band_at(coin, np.array([k - h, k + h]))[0]
-        assert abs(v - (w_hi - w_lo) / (2 * h)) < 1e-6
+        assert abs(n[2] - (w_hi - w_lo) / (2 * h)) < 1e-6
 
 
 def test_eigensystem_identity_coin():
@@ -253,7 +259,7 @@ def test_eigensystem_sigma_x_matches_analytic_vectors():
 def test_eigensystem_random_against_generic_solver():
     # eigenvectors built from the band's n are eigenvectors of U_k for e^{-+iw}
     rng = np.random.default_rng(27)
-    for coin, k, w, n, _ in gap_open_points(rng, 300, 1e-8):
+    for coin, k, w, n in gap_open_points(rng, 300, 1e-8):
         u = uk_matrix(coin, k)
         v_plus, v_minus = eigvecs_from_bloch(n)
         assert abs(np.vdot(v_plus, v_minus)) < 1e-10
@@ -267,15 +273,14 @@ def test_eigensystem_random_against_generic_solver():
 
 def test_eigensystem_degenerate_flag():
     # at a band touching n and v are undefined: NaN in the band, empty in its CSV
-    omega, n, v, degenerate = band_at(preset_coin("identity"), 0.0)
-    assert degenerate and omega == 0.0
-    assert np.all(np.isnan(n)) and np.isnan(v)
+    omega, n = band_at(preset_coin("identity"), 0.0)
+    assert omega == 0.0 and np.all(np.isnan(n))
 
 
 def test_eigensystem_branch_continuous_along_k():
     # the e^{-iw} branch must not hop between bands along a k sweep
-    _, n, _, degenerate = band_at(PXY4, np.linspace(-3.0, 3.0, 601))
-    assert not np.any(degenerate)
+    _, n = band_at(PXY4, np.linspace(-3.0, 3.0, 601))
+    assert not np.any(np.isnan(n))
     v_plus, _ = eigvecs_from_bloch(n)
     assert np.min(np.abs(np.einsum("ki,ki->k", v_plus[:-1].conj(), v_plus[1:]))) > 0.999
 
@@ -312,7 +317,7 @@ def test_bloch_vectors_are_unit_near_band_touching(eps):
 
 def _assert_same_band_arrays(c, s, k):
     """``_band_arrays`` and the stacked-row oracle: the same shapes, dtypes and bytes."""
-    for new, ref in zip(_band_arrays(c, s, k), reference_band_arrays(c, s, k)):
+    for new, ref in zip(_band_arrays(c, s, k), reference_band_arrays(c, s, k), strict=True):
         new, ref = np.asarray(new), np.asarray(ref)
         assert (new.shape, new.dtype) == (ref.shape, ref.dtype)
         assert np.ascontiguousarray(new).tobytes() == ref.tobytes()
