@@ -10,7 +10,6 @@ from .coins import (
     CoinSpec,
     compose,
     preset_coin,
-    random_coin_spec,
 )
 from .momentum import (
     DispersionBand,

@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 
 from .coins import PAULI_X, PAULI_Y, PAULI_Z, CoinSpec, su2_parts
 from .export import write_csv
-from .walk import InitialCondition
+from .walk import InitialCondition, WalkerState
 
 __all__ = [
     "AsymptoticMoments",
@@ -56,6 +56,7 @@ __all__ = [
     "sign_calibration",
     "moment_integrals",
     "weak_limit_density",
+    "weak_limit_distance",
     "classify_spreading",
     "velocity_density_to_csv",
     "asymptotic_moments_to_dict",
@@ -160,6 +161,13 @@ def classify_spreading(coin: CoinSpec, init: InitialCondition) -> str:
     return moment_integrals(coin, init).classification
 
 
+def _primitives(v: NDArray[np.float64], s_perp: float, r: float) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``(pi F, pi G)`` at velocities ``v`` in ``[-R, R]``, each up to an additive constant."""
+    y = np.sqrt(r * r - v * v)
+    # two forms of G, pi/2 apart; each keeps relative precision where it is small
+    return np.arctan2(v * s_perp, y), (-np.arctan2(y, s_perp) if s_perp >= r else np.arctan2(s_perp, y))
+
+
 def weak_limit_density(coin: CoinSpec, init: InitialCondition, bins: int = DEFAULT_BINS) -> VelocityDensity:
     """The velocity measure binned on ``bins`` uniform bins over [-1, 1], as a density."""
     if bins < MIN_BINS:
@@ -173,11 +181,7 @@ def weak_limit_density(coin: CoinSpec, init: InitialCondition, bins: int = DEFAU
         mean_rate = drift / (1.0 + s_perp)
         mass[0], mass[-1] = 0.5 * (1.0 - mean_rate), 0.5 * (1.0 + mean_rate)
     else:
-        v = np.clip(-1.0 + width * np.arange(bins + 1), -r, r)
-        y = np.sqrt(r * r - v * v)
-        f_prim = np.arctan2(v * s_perp, y)
-        # two forms of G, pi/2 apart; each keeps relative precision where it is small
-        g_prim = -np.arctan2(y, s_perp) if s_perp >= r else np.arctan2(s_perp, y)
+        f_prim, g_prim = _primitives(np.clip(-1.0 + width * np.arange(bins + 1), -r, r), s_perp, r)
         mass = (np.diff(f_prim) + (drift / (r * r)) * np.diff(g_prim)) / math.pi
 
     centres = -1.0 + width * (np.arange(bins) + 0.5)
@@ -188,6 +192,38 @@ def weak_limit_density(coin: CoinSpec, init: InitialCondition, bins: int = DEFAU
         s_perp=s_perp,
         max_speed=r,
     )
+
+
+def weak_limit_distance(coin: CoinSpec, init: InitialCondition, state: WalkerState) -> float | None:
+    """Kolmogorov distance ``sup_v |P(d/T <= v) - P_limit(v)|`` between the
+    exact distribution of ``d/T`` after ``T = state.t`` steps from ``init``,
+    with ``d`` the displacement from the start site, and the velocity
+    measure; ``None`` at ``T = 0``.
+
+    Between two occupied sites the exact CDF is flat and the limit CDF rises,
+    so the sup is reached at a site, on its right side or on its left side,
+    where the limit CDF takes its left limit: an atom of the measure on a
+    site or between two sites counts there.
+    """
+    t = state.t
+    if t == 0:
+        return None
+    # the T + 1 occupied sites, at displacements -T, -T + 2, ..., T
+    p = np.sum(np.abs(state.amplitudes[0::2]) ** 2, axis=1)
+    u = np.arange(-t, t + 1, 2) / t
+    upto = np.cumsum(p)
+    below = np.concatenate(([0.0], upto[:-1]))
+    s_perp, r, drift = _measure_parameters(coin, init)
+    if r <= _ATOM_TOL or s_perp <= _ATOM_TOL:
+        mean_rate = drift / (1.0 + s_perp)
+        atoms = [(0.0, 1.0)] if r <= _ATOM_TOL else [(-1.0, 0.5 * (1.0 - mean_rate)), (1.0, 0.5 * (1.0 + mean_rate))]
+        law = sum(mass * (u >= v) for v, mass in atoms)
+        law_below = sum(mass * (u > v) for v, mass in atoms)
+    else:
+        f_prim, g_prim = _primitives(np.clip(u, -r, r), s_perp, r)
+        # u[0] = -1 clips to -R, where the limit CDF is 0
+        law = law_below = ((f_prim - f_prim[0]) + (drift / (r * r)) * (g_prim - g_prim[0])) / math.pi
+    return float(max(np.max(np.abs(upto - law)), np.max(np.abs(below - law_below))))
 
 
 def velocity_density_to_csv(vd: VelocityDensity, path) -> None:

@@ -41,6 +41,7 @@ from .asymptotics import (
     sign_calibration,
     velocity_density_to_csv,
     weak_limit_density,
+    weak_limit_distance,
 )
 from .coins import CoinSpec, compose, preset_coin, unitarity_error
 from .export import write_csv, write_json
@@ -493,6 +494,7 @@ def _cmd_compare(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
     else:
         print(f"log-log variance slope over t in [{window[0]}, {cfg.steps}]: {slope:.6f}")
     results = {"loglog_slope": slope, "max_norm_drift": ms.max_norm_drift, "walk_kernel": kernel_name()}
+    results["weak_limit_distance"] = weak_limit_distance(coin, init, ms.final)
     return {"out": functools.partial(write_csv, header=header, columns=columns)}, results
 
 

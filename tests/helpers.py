@@ -342,6 +342,53 @@ def moments(state: WalkerState) -> tuple[float, float]:
     return float(np.sum(x * probs)), float(np.sum(x * x * probs))
 
 
+def reference_weak_limit_distance(coin: CoinSpec, init: InitialCondition, state: WalkerState) -> float:
+    """``sup_w |P(d/T <= w) - P_limit(w)|`` point by point, ``d`` the
+    displacement from the start site.  The exact CDF sums the sites'
+    probabilities; the limit CDF integrates Konno's density with
+    ``scipy.integrate.quad`` after ``v = R sin(a)``, which takes out its
+    inverse square roots at ``+-R``, or sums the atoms of a coin with
+    ``s_perp`` or ``R`` near 0.  The coin's parts come from its rotation
+    matrices.  The sup runs over every light-cone site's ``d/T`` and every
+    atom, each from both sides."""
+    from scipy.integrate import quad
+
+    mat = matrix_product_coin(coin)
+    c, sz, sx, sy = mat[0, 0].real, mat[0, 0].imag, mat[0, 1].imag, mat[0, 1].real
+    phi0 = np.asarray(init.coin_state, dtype=np.complex128)
+    b = [float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+    r, s_perp = math.hypot(c, sz), math.hypot(sx, sy)
+    # alpha s_z - beta c, with alpha = s.s0 and beta = s_x s0_y - s_y s0_x - c s0_z
+    drift = (sx * b[0] + sy * b[1] + sz * b[2]) * sz - (sx * b[1] - sy * b[0] - c * b[2]) * c
+    if r <= 1e-12:
+        atoms = {0.0: 1.0}
+    elif s_perp <= 1e-12:
+        atoms = {-1.0: 0.5 * (1.0 - drift), 1.0: 0.5 * (1.0 + drift)}
+    else:
+        atoms = {}
+        gamma = drift / (r * r)
+
+        def konno(a):  # the density at v = R sin(a), times dv/da
+            v = r * math.sin(a)
+            return s_perp * (1.0 + gamma * v) / (math.pi * (1.0 - v * v))
+
+    def limit_cdf(w, strict):
+        if atoms:
+            return sum(m for a, m in atoms.items() if (a < w if strict else a <= w))
+        if w <= -r or w >= r:
+            return float(w >= r)
+        return quad(konno, -math.pi / 2, math.asin(w / r), epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    t = state.t
+    sites = {(x - init.position) / t: p for x, p in distribution(state).items()}
+    distance = 0.0
+    for w in sorted({*sites, *atoms}):
+        upto = sum(p for u, p in sites.items() if u <= w)
+        below = sum(p for u, p in sites.items() if u < w)
+        distance = max(distance, abs(upto - limit_cdf(w, False)), abs(below - limit_cdf(w, True)))
+    return distance
+
+
 def reference_write_csv(path, header, rows) -> None:
     """Row-by-row CSV writer: floats as ``%.17g``, everything else via ``str``
     (so an undefined field is passed as ``""``)."""

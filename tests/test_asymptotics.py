@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinwalk.asymptotics import (
     classify_spreading,
     drift_sign,
     moment_integrals,
     weak_limit_density,
+    weak_limit_distance,
     velocity_density_to_csv,
     asymptotic_moments_to_dict,
 )
@@ -20,6 +23,8 @@ from helpers import (
     eigvecs_from_bloch,
     random_coin_state,
     random_multirot_coin,
+    random_walk_case,
+    reference_weak_limit_distance,
     sampled_velocity_masses,
 )
 
@@ -203,6 +208,22 @@ def test_weak_limit_matches_rescaled_simulation():
         emp[min(bins - 1, int((x / t + 1.0) / width))] += p
     l1 = float(np.abs(vd.density * width - emp).sum())
     assert l1 <= 0.05
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([None, "identity", "sigma_x"]))
+@settings(max_examples=60, deadline=None)
+def test_weak_limit_distance_matches_per_site_reference(seed, steps, preset):
+    # a random coin, initial state and start site; the identity coin touches
+    # the band and sigma_x has R = 0, so their limit laws are atoms
+    _, coin, init = random_walk_case(seed)
+    if preset:
+        coin = preset_coin(preset)
+    state = moment_series(init, coin, steps).final
+    distance = weak_limit_distance(coin, init, state)
+    if steps == 0:
+        assert distance is None
+    else:
+        assert abs(distance - reference_weak_limit_distance(coin, init, state)) <= 1e-12
 
 
 def test_weak_limit_bins_validation():

@@ -162,6 +162,21 @@ def test_compare_composes_the_coin_once(tmp_path, monkeypatch):
     assert compositions == [50]  # the walk, the asymptotic integrals and the manifest share it
 
 
+def test_compare_records_the_weak_limit_distance(tmp_path):
+    # the Kolmogorov distance of d/T from the limit law: null without a step,
+    # the same bits at every start site, and falling with t
+    distances = {}
+    for steps, position in (("0", "0"), ("100", "0"), ("100", "100000000"), ("1000", "0")):
+        argv = ("compare", "--coin", "hadamard_analog", "--steps", steps, "--position", position, "--out", "c.csv")
+        assert run(*argv, "--output-dir", str(tmp_path)) == 0
+        results = json.loads((tmp_path / "c.csv.manifest.json").read_text())["results"]
+        distances[steps, position] = results["weak_limit_distance"]
+    assert distances["0", "0"] is None
+    assert distances["100", "100000000"].hex() == distances["100", "0"].hex()
+    assert distances["100", "0"] == pytest.approx(0.0929, abs=1e-4)
+    assert distances["1000", "0"] == pytest.approx(0.0345, abs=1e-4)
+
+
 def test_spectral_manifests_are_byte_identical_across_runs(tmp_path):
     expected = {  # coin -> (s_perp, max_speed) in the manifest results
         "hadamard_analog": (math.sin(math.pi / 4), math.cos(math.pi / 4)),
@@ -554,6 +569,10 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         if line.startswith("coinwalk ")
     ]
     assert len(examples) == 8
+    experiments = readme.split("## The paper's experiments", 1)[1].split("```", 2)[1]
+    examples += [
+        shlex.split(line.split("#", 1)[0])[1:] for line in experiments.splitlines() if line.startswith("coinwalk ")
+    ]
     state = re.search(r'--initial-coin "([^"]+)"', readme).group(1)
     examples.append(["asymptotics", "--coin", "hadamard_analog", "--initial-coin", state])
     monkeypatch.chdir(tmp_path)
