@@ -112,8 +112,9 @@ class VelocityDensity:
     max_speed: float
 
 
-def _measure_parameters(coin: CoinSpec, init: InitialCondition) -> tuple[float, float, float]:
-    """``(s_perp, R, alpha s_z - beta c)``, which fix the velocity measure."""
+def _measure_parameters(coin: CoinSpec, init: InitialCondition) -> tuple[float, float, float, float, list]:
+    """``(s_perp, R, alpha s_z - beta c, mean_rate, atoms)``, which fix the velocity
+    measure; ``atoms`` lists its ``(v, mass)`` where it is atoms at rounding level."""
     c, s = su2_parts(coin)
     phi0 = np.asarray(init.coin_state, dtype=np.complex128)
     s0 = [float(np.real(phi0.conj() @ (p @ phi0))) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
@@ -121,8 +122,13 @@ def _measure_parameters(coin: CoinSpec, init: InitialCondition) -> tuple[float, 
     beta = float(s[0] * s0[1] - s[1] * s0[0] - c * s0[2])
     # s_perp^2 + R^2 = 1; rounding must not push either past 1, where the
     # spread coefficient would go negative or the outer bin edges miss +-R
-    s_perp = min(math.hypot(s[0], s[1]), 1.0)
-    return s_perp, min(math.hypot(c, s[2]), 1.0), alpha * float(s[2]) - beta * c
+    s_perp, r = min(math.hypot(s[0], s[1]), 1.0), min(math.hypot(c, s[2]), 1.0)
+    drift = alpha * float(s[2]) - beta * c
+    mean_rate = drift / (1.0 + s_perp)
+    atoms = [(0.0, 1.0)] if r <= _ATOM_TOL else []  # s_perp and R are never both small
+    if s_perp <= _ATOM_TOL:
+        atoms = [(-1.0, 0.5 * (1.0 - mean_rate)), (1.0, 0.5 * (1.0 + mean_rate))]
+    return s_perp, r, drift, mean_rate, atoms
 
 
 def drift_sign() -> int:
@@ -143,8 +149,7 @@ def sign_calibration() -> dict:
 
 def moment_integrals(coin: CoinSpec, init: InitialCondition) -> AsymptoticMoments:
     """Drift rate and quadratic spread coefficient: the first two moments of the velocity measure."""
-    s_perp, max_speed, drift = _measure_parameters(coin, init)
-    mean_rate = drift / (1.0 + s_perp)
+    s_perp, max_speed, _, mean_rate, _ = _measure_parameters(coin, init)
     # 1 - s_perp in a form without cancellation: exact to rounding as R -> 0
     second_coeff = max_speed * max_speed / (1.0 + s_perp)
     return AsymptoticMoments(
@@ -172,15 +177,12 @@ def weak_limit_density(coin: CoinSpec, init: InitialCondition, bins: int = DEFAU
     """The velocity measure binned on ``bins`` uniform bins over [-1, 1], as a density."""
     if bins < MIN_BINS:
         raise ValueError(f"bins must be >= {MIN_BINS}")
-    s_perp, r, drift = _measure_parameters(coin, init)
+    s_perp, r, drift, _, atoms = _measure_parameters(coin, init)
     width = 2.0 / bins
     mass = np.zeros(bins)
-    if r <= _ATOM_TOL:
-        mass[bins // 2] = 1.0  # the bin holding v = 0 (as its left edge when bins is even)
-    elif s_perp <= _ATOM_TOL:
-        mean_rate = drift / (1.0 + s_perp)
-        mass[0], mass[-1] = 0.5 * (1.0 - mean_rate), 0.5 * (1.0 + mean_rate)
-    else:
+    for v, m in atoms:  # v is -1, 0 or 1; v = 0 is the left edge of bin bins // 2 when bins is even
+        mass[min((int(v) + 1) * bins // 2, bins - 1)] = m
+    if not atoms:
         f_prim, g_prim = _primitives(np.clip(-1.0 + width * np.arange(bins + 1), -r, r), s_perp, r)
         mass = (np.diff(f_prim) + (drift / (r * r)) * np.diff(g_prim)) / math.pi
 
@@ -213,10 +215,8 @@ def weak_limit_distance(coin: CoinSpec, init: InitialCondition, state: WalkerSta
     u = np.arange(-t, t + 1, 2) / t
     upto = np.cumsum(p)
     below = np.concatenate(([0.0], upto[:-1]))
-    s_perp, r, drift = _measure_parameters(coin, init)
-    if r <= _ATOM_TOL or s_perp <= _ATOM_TOL:
-        mean_rate = drift / (1.0 + s_perp)
-        atoms = [(0.0, 1.0)] if r <= _ATOM_TOL else [(-1.0, 0.5 * (1.0 - mean_rate)), (1.0, 0.5 * (1.0 + mean_rate))]
+    s_perp, r, drift, _, atoms = _measure_parameters(coin, init)
+    if atoms:
         law = sum(mass * (u >= v) for v, mass in atoms)
         law_below = sum(mass * (u > v) for v, mass in atoms)
     else:

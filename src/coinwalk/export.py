@@ -36,20 +36,21 @@ json's ``NaN``/``Infinity``/``-Infinity``, ints by ``int.__repr__``, and
 ``TypeError``; ``json.dumps`` would turn an int key into a string, but no
 writer passes one.
 
-Both writers rewrite their file in place: it is opened without ``O_TRUNC``,
-written from offset 0 and then cut at the end of the new bytes.  Truncating
-an existing file to zero frees its blocks only for the write to allocate
-them again, and on ext4 (``auto_da_alloc``) makes the close start writeback;
-a rerun into the same directory paid that for every file.  The cut happens
-also when a write fails, so the file never keeps a tail of its old content.
-It is made only where a tail is left, on a regular file that held more than
-was written (ext4 does the work of a truncate even at the same size), and
-never on a device such as ``/dev/null``, which cannot be truncated.
+Both writers hand their bytes to :func:`_rewrite`, which writes them with
+``os.write`` to the one descriptor it opens, without ``O_TRUNC``, from
+offset 0, counting the bytes that reached the file.  Truncating an existing
+file to zero frees its blocks only for the write to allocate them again, and
+on ext4 (``auto_da_alloc``) makes the close start writeback; a rerun into
+the same directory paid that for every file.  The file is cut at the count
+instead, also when a write fails, so it never keeps a tail of its old
+content.  The cut is made only where a tail is left, on a regular file that
+held more than was written (ext4 does the work of a truncate even at the
+same size).  Any other file is never cut: ``/dev/null`` cannot be truncated,
+and a named FIFO or a pipe takes the bytes as a stream.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import locale
 import os
@@ -81,12 +82,16 @@ def write_csv(path, header: list[str], columns) -> None:
             raise TypeError(f"column {name!r} has dtype {c.dtype}; expected integers or floats")
     # snprintf, which _csv.c calls for some doubles, prints LC_NUMERIC's decimal point
     lib = library() if locale.localeconv()["decimal_point"] == "." else None
-    with _rewrite(path) as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        if lib is None:
-            fh.write(_percent_body(cols, n).encode("ascii"))
-        else:
-            _write_formatted(fh, lib, cols, n)
+    _rewrite(path, _csv_chunks(header, lib, cols, n))
+
+
+def _csv_chunks(header: list[str], lib, cols, n: int):
+    """The header line, then the rows, each made only when the file is open."""
+    yield (",".join(header) + "\n").encode("utf-8")
+    if lib is None:
+        yield _percent_body(cols, n).encode("ascii")
+    else:
+        yield from _write_formatted(lib, cols, n)
 
 
 def _percent_body(cols, n: int) -> str:
@@ -97,8 +102,8 @@ def _percent_body(cols, n: int) -> str:
     return ((row * n) % values).replace("nan", "")
 
 
-def _write_formatted(fh, lib, cols, n: int) -> None:
-    """The rows by ``coinwalk_format_rows``, ``_CHUNK_ROWS`` at a time."""
+def _write_formatted(lib, cols, n: int):
+    """The rows by ``coinwalk_format_rows``, ``_CHUNK_ROWS`` at a time, each a view of one buffer the next reuses."""
     # any float as float64, the Python float that tolist() gives
     arrays = [np.ascontiguousarray(c, dtype=_C_DTYPES[c.dtype.kind]) for c in cols]
     kinds = "".join(c.dtype.kind for c in cols).encode()
@@ -107,14 +112,12 @@ def _write_formatted(fh, lib, cols, n: int) -> None:
     for first in range(0, n, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, n - first)
         size = lib.coinwalk_format_rows(pointers, kinds, len(arrays), first, rows, buf.ctypes.data)
-        fh.write(buf[:size])
+        yield buf[:size]
 
 
 def write_json(path, obj) -> None:
     """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    text = _json_text(obj, "\n") + "\n"
-    with _rewrite(path) as fh:
-        fh.write(text.encode("ascii"))
+    _rewrite(path, [(_json_text(obj, "\n") + "\n").encode("ascii")])
 
 
 # json's token for each float repr that is no JSON number
@@ -162,24 +165,21 @@ def _json_text(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-@contextlib.contextmanager
-def _rewrite(path):
-    """A binary file over ``path``, created if missing and written from
-    offset 0, that holds exactly the bytes written once the block exits."""
+def _rewrite(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path``, created if missing, from
+    offset 0, so that a regular file holds exactly them."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # the mode open(path, "wb") creates with
     try:
-        fh = os.fdopen(fd, "wb")
-    except BaseException:
-        os.close(fd)
-        raise
-    with fh:
         old = os.fstat(fd)
+        end = 0  # the bytes that reached the file
         try:
-            yield fh
-            fh.flush()
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:
+                    written = os.write(fd, view)
+                    end, view = end + written, view[written:]
         finally:
-            # the end of what reached the file: after a failed write the
-            # buffer can hold bytes that never did
-            end = os.lseek(fd, 0, os.SEEK_CUR)
             if stat.S_ISREG(old.st_mode) and old.st_size > end:
                 os.ftruncate(fd, end)
+    finally:
+        os.close(fd)

@@ -174,21 +174,20 @@ def canonical_points(closures: list[GapClosure]) -> list[tuple[float, float]]:
     return sorted({(canonical_angle(c.theta), canonical_angle(c.phi)) for c in closures})
 
 
-def assert_no_boundary(closures: list[GapClosure], gap_fn=min_gap) -> bool:
+def assert_no_boundary(closures: list[GapClosure]) -> bool:
     """True iff every closure is isolated: the gap reopens in every direction.
 
     Probes ``_PROBE_DIRECTIONS`` rays at each radius in ``_PROBE_RADII``
-    around each closure point; a closure lying on a curve of closures (a
+    around each closure point, by one call of :func:`min_gap` on arrays of
+    every probe point; a closure lying on a curve of closures (a
     phase-transition line) keeps the gap at zero along the curve and fails
     the probe.
-    ``gap_fn(theta, phi)`` defaults to the closed-form minimum gap; it is
-    called once, on arrays of every probe point, so it must broadcast.
     """
     points = np.array(closure_points(closures), dtype=np.float64).reshape(-1, 1, 1, 2)
     angles = 2.0 * math.pi * np.arange(_PROBE_DIRECTIONS) / _PROBE_DIRECTIONS
     r = np.asarray(_PROBE_RADII, dtype=np.float64)[:, None]
-    gap = gap_fn(points[..., 0] + r * np.cos(angles), points[..., 1] + r * np.sin(angles))
-    return not bool(np.any(np.asarray(gap) <= TOL))
+    gap = min_gap(points[..., 0] + r * np.cos(angles), points[..., 1] + r * np.sin(angles))
+    return not bool(np.any(gap <= TOL))
 
 
 def closures_to_dict(closures: list[GapClosure], grid: int) -> dict:

@@ -5,16 +5,18 @@ float64 bit patterns, on named edge values, next to every power of ten and on
 a table of several chunks; its two stages at the row counts round each split,
 against a run pinned to one CPU, and with no thread left behind; and the
 cases that take the ``%`` path.  Rewriting a file that exists:
-longer or shorter old content, a write that fails part-way, and a device."""
+longer or shorter old content, a write that fails part-way, and a device;
+writes that take part of their bytes, and a named FIFO read as it is
+written."""
 
 import ctypes
-import io
 import json
 import locale
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -200,10 +202,9 @@ def _two_stage_fields() -> int:
 
 
 def _formatted(columns) -> bytes:
-    """The body the compiled formatter writes for ``columns``."""
-    fh = io.BytesIO()
-    export._write_formatted(fh, export.library(), columns, columns[0].shape[0])
-    return fh.getvalue()
+    """The body the compiled formatter writes for ``columns``, each chunk
+    copied before the next one reuses its buffer."""
+    return b"".join([bytes(chunk) for chunk in export._write_formatted(export.library(), columns, columns[0].shape[0])])
 
 
 _UINT64S = st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -521,8 +522,8 @@ def test_failed_rewrite_keeps_no_old_bytes(tmp_path, monkeypatch, native):
     write_csv(tmp_path / "fresh.csv", header, columns)
     fresh = (tmp_path / "fresh.csv").read_bytes()
 
-    def one_chunk_then_full(fh, lib, cols, n):
-        real_write_formatted(fh, lib, cols, min(n, export._CHUNK_ROWS))
+    def one_chunk_then_full(lib, cols, n):
+        yield from real_write_formatted(lib, cols, min(n, export._CHUNK_ROWS))
         raise OSError(28, "No space left on device")
 
     def full(cols, n):
@@ -548,7 +549,7 @@ def test_writers_write_to_a_device(monkeypatch, native):
     write_json(os.devnull, _RECORD)
 
 
-def test_rewrite_closes_the_descriptor_when_wrapping_it_fails(tmp_path, monkeypatch):
+def test_rewrite_closes_the_descriptor_when_a_write_raises(tmp_path, monkeypatch):
     opened = []
 
     def record_open(*args, **kwargs):
@@ -560,12 +561,78 @@ def test_rewrite_closes_the_descriptor_when_wrapping_it_fails(tmp_path, monkeypa
 
     real_open = os.open
     monkeypatch.setattr(os, "open", record_open)
-    monkeypatch.setattr(os, "fdopen", no_memory)
+    monkeypatch.setattr(os, "write", no_memory)
     with pytest.raises(MemoryError):
         write_json(tmp_path / "x.json", _RECORD)
     monkeypatch.undo()
     with pytest.raises(OSError):
         os.fstat(opened[0])
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_rewrite_finishes_partial_writes(tmp_path, monkeypatch, writer):
+    # a write may take fewer bytes than it is given, as a pipe does when a signal arrives
+    native, write = _WRITERS[writer]
+    if native is not None:
+        _csv_path(native, monkeypatch)
+    write(tmp_path / "whole")
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, memoryview(data)[:7]))
+    write(tmp_path / "partial")
+    assert (tmp_path / "partial").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+def _through_fifo(tmp_path, write):
+    """What ``write(path)`` returns and the bytes a second thread reads from
+    the named FIFO at ``path`` while it runs.  The read end, and a write end
+    held here so that the reader sees no end of file before ``write`` opens
+    the FIFO, are opened without blocking; a ``write`` that raises still
+    closes its end, so the reader ends and the test cannot hang."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    held = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+    os.set_blocking(read_end, True)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.extend(iter(lambda: os.read(read_end, 1 << 16), b"")), daemon=True)
+    reader.start()
+    try:
+        result = write(fifo)
+    finally:
+        os.close(held)
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    os.close(read_end)
+    return result, b"".join(chunks)
+
+
+_LONG_TABLE = (["i", "x"], [np.arange(5000), np.linspace(-1.0, 1.0, 5000)])  # past a pipe's 64 KiB
+_STREAM_WRITERS = {
+    "csv-compiled": (True, lambda path: write_csv(path, *_LONG_TABLE)),
+    "csv-percent": (False, lambda path: write_csv(path, *_LONG_TABLE)),
+    "json": (None, lambda path: write_json(path, _RECORD)),
+}
+
+
+@pytest.mark.parametrize("writer", _STREAM_WRITERS)
+def test_writers_write_to_a_fifo(tmp_path, monkeypatch, writer):
+    native, write = _STREAM_WRITERS[writer]
+    if native is not None:
+        _csv_path(native, monkeypatch)
+    write(tmp_path / "regular")
+    _, streamed = _through_fifo(tmp_path, write)
+    assert streamed == (tmp_path / "regular").read_bytes()
+    assert (tmp_path / "fifo").is_fifo()
+
+
+def test_cli_output_to_a_fifo(tmp_path, capsys):
+    argv = ["asymptotics", "--coin", "hadamard_analog", "--output-dir", str(tmp_path), "--out"]
+    assert cli.main([*argv, "regular.json"]) == 0
+    code, streamed = _through_fifo(tmp_path, lambda path: cli.main([*argv, path.name]))
+    assert code == 0, capsys.readouterr().err
+    assert streamed == (tmp_path / "regular.json").read_bytes()
+    manifests = [json.loads((tmp_path / f"{name}.manifest.json").read_text()) for name in ("regular.json", "fifo")]
+    assert manifests[1]["outputs"] == ["fifo"] and manifests[1]["results"] == manifests[0]["results"]
 
 
 def test_write_json_bytes(tmp_path):

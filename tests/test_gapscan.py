@@ -148,10 +148,11 @@ def test_no_boundary_for_real_closures():
     assert assert_no_boundary(closures)
 
 
-def test_no_boundary_detects_synthetic_closure_line():
+def test_no_boundary_detects_synthetic_closure_line(monkeypatch):
     # a dispersion whose gap vanishes on the whole line theta = 0
     fake = [GapClosure(0.0, 0.3, 0.0, BAND_ZERO)]
-    assert not assert_no_boundary(fake, gap_fn=lambda th, ph: abs(th))
+    monkeypatch.setattr(gapscan, "min_gap", lambda th, ph: abs(th))
+    assert not assert_no_boundary(fake)
 
 
 def test_no_boundary_vacuous_on_empty_list():
@@ -397,7 +398,7 @@ def test_cli_oversized_gap_map_is_a_config_error_under_memory_cap(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_no_boundary_calls_gap_fn_once_on_every_probe():
+def test_no_boundary_calls_gap_fn_once_on_every_probe(monkeypatch):
     closures = enumerate_closures(361)
     calls = []
 
@@ -405,11 +406,12 @@ def test_no_boundary_calls_gap_fn_once_on_every_probe():
         calls.append(np.shape(th))
         return min_gap(th, ph)
 
-    assert assert_no_boundary(closures, gap_fn=gap_fn)
+    monkeypatch.setattr(gapscan, "min_gap", gap_fn)
+    assert assert_no_boundary(closures)
     assert calls == [(13, 5, 16)]  # 13 points, 5 radii, 16 directions
 
 
-def test_no_boundary_matches_scalar_probe_loop():
+def test_no_boundary_matches_scalar_probe_loop(monkeypatch):
     # the one-call probe against a scalar loop over every ray, including a
     # gap function that vanishes on one ray only
     closures = enumerate_closures(361)
@@ -429,5 +431,6 @@ def test_no_boundary_matches_scalar_probe_loop():
 
     for gap_fn in (min_gap, ray_fn):
         expected = scalar_probe(lambda th, ph: float(gap_fn(th, ph)))
-        assert assert_no_boundary(closures, gap_fn=gap_fn) == expected
-    assert not assert_no_boundary(closures, gap_fn=ray_fn)
+        monkeypatch.setattr(gapscan, "min_gap", gap_fn)
+        assert assert_no_boundary(closures) == expected
+    assert not assert_no_boundary(closures)
