@@ -5,12 +5,12 @@ Subcommands: ``simulate``, ``moments``, ``dispersion``, ``asymptotics``,
 [--name VALUE | --name=VALUE]...`` by full flag name; the last of a repeated
 flag wins, ``-h``/``--help`` prints the flags, and ``--version`` goes before
 the subcommand.  Every run resolves a single configuration (flat ``key =
-value`` config file, overridden by command-line flags), checks before it
-computes that each of its files can be written, writes the requested data
-files, and pairs each output with a ``<name>.manifest.json`` echoing the
-options the subcommand takes and the resolved initial state, so the artifact
-can be reproduced byte for byte.  A run that fails while writing deletes the
-files it wrote, so it leaves no output and no manifest behind.
+value`` config file, overridden by command-line flags), opens each of its
+files before it computes, writes the requested data files, and pairs each
+output with a ``<name>.manifest.json`` echoing the options the subcommand
+takes and the resolved initial state, so the artifact can be reproduced byte
+for byte.  A run that fails or is interrupted deletes the files it created or
+wrote, so it leaves no output and no manifest behind.
 
 Angles are radians by default; append ``deg`` for degrees (``--theta 45deg``).
 Exit codes: 0 success, 1 configuration error, 3 I/O error.
@@ -18,15 +18,15 @@ Exit codes: 0 success, 1 configuration error, 3 I/O error.
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import functools
 import json
 import math
 import os
-import stat
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from stat import S_ISREG
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -321,37 +321,61 @@ def _resolve_initial(cfg: SimpleNamespace) -> InitialCondition:
     return InitialCondition(np.array([1.0, 0.0]), cfg.position)  # |0>
 
 
-def _plan_outputs(cfg: SimpleNamespace) -> dict[str, Path]:
-    """Each output option (``out``, ``*_out``) that the subcommand takes and
-    was given, with its path under ``cfg.output_dir``, in option order.  Two
-    files of the run at one path, outputs or the ``<name>.manifest.json``
-    beside each, are a config error, raised here from ``cfg`` alone, before
-    the run computes; a file that cannot be written (a directory at its path,
-    a file or a dangling link above it, a dangling link at it whose target's
-    directory is missing, or no write permission where ``os.access`` can
-    tell) raises the ``OSError`` its write would, creating nothing."""
+class _File(NamedTuple):
+    """A file of the run as the plan opened it."""
+
+    fd: int
+    created: bool  # by this run
+    regular: bool  # as fstat found it: only a regular file is ever deleted
+    real: str  # its absolute name at open, never a link in front of it
+
+
+@contextlib.contextmanager
+def _plan_outputs(cfg: SimpleNamespace):
+    """Open each file of the run before it computes, and yield ``(outputs,
+    files, written)``: the path under ``cfg.output_dir`` of each output
+    option (``out``, ``*_out``) that the subcommand takes and was given; each
+    output and its ``<name>.manifest.json`` as a :class:`_File` whose
+    descriptor stays open for its writer; and the paths whose write has
+    started.  A parent directory is made only where nothing lies at its path,
+    and a file that cannot be opened raises its own ``OSError``.  Two files
+    of the run that are one inode (a path named twice, an output at a
+    manifest's path, a hard link) are a config error.  If the ``with`` block
+    raises, each regular file this run created or began to write, and the
+    manifest beside each such output, is deleted; directories stay."""
     taken = (opt.name for opt in _OPTIONS if cfg.command in opt.commands and opt.name.endswith("out"))
     outputs = {name: Path(cfg.output_dir) / getattr(cfg, name) for name in taken if getattr(cfg, name)}
-    files = [*outputs.values(), *map(_manifest_path, outputs.values())]
-    if len(outputs) > 1:  # an output and its own manifest differ in name within one directory
-        resolved = [os.path.realpath(path) for path in files]  # Path.resolve raises on a symlink loop
-        for i, path in enumerate(resolved):
-            if path in resolved[:i]:
-                raise ConfigError(f"two files of the run would be written to {path}")
-    for path in files:  # os.stat raises the error a write would where a regular file lies above the path
-        try:
-            near, is_dir = path, stat.S_ISDIR(os.stat(path).st_mode)
-        except FileNotFoundError:  # then the nearest ancestor that exists is a directory, or a dangling link
-            near, is_dir = next((p for p in path.parents if os.path.lexists(p)), None), False
-            if near is not None and not near.exists():  # a dangling link above the path, where mkdir fails
-                raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(near))
-            # a dangling link at the path: the write creates its target, whose directory must exist
-            if os.path.islink(path) and not (near := Path(os.path.realpath(path)).parent).is_dir():
-                raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-        if is_dir or (near is not None and not os.access(near, os.W_OK)):
-            error = errno.EISDIR if is_dir else errno.EACCES
-            raise OSError(error, os.strerror(error), str(path))
-    return outputs
+    files: dict[Path, _File] = {}
+    written: list[Path] = []
+    try:
+        for path in [*outputs.values(), *map(_manifest_path, outputs.values())]:
+            if not os.path.lexists(path.parent):  # neither a directory nor a file nor a dangling link
+                path.parent.mkdir(parents=True)
+            # the file's own name, never a link in front of it; os.path.realpath takes 10 us a file
+            real = os.path.realpath(path) if os.path.islink(path) else os.path.join(os.getcwd(), path)
+            try:  # the file the path names, created only if missing, also through a dangling link
+                fd, created = os.open(real, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+            except OSError:  # it exists, or the path's own open raises the error to report
+                fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
+            st = os.fstat(fd)
+            if any(os.path.samestat(st, os.fstat(file.fd)) for file in files.values()):  # one (st_dev, st_ino)
+                os.close(fd)
+                raise ConfigError(f"two files of the run would be written to {os.path.realpath(path)}")
+            files[path] = _File(fd, created, S_ISREG(st.st_mode), real)
+        yield outputs, files, written
+    except BaseException:  # an interrupted run must not leave a partial output either
+        # a failed file is partial, or cut where its write stopped if it existed;
+        # an output's manifest, of this run or an earlier one, describes content that is gone
+        gone = {path for path, file in files.items() if file.created or path in written}
+        gone |= {_manifest_path(path) for path in gone if path in outputs.values()}
+        for path in gone & files.keys():
+            with contextlib.suppress(OSError):  # the run's own error is the one to report
+                if files[path].regular:
+                    Path(files[path].real).unlink()
+        raise
+    finally:
+        for file in files.values():
+            os.close(file.fd)
 
 
 def _manifest_path(path: Path) -> Path:
@@ -360,17 +384,16 @@ def _manifest_path(path: Path) -> Path:
 
 def _write_outputs(
     cfg: SimpleNamespace,
-    outputs: dict[str, Path],
+    plan: tuple[dict[str, Path], dict[Path, _File], list[Path]],
     coin: CoinSpec | None,
     init: InitialCondition | None,
     writers: dict,
     results: dict | None,
 ) -> None:
-    """Write each of the planned ``outputs`` by its option's writer, then its
+    """Write each planned output by its option's writer, then its
     ``<name>.manifest.json``, whose ``config`` holds the parsed options the
-    subcommand takes and a walk's initial coin state.  If any write fails,
-    delete every file this run wrote, the one whose write failed and the
-    manifest beside each output deleted, then re-raise."""
+    subcommand takes and a walk's initial coin state, to the plan's descriptors."""
+    outputs, files, written = plan
     taken = [opt for opt in _OPTIONS if cfg.command in opt.commands]
     config = {"command": cfg.command, **{opt.name: getattr(cfg, opt.name) for opt in taken if opt.parse}}
     if init is not None:
@@ -390,38 +413,11 @@ def _write_outputs(
     if results:
         manifest["results"] = results
     write_manifest = functools.partial(write_json, obj=manifest)
-    manifests = {path: _manifest_path(path) for path in outputs.values()}
     jobs = [(path, writers[name]) for name, path in outputs.items()]
-    jobs += [(manifest_path, write_manifest) for manifest_path in manifests.values()]
-    for directory in dict.fromkeys(path.parent for path in outputs.values()):  # each manifest sits beside its output
-        if not os.path.isdir(directory):  # a regular file there raises FileExistsError
-            directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    jobs += [(_manifest_path(path), write_manifest) for path in outputs.values()]
     for path, write in jobs:
-        try:
-            write(path)
-        except BaseException:  # an interrupted run must not leave a partial output either
-            # the failed file is partial, or cut where the write stopped if it
-            # existed; an output's manifest, of this run or an earlier one,
-            # describes content that is gone
-            for done in [*written, path]:
-                if _delete_file(done) and done in manifests:
-                    _delete_file(manifests[done])
-            raise
         written.append(path)
-
-
-def _delete_file(path: Path) -> bool:
-    """Delete ``path`` if it is a regular file this process may write, and say
-    whether it did: never a device such as ``/dev/null``, nor a file that a
-    run could not open for writing and so left as it was."""
-    if not (path.is_file() and os.access(path, os.W_OK)):
-        return False
-    try:
-        path.unlink()
-    except OSError:  # the failed write's error is the one to report
-        return False
-    return True
+        write(files[path].fd)
 
 
 def _cmd_simulate(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
@@ -467,7 +463,7 @@ def _cmd_gapscan(cfg: SimpleNamespace, coin: None, init: None):
     writers = {
         "out": functools.partial(write_json, obj=record),
         # the map is computed only when it is written
-        "map_out": lambda path: gap_map_to_csv(scan_gap_map(cfg.map_grid), path),
+        "map_out": lambda fd: gap_map_to_csv(scan_gap_map(cfg.map_grid), fd),
     }
     return writers, {"count_points": record["count_points"]}
 
@@ -499,8 +495,8 @@ def _cmd_compare(cfg: SimpleNamespace, coin: CoinSpec, init: InitialCondition):
 
 
 class _Command(NamedTuple):
-    # computes and prints; returns one writer per output option, path -> None,
-    # and the manifest ``results``
+    # computes and prints; returns one writer per output option, which takes
+    # the descriptor the plan opened, and the manifest ``results``
     run: Callable[[SimpleNamespace, CoinSpec | None, InitialCondition | None], tuple[dict, dict | None]]
     help: str
     out_help: str
@@ -533,9 +529,9 @@ def main(argv=None) -> int:
         cfg = _merge(*_read(sys.argv[1:] if argv is None else list(argv)))
         coin = _resolve_coin(cfg) if cfg.command in _COINS else None
         init = _resolve_initial(cfg) if cfg.command in _WALKS else None
-        outputs = _plan_outputs(cfg)
-        writers, results = _COMMANDS[cfg.command].run(cfg, coin, init)
-        _write_outputs(cfg, outputs, coin, init, writers, results)
+        with _plan_outputs(cfg) as plan:
+            writers, results = _COMMANDS[cfg.command].run(cfg, coin, init)
+            _write_outputs(cfg, plan, coin, init, writers, results)
         return 0
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)

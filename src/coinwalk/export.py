@@ -36,17 +36,19 @@ json's ``NaN``/``Infinity``/``-Infinity``, ints by ``int.__repr__``, and
 ``TypeError``; ``json.dumps`` would turn an int key into a string, but no
 writer passes one.
 
-Both writers hand their bytes to :func:`_rewrite`, which writes them with
-``os.write`` to the one descriptor it opens, without ``O_TRUNC``, from
-offset 0, counting the bytes that reached the file.  Truncating an existing
-file to zero frees its blocks only for the write to allocate them again, and
-on ext4 (``auto_da_alloc``) makes the close start writeback; a rerun into
-the same directory paid that for every file.  The file is cut at the count
-instead, also when a write fails, so it never keeps a tail of its old
-content.  The cut is made only where a tail is left, on a regular file that
-held more than was written (ext4 does the work of a truncate even at the
-same size).  Any other file is never cut: ``/dev/null`` cannot be truncated,
-and a named FIFO or a pipe takes the bytes as a stream.
+Each writer takes a path or, as ``open`` does, a descriptor open for writing
+at offset 0, which it leaves open.  Both hand their bytes to
+:func:`_rewrite`, which writes them with ``os.write`` to that descriptor, or
+to the one it opens for the path without ``O_TRUNC``, from offset 0,
+counting the bytes that reached the file.  Truncating an existing file to
+zero frees its blocks only for the write to allocate them again, and on ext4
+(``auto_da_alloc``) makes the close start writeback; a rerun into the same
+directory paid that for every file.  The file is cut at the count instead,
+also when a write fails, so it never keeps a tail of its old content.  The
+cut is made only where a tail is left, on a regular file that held more than
+was written (ext4 does the work of a truncate even at the same size).  Any
+other file is never cut: ``/dev/null`` cannot be truncated, and a named FIFO
+or a pipe takes the bytes as a stream.
 """
 
 from __future__ import annotations
@@ -165,10 +167,10 @@ def _json_text(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _rewrite(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` to ``path``, created if missing, from
-    offset 0, so that a regular file holds exactly them."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # the mode open(path, "wb") creates with
+def _rewrite(file, chunks) -> None:
+    """Write the bytes-like ``chunks`` from offset 0 to ``file``, a path (created
+    if missing) or a descriptor (left open), so that a regular file holds exactly them."""
+    fd = file if isinstance(file, int) else os.open(file, os.O_WRONLY | os.O_CREAT, 0o666)  # open(path, "wb")'s mode
     try:
         old = os.fstat(fd)
         end = 0  # the bytes that reached the file
@@ -182,4 +184,5 @@ def _rewrite(path, chunks) -> None:
             if stat.S_ISREG(old.st_mode) and old.st_size > end:
                 os.ftruncate(fd, end)
     finally:
-        os.close(fd)
+        if not isinstance(file, int):  # a descriptor it was given is its caller's to close
+            os.close(fd)

@@ -385,8 +385,8 @@ def test_weak_limit_flags_i_sigma_y(tmp_path, capsys):
 
 
 def test_failed_write_removes_the_partial_file(tmp_path, monkeypatch, capsys):
-    def disk_full(state, path):
-        Path(path).write_text("t,x,p\n")
+    def disk_full(state, fd):  # the writer gets the descriptor the plan opened
+        os.write(fd, b"t,x,p\n")
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "distribution_to_csv", disk_full)
@@ -419,6 +419,28 @@ def test_failed_rerun_leaves_neither_output_nor_stale_manifest(tmp_path, monkeyp
     monkeypatch.setattr(export, "_percent_body", disk_full)
     assert run(*argv, "--steps", "60") == 3
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.csv.manifest.json").exists()
+
+
+def test_an_interrupted_run_deletes_the_files_it_created(tmp_path, monkeypatch):
+    # the plan has opened every file when the walk is interrupted: those it
+    # created go, also the target it created through a dangling link, and an
+    # output that was there before keeps its bytes
+    (tmp_path / "m.csv").write_text("earlier content\n")
+    (tmp_path / "target").mkdir()
+    (tmp_path / "link.csv").symlink_to("target/d.csv")
+
+    def interrupted(*args):
+        assert (tmp_path / "target" / "d.csv").exists() and (tmp_path / "m.csv.manifest.json").exists()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "moment_series", interrupted)
+    argv = ("simulate", "--coin", "identity", "--out", "m.csv", "--distribution-out", "link.csv")
+    with pytest.raises(KeyboardInterrupt):
+        run(*argv, "--output-dir", str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "m.csv", "target"]
+    assert (tmp_path / "m.csv").read_text() == "earlier content\n"
+    assert os.readlink(tmp_path / "link.csv") == "target/d.csv"
+    assert not any((tmp_path / "target").iterdir())
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root may write a read-only file")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coinwalk import __version__, cli
+from coinwalk import __version__, cli, export
 
 # flags per subcommand and config keys that the option table must produce
 FLAGS = {
@@ -332,6 +332,22 @@ def test_two_files_at_one_path_fail_before_the_run_computes(tmp_path, capsys, mo
     assert not any(tmp_path.iterdir())
 
 
+def test_two_names_of_one_file_fail_before_the_run_computes(tmp_path, capsys, monkeypatch):
+    # a hard link is one file under two names: the map would overwrite the closures
+    (tmp_path / "a.json").write_text("a file\n")
+    os.link(tmp_path / "a.json", tmp_path / "b.csv")
+    calls = []
+    for name in ("enumerate_closures", "scan_gap_map"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    argv = ["gapscan", "--grid=181", "--out=a.json", "--map-out=b.csv", f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: two files of the run would be written to {tmp_path.resolve() / 'b.csv'}\n"
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.csv"]
+    assert [(tmp_path / name).read_text() for name in ("a.json", "b.csv")] == ["a file\n"] * 2
+
+
 @pytest.mark.parametrize(
     "argv, path, code",
     [
@@ -342,7 +358,8 @@ def test_two_files_at_one_path_fail_before_the_run_computes(tmp_path, capsys, mo
          errno.EISDIR),
         (["gapscan", "--grid=2881", "--out=x.json"], "x.json.manifest.json", errno.EISDIR),
         (["moments", "--coin=hadamard_analog", "--steps=20000", "--out=locked/m.csv"], "locked/m.csv", errno.EACCES),
-        (["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=dangling/m.csv"], "dangling", errno.EEXIST),
+        (["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=dangling/m.csv"], "dangling/m.csv",
+         errno.ENOENT),
         (["simulate", "--coin=hadamard_analog", "--steps=20000", "--out=m.csv", "--distribution-out=link.csv"],
          "link.csv", errno.ENOENT),
     ],
@@ -350,16 +367,21 @@ def test_two_files_at_one_path_fail_before_the_run_computes(tmp_path, capsys, mo
          "no write permission", "under a dangling link", "a dangling link to a missing directory"],
 )
 def test_an_unwritable_output_fails_before_the_run_computes(tmp_path, capsys, monkeypatch, argv, path, code):
-    # the nearest existing ancestor of each file of the run tells that its
-    # write would fail: exit 3 with that write's error, no walk, no scan,
-    # nothing printed and nothing created
+    # each file of the run is opened before the run computes: exit 3 with
+    # that open's error, no walk, no scan, nothing printed and nothing created
     (tmp_path / "file").write_text("a file\n")
     for directory in ("sub", "x.json.manifest.json", "locked"):
         (tmp_path / directory).mkdir()
     (tmp_path / "dangling").symlink_to("nowhere")
     (tmp_path / "link.csv").symlink_to("missing/x.csv")
-    access = os.access  # root may write anywhere, so "locked" is denied by a stand-in
-    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != tmp_path / "locked" and access(p, mode))
+    real_open = os.open  # root may write anywhere, so "locked" is denied by a stand-in
+
+    def locked_open(path, *args):
+        if Path(path).parent.name == "locked":
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return real_open(path, *args)
+
+    monkeypatch.setattr(cli.os, "open", locked_open)
     calls = []
     for name in ("moment_series", "enumerate_closures"):
         monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
@@ -380,6 +402,24 @@ def test_a_dangling_link_whose_target_directory_exists_receives_the_output(tmp_p
     assert cli.main(argv) == 0
     assert (tmp_path / "link.csv").is_symlink()
     assert (tmp_path / "target" / "m.csv").read_text().startswith("t,mean,second,variance\n")
+
+
+def test_a_failed_write_through_a_link_deletes_the_file_and_keeps_the_link(tmp_path, monkeypatch):
+    # the header reaches target/m.csv, then the disk fills: the partial file
+    # goes, and the link in front of it stays
+    (tmp_path / "target").mkdir()
+    (tmp_path / "link.csv").symlink_to("target/m.csv")
+
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(export, "_write_formatted", disk_full)
+    monkeypatch.setattr(export, "_percent_body", disk_full)
+    argv = ["moments", "--coin=hadamard_analog", "--steps=20", "--out=link.csv", f"--output-dir={tmp_path}"]
+    assert cli.main(argv) == 3
+    assert os.readlink(tmp_path / "link.csv") == "target/m.csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target"]
+    assert not any((tmp_path / "target").iterdir())
 
 
 def test_output_through_a_symlink_loop_is_an_io_error(tmp_path, capsys):

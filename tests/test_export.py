@@ -513,6 +513,23 @@ def test_rewrite_leaves_exactly_the_new_bytes(tmp_path, monkeypatch, writer, old
     assert (tmp_path / "old").read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_writers_take_a_descriptor_and_leave_it_open(tmp_path, monkeypatch, writer):
+    # as open() does; the file held longer content, which is cut as for a path
+    native, write = _WRITERS[writer]
+    if native is not None:
+        _csv_path(native, monkeypatch)
+    write(tmp_path / "path")
+    (tmp_path / "fd").write_bytes(b"~" * 10**6)
+    fd = os.open(tmp_path / "fd", os.O_WRONLY)
+    try:
+        write(fd)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert (tmp_path / "fd").read_bytes() == (tmp_path / "path").read_bytes()
+
+
 @pytest.mark.parametrize("native", [True, False], ids=["compiled", "percent"])
 def test_failed_rewrite_keeps_no_old_bytes(tmp_path, monkeypatch, native):
     # the first chunk of rows reaches the file, then the disk fills
