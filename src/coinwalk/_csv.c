@@ -1,6 +1,6 @@
 /* Compiled CSV body of coinwalk.export.write_csv.
  *
- * Rows are written as Python's ``%`` operator writes them: an integer as
+ * Rows are written as Python's ``%`` operator writes them: an int64 as
  * ``%d``, a double as ``%.17g``, NaN of either sign as an empty field, fields
  * joined by commas and each row ended by a newline.  The bytes are the same.
  *
@@ -305,8 +305,6 @@ static int64_t format_rows(const void *const *cols, const char *kinds, int64_t n
                     len_at[j] = n;
                 }
                 p += n;
-            } else if (kinds[j] == 'u') {
-                p += put_unsigned(p, ((const uint64_t *)cols[j])[r]);
             } else {
                 const int64_t v = ((const int64_t *)cols[j])[r];
                 if (v < 0)
@@ -335,9 +333,9 @@ static void *second_stage(void *arg)
 }
 
 /* Format rows [first, first + rows) of the ``ncols`` columns ``cols`` into
- * ``out``; ``kinds[j]`` is 'f' for a double column, 'i' for int64 and 'u' for
- * uint64.  ``out`` holds at least FIELD_BYTES bytes per field.  Returns the
- * number of bytes written. */
+ * ``out``; ``kinds[j]`` is 'f' for a double column and 'i' for int64.
+ * ``out`` holds at least FIELD_BYTES bytes per field.  Returns the number of
+ * bytes written. */
 int64_t coinwalk_format_rows(const void *const *cols, const char *kinds, int64_t ncols, int64_t first, int64_t rows,
                              char *out)
 {

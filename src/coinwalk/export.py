@@ -1,12 +1,12 @@
 """Small helpers for the data files the toolkit emits.
 
 CSV tables are written column by column: :func:`write_csv` takes a header
-and one equal-length 1-D array per column.  Integer columns print as plain
-integers (``%d``); float columns print with 17 significant digits
-(``%.17g``), so every field round-trips to the exact binary double.  NaN is
-written as an empty field, the marker for an undefined value (the band axis
-and group velocity at a band touching, a relative error against a zero
-prediction).
+and one equal-length 1-D array per column, of signed integers or of floats.
+Integer columns print as plain integers (``%d``); float columns print with 17
+significant digits (``%.17g``), so every field round-trips to the exact binary
+double.  NaN is written as an empty field, the marker for an undefined value
+(the band axis and group velocity at a band touching, a relative error
+against a zero prediction).
 
 The rows are formatted in C (``_csv.c``, in the package's compiled library),
 16384 rows per call into one reused buffer, so a band of 16384 momenta is one
@@ -66,13 +66,13 @@ from ._native import library
 
 _CHUNK_ROWS = 16384  # rows formatted per call into the buffer: 2.4 MB at six columns
 _FIELD_BYTES = 25  # the widest field, "-1.7976931348623157e+308", and its delimiter
-# the dtype _csv.c formats each column kind from, by numpy's kind code, which _csv.c shares
-_C_DTYPES = {"f": np.float64, "i": np.int64, "u": np.uint64}
+# the column kinds write_csv takes, by numpy's kind code, which _csv.c shares, and the dtype _csv.c formats each from
+_C_DTYPES = {"f": np.float64, "i": np.int64}
 
 
 def write_csv(path, header: list[str], columns) -> None:
     """Write a header line and one row per index of the equal-length 1-D
-    ``columns``, with no trailing delimiter."""
+    ``columns``, each of signed integers or floats, with no trailing delimiter."""
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(cols)} columns")
@@ -80,8 +80,8 @@ def write_csv(path, header: list[str], columns) -> None:
     for name, c in zip(header, cols):
         if c.shape != (n,):
             raise ValueError(f"column {name!r} has shape {c.shape}, expected ({n},)")
-        if c.dtype.kind not in "iuf":
-            raise TypeError(f"column {name!r} has dtype {c.dtype}; expected integers or floats")
+        if c.dtype.kind not in _C_DTYPES:
+            raise TypeError(f"column {name!r} has dtype {c.dtype}; expected signed integers or floats")
     # snprintf, which _csv.c calls for some doubles, prints LC_NUMERIC's decimal point
     lib = library() if locale.localeconv()["decimal_point"] == "." else None
     _rewrite(path, _csv_chunks(header, lib, cols, n))

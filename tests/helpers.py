@@ -9,13 +9,19 @@ compute the same quantities as the package's fast paths by a different route
 a walker state's site distribution and moments summed over its support,
 dense ring-lattice evolution, momentum-space powers of the step operator,
 eigenbasis expansion, velocity measure sampled on a momentum grid, full-mesh
-closure scan, sampled minimum gap).
+closure scan, sampled minimum gap).  :func:`thread_census` counts the
+threads a piece of work runs beside the caller and leaves behind, and
+:func:`worker_env` is the environment of a worker process that imports the
+package and this module.
 """
 
 import hashlib
 import itertools
 import math
 import os
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +94,45 @@ def two_cpus() -> None:
     the compiled library's two-stage paths run."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("this process may run on fewer than 2 CPUs")
+
+
+def thread_census(work, settle: float = 10.0) -> tuple[int, int]:
+    """Run ``work`` on a thread of its own and count the threads of this
+    process (``/proc/self/task``) whose ids are new since it started: the most
+    seen while it ran, and how many are left once it is joined, polled until
+    none is or ``settle`` seconds pass, since ``join`` returns before the OS
+    thread leaves the list.  An exception from ``work`` is raised here."""
+    tasks = "/proc/self/task"
+    if not os.path.isdir(tasks):
+        pytest.skip("no /proc/self/task")
+    errors = []
+
+    def run():
+        try:
+            work()
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    before, most = set(os.listdir(tasks)), 0
+    worker = threading.Thread(target=run)
+    worker.start()
+    while worker.is_alive():  # the compiled calls let go of the GIL
+        most = max(most, len(set(os.listdir(tasks)) - before))
+        time.sleep(0.0005)
+    worker.join()
+    deadline = time.monotonic() + settle
+    while (left := len(set(os.listdir(tasks)) - before)) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    if errors:
+        raise errors[0]
+    return most, left
+
+
+def worker_env() -> dict:
+    """The environment of a worker process that imports ``coinwalk`` and ``helpers``."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def reference_step(amps: np.ndarray, coin_mat: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import sysconfig
 import threading
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -29,8 +28,10 @@ from helpers import (
     random_walk_case,
     reference_evolve,
     ring_oracle,
+    thread_census,
     two_cpus,
     walk_digest,
+    worker_env,
 )
 
 COIN0 = InitialCondition(np.array([1.0, 0.0]))
@@ -579,20 +580,13 @@ for line in sys.stdin:
 """
 
 
-def _worker_env() -> dict:
-    """The environment of a worker process that imports ``coinwalk`` and ``helpers``."""
-    here = Path(__file__).resolve().parent
-    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-
-
 @pytest.fixture(scope="module")
 def pinned_digest():
     _stage_edges()
     two_cpus()
     proc = subprocess.Popen(
         [sys.executable, "-c", _PINNED_WORKER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        env=_worker_env(),
+        env=worker_env(),
     )
 
     def digest(seed, steps):
@@ -629,65 +623,39 @@ def test_two_stages_write_the_bytes_of_one(pinned_digest, seed, steps):
 def test_a_two_stage_walk_leaves_no_thread_behind():
     threshold, _ = _stage_edges()
     two_cpus()
-    tasks = Path("/proc/self/task")
-    if not tasks.is_dir():
-        pytest.skip("no /proc/self/task")
     _, coin, init = random_walk_case(46)
-    walker = threading.Thread(target=evolve, args=(init, coin, 8 * threshold))
-    before = during = len(list(tasks.iterdir()))
-    walker.start()
-    deadline = time.monotonic() + 60
-    while walker.is_alive() and time.monotonic() < deadline:  # the kernel call lets go of the GIL
-        during = max(during, len(list(tasks.iterdir())))
-        time.sleep(0.001)
-    walker.join(timeout=1)
-    assert not walker.is_alive()
-    assert during == before + 2  # the walking thread, and the second stage beside it
-    assert len(list(tasks.iterdir())) == before
+    # the walking thread, and the second stage beside it; none left once joined
+    assert thread_census(lambda: evolve(init, coin, 8 * threshold)) == (2, 0)
 
 
-# pinned to one CPU, walks argv[1] steps and writes argv[2] rows of four
-# double columns to argv[3] on a thread of its own while the main thread
-# polls /proc/self/task; prints the CPUs it may use, the kernel that walked,
-# and the most threads seen beside the main one
-_PINNED_THREADS = """
-import os, sys, threading, time
-from pathlib import Path
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import numpy as np
-from coinwalk import export, walk
-from helpers import random_walk_case
-steps, rows = int(sys.argv[1]), int(sys.argv[2])
-_, coin, init = random_walk_case(47)
-columns = list(np.random.default_rng(47).normal(size=(4, rows)))
-
-def work():
-    walk.evolve(init, coin, steps)
-    export.write_csv(sys.argv[3], ["a", "b", "c", "d"], columns)
-
-tasks = Path("/proc/self/task")
-before = len(list(tasks.iterdir()))
-worker = threading.Thread(target=work)
-most = before
-worker.start()
-while worker.is_alive():
-    most = max(most, len(list(tasks.iterdir())))
-    time.sleep(0.0005)
-worker.join()
-print(len(os.sched_getaffinity(0)), walk.kernel_name(), most - before)
-"""
+def test_thread_census_reports_a_thread_left_behind():
+    release = threading.Event()
+    held = threading.Thread(target=release.wait)
+    try:
+        _, left = thread_census(held.start, settle=0.05)
+        assert left == 1
+    finally:
+        release.set()
+        if held.is_alive():  # not started where the census skips
+            held.join()
 
 
 def test_pinned_to_one_cpu_neither_compiled_routine_starts_a_thread(tmp_path):
+    """A thread pinned to one CPU, and so any thread it starts, walks and then
+    writes ten formatter calls of four double columns with no second stage."""
     threshold, _ = _stage_edges()
-    if not Path("/proc/self/task").is_dir():
-        pytest.skip("no /proc/self/task")
-    rows = 10 * export._CHUNK_ROWS  # ten formatter calls, each of four columns
+    rows = 10 * export._CHUNK_ROWS
     assert 4 * export._CHUNK_ROWS >= ctypes.c_int64.in_dll(walk.library(), "coinwalk_two_stage_fields").value
-    argv = [sys.executable, "-c", _PINNED_THREADS, str(8 * threshold), str(rows), str(tmp_path / "t.csv")]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=_worker_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "compiled", "1"]  # the worker thread alone
+    _, coin, init = random_walk_case(47)
+    columns = list(np.random.default_rng(47).normal(size=(4, rows)))
+
+    def work():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # the calling thread's own mask
+        evolve(init, coin, 8 * threshold)
+        export.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], columns)
+
+    assert thread_census(work) == (1, 0)  # the worker thread alone
+    assert walk.kernel_name() == "compiled"
     assert len((tmp_path / "t.csv").read_text().splitlines()) == rows + 1
 
 
@@ -772,11 +740,9 @@ def test_a_library_deleted_before_its_load_falls_back_to_numpy_loop(tmp_path, mo
 
 def test_two_processes_building_at_once_both_succeed(tmp_path):
     _compiler_on_path()
-    src = str(Path(walk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys; from pathlib import Path; from coinwalk._native import load; " \
         "sys.exit(load(Path(sys.argv[1])) is None)"
-    procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env) for _ in range(2)]
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=worker_env()) for _ in range(2)]
     try:
         codes = [p.wait(timeout=120) for p in procs]
     finally:
